@@ -8,8 +8,8 @@ good probability a is known and at least 1/4.
 
 Flags are computed by distributed subroutines into per-party registers and
 inverted afterwards; the collective phase is collected as local kicks whose
-distribution over parties is the flag object's business (by default each of
-the n parties contributes 1/n of the angle).
+distribution over parties is the flag's kick policy (by default each of the n
+parties contributes 1/n of the angle).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import ExactnessError
-from .qsim import (SparseState, apply_coherent_subroutine, phase_kick,
+from .qsim import (SparseState, apply_coherent_subroutine, phase_kick_where,
                    scale, uncompute_subroutine)
 from .runtime import CostReport, sequential
 from .subroutines import ClassicalSubroutine
@@ -50,41 +50,48 @@ def phase_angles(a: float) -> PhasePair:
     return PhasePair(theta=theta, phi=theta, a=a)
 
 
-class SubroutineFlag:
-    """Computes a predicate into a per-party flag register, invertibly.
+@dataclass(frozen=True)
+class Flag:
+    """A predicate computed invertibly into a per-party register.
 
-    ``kick`` collects a collective phase on the flagged components; every
-    party contributes an equal share, so the register must agree across
-    parties (which it does for the global predicates used here).
+    ``apply`` and ``invert`` map a state to ``(state, cost)``.  ``kick``
+    collects a collective phase on the flagged components: every party whose
+    ``register`` shows ``trigger`` and whose registers meet the extra
+    ``conditions`` contributes ``1/divisor`` of the angle.  With no extra
+    conditions and ``divisor`` the party count the register must agree across
+    parties, which it does for the global predicates used here.
     """
 
-    def __init__(self, sub: ClassicalSubroutine, topology: Topology,
-                 in_regs: Sequence[str], out_reg: str, trigger: int,
-                 fiducial: int, global_info=None, run_cache: Optional[dict] = None):
-        self.sub = sub
-        self.topology = topology
-        self.in_regs = (in_regs,) if isinstance(in_regs, str) else tuple(in_regs)
-        self.register = out_reg
-        self.trigger = trigger
-        self.fiducial = fiducial
-        self.global_info = global_info
-        self.run_cache = run_cache
-
-    def apply(self, state: SparseState):
-        return apply_coherent_subroutine(
-            state, self.sub, self.topology, self.in_regs, self.register,
-            fiducial=self.fiducial, global_info=self.global_info,
-            run_cache=self.run_cache)
-
-    def invert(self, state: SparseState):
-        return uncompute_subroutine(
-            state, self.sub, self.topology, self.in_regs, self.register,
-            fiducial=self.fiducial, global_info=self.global_info,
-            run_cache=self.run_cache)
+    apply: Callable[[SparseState], tuple]
+    invert: Callable[[SparseState], tuple]
+    register: str
+    trigger: int
+    divisor: int
+    conditions: tuple = ()
 
     def kick(self, state: SparseState, total_angle: float) -> SparseState:
-        return phase_kick(state, self.register, self.trigger,
-                          total_angle / self.topology.n)
+        return phase_kick_where(state, self.conditions + ((self.register, self.trigger),),
+                                total_angle / self.divisor)
+
+
+def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
+                   in_regs: Sequence[str], out_reg: str, trigger: int,
+                   fiducial: int, global_info=None, run_cache: Optional[dict] = None,
+                   *, divisor: Optional[int] = None, conditions=()) -> Flag:
+    """The flag a classical subroutine computes when run coherently.
+
+    ``divisor`` defaults to the party count, so every party contributes an
+    equal share of the phase.
+    """
+    in_regs = (in_regs,) if isinstance(in_regs, str) else tuple(in_regs)
+    args = (sub, topology, in_regs, out_reg)
+    opts = dict(fiducial=fiducial, global_info=global_info, run_cache=run_cache)
+    return Flag(
+        apply=lambda s: apply_coherent_subroutine(s, *args, **opts),
+        invert=lambda s: uncompute_subroutine(s, *args, **opts),
+        register=out_reg, trigger=trigger,
+        divisor=topology.n if divisor is None else divisor,
+        conditions=tuple(conditions))
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,8 @@ class Step:
     backward: Callable[[SparseState], tuple]
 
 
-def _local(fn: Callable[[SparseState], SparseState]):
+def local_step(fn: Callable[[SparseState], SparseState]):
+    """A communication-free state map as a step function with zero cost."""
     def wrapped(state):
         return fn(state), CostReport.zero()
     return wrapped
@@ -113,17 +121,17 @@ def amplification_steps(
     return [
         Step("flag_good", chi_flag.apply, chi_flag.invert),
         Step("phase_good",
-             _local(lambda s: chi_flag.kick(s, angles.theta)),
-             _local(lambda s: chi_flag.kick(s, -angles.theta))),
+             local_step(lambda s: chi_flag.kick(s, angles.theta)),
+             local_step(lambda s: chi_flag.kick(s, -angles.theta))),
         Step("unflag_good", chi_flag.invert, chi_flag.apply),
-        Step("unprepare", _local(unprepare), _local(prepare)),
+        Step("unprepare", local_step(unprepare), local_step(prepare)),
         Step("flag_zero", zero_flag.apply, zero_flag.invert),
         Step("phase_zero",
-             _local(lambda s: zero_flag.kick(s, angles.phi)),
-             _local(lambda s: zero_flag.kick(s, -angles.phi))),
+             local_step(lambda s: zero_flag.kick(s, angles.phi)),
+             local_step(lambda s: zero_flag.kick(s, -angles.phi))),
         Step("unflag_zero", zero_flag.invert, zero_flag.apply),
-        Step("prepare", _local(prepare), _local(unprepare)),
-        Step("negate", _local(lambda s: scale(s, -1)), _local(lambda s: scale(s, -1))),
+        Step("prepare", local_step(prepare), local_step(unprepare)),
+        Step("negate", local_step(lambda s: scale(s, -1)), local_step(lambda s: scale(s, -1))),
     ]
 
 

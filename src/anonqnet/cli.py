@@ -10,11 +10,10 @@ import argparse
 import sys
 
 from . import __version__
-from .election import elect, elect_with_bound
+from .election import cost_breakdown, elect, elect_with_bound
+from .errors import SimulationError
 from .ghz import ghz_share
 from .postelect import BUILTIN_FUNCTIONS, compute_function
-from .runtime import run_classical
-from .subroutines import all_zeros_flooding, consistency_from_all_zeros
 from .topology import CATALOG_NAMES, Topology, catalog, load_graph_file
 from .verify import SUITES, run_suites
 
@@ -125,31 +124,17 @@ def cmd_cost_table(args) -> int:
         graphs = [(f"{args.catalog}-{n}", catalog(args.catalog, n)) for n in sizes]
     for label, topo in graphs:
         n = topo.n
-        zeros = all_zeros_flooding(n)
-        cons = consistency_from_all_zeros(zeros)
-        _, h0_cost, _ = run_classical(topo, zeros.program, [0] * n)
-        _, cs_cost, _ = run_classical(topo, cons.program, [(0, 1)] * n)
-        from .election import exactly_one_algorithm
-        from .qsim import SparseState, layout
-        from .subroutines import TRUE
-        proc = exactly_one_algorithm(topo)
-        key = tuple(sym for _v in range(n) for sym in (0, TRUE))
-        state = SparseState(layout(n, [("bit", 2), ("res", 2)]), {key: 1.0 + 0j})
-        _, h1_cost = proc.apply(state, "bit", "res", run_cache={})
-        result = elect(topo, all_branches=True)
-        rows.append({
-            "graph": label,
-            "n": n,
-            "m": topo.m,
-            "h0_rounds": h0_cost.rounds, "h0_qubits": h0_cost.qubits_sent,
-            "cs_rounds": cs_cost.rounds, "cs_qubits": cs_cost.qubits_sent,
-            "h1_rounds": h1_cost.rounds, "h1_qubits": h1_cost.qubits_sent,
-            "qle_rounds": result.cost.rounds, "qle_qubits": result.cost.qubits_sent,
-            "qle_rounds_over_n": result.cost.rounds / n,
-            "qle_qubits_over_mn2": result.cost.qubits_sent / (topo.m * n * n),
-            "identity_qle_eq_2h0_plus_2h1":
-                result.cost.qubits_sent == 2 * h0_cost.qubits_sent + 2 * h1_cost.qubits_sent,
-        })
+        costs = cost_breakdown(topo)
+        row = {"graph": label, "n": n, "m": topo.m}
+        for part, cost in costs.items():
+            row[f"{part}_rounds"] = cost.rounds
+            row[f"{part}_qubits"] = cost.qubits_sent
+        qle, h0, h1 = costs["qle"], costs["h0"], costs["h1"]
+        row["qle_rounds_over_n"] = qle.rounds / n
+        row["qle_qubits_over_mn2"] = qle.qubits_sent / (topo.m * n * n)
+        row["identity_qle_eq_2h0_plus_2h1"] = (
+            qle.qubits_sent == 2 * h0.qubits_sent + 2 * h1.qubits_sent)
+        rows.append(row)
     if args.out and args.out.endswith(".csv"):
         cols = list(rows[0])
         lines = [",".join(cols)]
@@ -219,6 +204,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit2:
         raise
+    except SimulationError as exc:
+        # an invariant broke mid-run: report it as JSON, not as a traceback
+        _emit({"error": type(exc).__name__, "message": str(exc)}, None)
+        return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

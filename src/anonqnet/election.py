@@ -18,18 +18,17 @@ residue raises instead of being rounded away.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .amplify import (SubroutineFlag, amplification_steps, exact_amplify,
-                      phase_angles, run_steps, Step)
+from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
+                      exact_amplify, local_step, phase_angles, run_steps)
 from .errors import ExactnessError, SimulationError
 from .qsim import (SparseState, apply_all_parties, branches, init_state,
-                   layout, phase_kick, phase_kick_where)
-from .runtime import CostReport, parallel, sequential
+                   joint_branches, layout, sample_index)
+from .runtime import CostReport, parallel, run_classical, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
                           consistency_from_all_zeros, run_cached)
 from .topology import Topology
@@ -101,27 +100,6 @@ class InputReport:
     phase_factor: complex
 
 
-class _MarkedFlag(SubroutineFlag):
-    """Flag whose phase is kicked only by marked parties, by 1/t each.
-
-    When the guess t equals the number of marked parties the total collected
-    phase is exact; this is what keeps the procedure exact when every party
-    knows only an upper bound on the network size.
-    """
-
-    def __init__(self, *args, guess: int, mark_reg: str, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.guess = guess
-        self.mark_reg = mark_reg
-
-    def kick(self, state: SparseState, total_angle: float) -> SparseState:
-        return phase_kick_where(
-            state,
-            ((self.mark_reg, MARKED), (self.register, self.trigger)),
-            total_angle / self.guess,
-        )
-
-
 class ExactlyOneProcedure:
     """Measurement-free test that the parties' bits have Hamming weight one.
 
@@ -150,26 +128,21 @@ class ExactlyOneProcedure:
         def spread(s):
             return apply_all_parties(s, "coin", hadamard, control=("mark", MARKED))
 
-        chi = _MarkedFlag(
-            self.cons, topo, ("coin", "mark"), "cons_flag",
-            trigger=INCONSISTENT, fiducial=CONSISTENT, run_cache=run_cache,
-            guess=guess, mark_reg="mark")
-        zero = _MarkedFlag(
-            self.zeros, topo, ("coin",), "zero_flag",
-            trigger=TRUE, fiducial=TRUE, run_cache=run_cache,
-            guess=guess, mark_reg="mark")
+        # only marked parties kick, 1/guess each: when the guess equals the
+        # number of marked parties the collected phase is exact, which keeps
+        # the procedure exact when the parties know only a bound on n
+        marked = dict(run_cache=run_cache, divisor=guess, conditions=(("mark", MARKED),))
+        chi = SubroutineFlag(self.cons, topo, ("coin", "mark"), "cons_flag",
+                             trigger=INCONSISTENT, fiducial=CONSISTENT, **marked)
+        zero = SubroutineFlag(self.zeros, topo, ("coin",), "zero_flag",
+                              trigger=TRUE, fiducial=TRUE, **marked)
         angles = phase_angles(guess_success_probability(guess))
 
         verdict = SubroutineFlag(
             self.cons, topo, ("coin", "mark"), "verdict",
             trigger=INCONSISTENT, fiducial=CONSISTENT, run_cache=run_cache)
 
-        def local(fn):
-            def wrapped(s):
-                return fn(s), CostReport.zero()
-            return wrapped
-
-        tape = [Step("spread", local(spread), local(spread))]
+        tape = [Step("spread", local_step(spread), local_step(spread))]
         tape += amplification_steps(spread, spread, chi, zero, angles)
         tape.append(Step("verdict", verdict.apply, verdict.invert))
         return tape
@@ -295,35 +268,15 @@ def exactly_one_algorithm(topology: Topology, n_known: Optional[int] = None) -> 
     return ExactlyOneProcedure(topology, n_known)
 
 
-class _UniqueOneFlag:
-    """Adapter exposing the unique-one procedure as an amplification flag."""
+def unique_one_state(amplitudes: dict) -> SparseState:
+    """Input state of the unique-one procedure over registers "bit" and "res".
 
-    def __init__(self, procedure: ExactlyOneProcedure, x_reg: str, y_reg: str,
-                 divisor: int, run_cache: Optional[dict] = None):
-        self.procedure = procedure
-        self.x_reg = x_reg
-        self.register = y_reg
-        self.trigger = TRUE
-        self.divisor = divisor
-        self.run_cache = run_cache
-
-    def apply(self, state):
-        return self.procedure.apply(state, self.x_reg, self.register, self.run_cache)
-
-    # applying the procedure twice is the identity
-    invert = apply
-
-    def kick(self, state, total_angle):
-        return phase_kick(state, self.register, self.trigger, total_angle / self.divisor)
-
-
-class _AllPartiesFlag(SubroutineFlag):
-    def __init__(self, *args, divisor: int, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.divisor = divisor
-
-    def kick(self, state, total_angle):
-        return phase_kick(state, self.register, self.trigger, total_angle / self.divisor)
+    ``amplitudes`` maps bit vectors to their amplitudes; "res" starts at TRUE.
+    """
+    n = len(next(iter(amplitudes)))
+    lay = layout(n, [("bit", 2), ("res", 2)])
+    return SparseState(lay, {tuple(sym for bit in x for sym in (bit, TRUE)): amp
+                             for x, amp in amplitudes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +337,6 @@ class ElectionResult:
         return payload
 
 
-def _sample_index(probabilities, seed) -> int:
-    rng = random.Random(seed)
-    draw = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probabilities):
-        acc += p
-        if draw <= acc:
-            return i
-    return len(probabilities) - 1
-
-
 def _trivial_result() -> ElectionResult:
     branch = ElectionBranch(outcomes=(1,), probability=1.0, leaders=(0,))
     return ElectionResult(n=1, branches=[branch], cost=CostReport.zero(), sampled_index=0)
@@ -415,47 +357,53 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
     n = topology.n
     if n == 1:
         return _trivial_result()
-    run_cache: dict = {}
-    lay = layout(n, [("coin", 2), ("one_flag", 2), ("zero_flag", 2)])
-    state = init_state(lay, {"coin": 0, "one_flag": TRUE, "zero_flag": TRUE})
-    gate = rotation_matrix(n)
-
-    def prepare(s):
-        return apply_all_parties(s, "coin", gate)
-
-    procedure = exactly_one_algorithm(topology)
-    chi = _UniqueOneFlag(procedure, "coin", "one_flag", divisor=n, run_cache=run_cache)
-    zero = _AllPartiesFlag(
-        all_zeros_flooding(n), topology, ("coin",), "zero_flag",
-        trigger=TRUE, fiducial=TRUE, run_cache=run_cache, divisor=n)
-
-    state = prepare(state)
-    state, cost = exact_amplify(
-        state, prepare, prepare, chi, zero,
-        a=success_probability(n), check_success=True)
-
+    state, cost = _amplified_coins(exactly_one_algorithm(topology), n, {},
+                                   check_success=True)
     out = []
     for br in branches(state, "coin"):
         outcome = br.outcome_vector("coin")
         leaders = tuple(p for p, bit in enumerate(outcome) if bit == 1)
         out.append(ElectionBranch(outcomes=outcome, probability=br.probability,
                                   leaders=leaders))
-    sampled = None if all_branches else _sample_index([b.probability for b in out], seed)
+    sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)
+
+
+def _amplified_coins(procedure: ExactlyOneProcedure, guess: int, run_cache: dict,
+                     check_success: bool) -> tuple:
+    """The coins after one exact amplification towards weight one, for n = guess.
+
+    The all-zeros flood runs for the procedure's known bound on n; both flags
+    kick 1/guess of each angle per party.  Returns ``(state, cost)``.
+    """
+    topology = procedure.topology
+    lay = layout(topology.n, [("coin", 2), ("one_flag", 2), ("zero_flag", 2)])
+    state = init_state(lay, {"coin": 0, "one_flag": TRUE, "zero_flag": TRUE})
+    gate = rotation_matrix(guess)
+
+    def prepare(s):
+        return apply_all_parties(s, "coin", gate)
+
+    def weight_one(s):
+        return procedure.apply(s, "coin", "one_flag", run_cache)
+
+    # applying the unique-one procedure twice is the identity
+    chi = Flag(apply=weight_one, invert=weight_one, register="one_flag",
+               trigger=TRUE, divisor=guess)
+    zero = SubroutineFlag(procedure.zeros, topology, ("coin",), "zero_flag",
+                          trigger=TRUE, fiducial=TRUE, run_cache=run_cache,
+                          divisor=guess)
+    return exact_amplify(prepare(state), prepare, prepare, chi, zero,
+                         a=success_probability(guess), check_success=check_success)
 
 
 def _verify_unique(procedure: ExactlyOneProcedure, outcome: tuple,
                    run_cache: dict) -> tuple:
     """Run the unique-one procedure on a measured classical outcome."""
-    n = procedure.topology.n
-    lay = layout(n, [("bit", 2), ("res", 2)])
-    key = []
-    for v in range(n):
-        key.extend((outcome[v], TRUE))
-    state = SparseState(lay, {tuple(key): 1.0 + 0j})
-    state, cost = procedure.apply(state, "bit", "res", run_cache)
+    state, cost = procedure.apply(unique_one_state({outcome: 1.0 + 0j}),
+                                  "bit", "res", run_cache)
     (final_key, _amp), = state.amps.items()
-    values = {final_key[s] for s in lay.slots("res")}
+    values = {final_key[s] for s in state.layout.slots("res")}
     if len(values) > 1:
         raise ExactnessError("verification flag disagrees across parties")
     return values.pop() == TRUE, cost
@@ -482,44 +430,24 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
     run_cache: dict = {}
     procedure = exactly_one_algorithm(topology, n_known=upper_bound)
 
+    guesses = range(2, upper_bound + 1)
     per_guess = []
     guess_costs = []
-    for guess in range(2, upper_bound + 1):
-        lay = layout(n, [("coin", 2), ("one_flag", 2), ("zero_flag", 2)])
-        state = init_state(lay, {"coin": 0, "one_flag": TRUE, "zero_flag": TRUE})
-        gate = rotation_matrix(guess)
-
-        def prepare(s, gate=gate):
-            return apply_all_parties(s, "coin", gate)
-
-        chi = _UniqueOneFlag(procedure, "coin", "one_flag",
-                             divisor=guess, run_cache=run_cache)
-        zero = _AllPartiesFlag(
-            all_zeros_flooding(upper_bound), topology, ("coin",), "zero_flag",
-            trigger=TRUE, fiducial=TRUE, run_cache=run_cache, divisor=guess)
-        state = prepare(state)
-        state, attempt_cost = exact_amplify(
-            state, prepare, prepare, chi, zero,
-            a=success_probability(guess), check_success=False)
-
+    for guess in guesses:
+        state, attempt_cost = _amplified_coins(procedure, guess, run_cache,
+                                               check_success=False)
         options = []
-        verify_cost = None
         for br in branches(state, "coin"):
             outcome = br.outcome_vector("coin")
-            ok, vcost = _verify_unique(procedure, outcome, run_cache)
-            verify_cost = vcost
+            ok, verify_cost = _verify_unique(procedure, outcome, run_cache)
             options.append((outcome, br.probability, ok))
         per_guess.append(options)
         guess_costs.append(sequential(attempt_cost, verify_cost))
 
     cost = parallel(*guess_costs)
-    combos = _expand(per_guess)
-
     out = []
-    for picked, prob in combos:
-        verified = tuple(
-            guess for (guess, (_outcome, _p, ok)) in zip(range(2, upper_bound + 1), picked) if ok
-        )
+    for picked, prob in joint_branches(per_guess, probability=lambda opt: opt[1]):
+        verified = tuple(guess for guess, (_outcome, _p, ok) in zip(guesses, picked) if ok)
         if not verified:
             raise ExactnessError("no guess verified a unique leader in some branch")
         winner = verified[0]
@@ -528,20 +456,26 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         out.append(ElectionBranch(
             outcomes=outcome, probability=prob, leaders=leaders,
             winner_guess=winner,
-            guess_outcomes=tuple((g, picked[g - 2][0]) for g in range(2, upper_bound + 1)),
+            guess_outcomes=tuple((g, opt[0]) for g, opt in zip(guesses, picked)),
             verified=verified,
         ))
     out.sort(key=lambda b: (b.guess_outcomes, -b.probability))
-    sampled = None if all_branches else _sample_index([b.probability for b in out], seed)
+    sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)
 
 
-def _expand(per_guess):
-    combos = [((), 1.0)]
-    for options in per_guess:
-        combos = [
-            (picked + (opt,), p * opt[1])
-            for picked, p in combos
-            for opt in options
-        ]
-    return combos
+def cost_breakdown(topology: Topology) -> dict:
+    """Metered cost of each layer of the election on ``topology``.
+
+    ``h0`` is one all-zeros flood, ``cs`` one consistency test, ``h1`` one
+    run of the unique-one procedure and ``qle`` the whole election, which
+    costs exactly 2 h0 + 2 h1.
+    """
+    n = topology.n
+    zeros = all_zeros_flooding(n)
+    _out, h0, _trace = run_classical(topology, zeros.program, [0] * n)
+    _out, cs, _trace = run_classical(topology, consistency_from_all_zeros(zeros).program,
+                                     [(0, 1)] * n)
+    _state, h1 = exactly_one_algorithm(topology).apply(
+        unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res", run_cache={})
+    return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import SimulationError
 from .qsim import (SparseState, apply_all_parties, apply_coherent_subroutine,
                    binary_op_all_parties, branches, drop_registers, init_state,
-                   layout, rename_register, tensor)
+                   joint_branches, layout, rename_register, sample_index,
+                   tensor)
 from .runtime import CostReport, parallel
 from .subroutines import modular_sum_views
 from .topology import Topology
@@ -208,16 +209,8 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
     audit: list = []
     attempts, cost = phase1(topology, k, run_cache=run_cache, audit=audit)
 
-    combos = [((), 1.0)]
-    for branches_i in attempts:
-        combos = [
-            (picked + (br,), p * br.probability)
-            for picked, p in combos
-            for br in branches_i
-        ]
-
     out = []
-    for picked, prob in combos:
+    for picked, prob in joint_branches(attempts):
         outcomes = tuple(br.outcome for br in picked)
         zero_hits = [i for i, s in enumerate(outcomes) if s == 0]
         if zero_hits:
@@ -238,17 +231,6 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
                 distill_outcome=distilled.outcome))
 
     gates = tuple(sorted(set(audit)))
-    sampled = None
-    if not all_branches:
-        import random
-        rng = random.Random(seed)
-        draw = rng.random()
-        acc = 0.0
-        sampled = len(out) - 1
-        for i, b in enumerate(out):
-            acc += b.probability
-            if draw <= acc:
-                sampled = i
-                break
+    sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return GhzShareResult(k=k, n=n, branches=out, cost=cost,
                           gates_used=gates, sampled_index=sampled)

@@ -188,13 +188,16 @@ def compute_function(topology: Topology, inputs: Sequence[int],
                      fn: Callable, seed: Optional[int] = None) -> FunctionRun:
     """Elect, build the tree, recognize the graph, evaluate, broadcast.
 
-    ``fn(adjacency, labels)`` sees the graph in identifier space with
-    ``labels[i]`` the input of the party holding identifier i+1; it must not
-    care which consistent relabeling it is given.
+    ``inputs`` holds one bit per party.  ``fn(adjacency, labels)`` sees the
+    graph in identifier space with ``labels[i]`` the input of the party
+    holding identifier i+1; it must not care which consistent relabeling it
+    is given.
     """
     n = topology.n
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs")
+    if any(x not in (0, 1) for x in inputs):
+        raise ValueError(f"inputs must be bits 0 or 1, got {list(inputs)}")
     election = elect(topology, seed=seed)
     branch = election.sampled
     (leader,) = branch.leaders

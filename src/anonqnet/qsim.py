@@ -510,17 +510,39 @@ def branches(state: SparseState, targets, *, min_probability: float = 1e-12) -> 
     return out
 
 
+def sample_index(probabilities, seed: Optional[int] = None) -> int:
+    """Index of one outcome drawn with seeded randomness.
+
+    One uniform draw from ``random.Random(seed)`` is compared against the
+    running sum of ``probabilities``; the last index absorbs rounding.
+    """
+    draw = random.Random(seed).random()
+    acc = 0.0
+    for i, p in enumerate(probabilities):
+        acc += p
+        if draw <= acc:
+            return i
+    return len(probabilities) - 1
+
+
+def joint_branches(per_part, probability=lambda option: option.probability) -> list:
+    """Every choice of one option per independent part, with its probability.
+
+    Returns ``[(picked, p), ...]`` with ``picked`` one option per part, in
+    lexicographic order of the option lists, and ``p`` the product of the
+    picked options' probabilities taken left to right.
+    """
+    combos = [((), 1.0)]
+    for options in per_part:
+        combos = [(picked + (opt,), p * probability(opt))
+                  for picked, p in combos for opt in options]
+    return combos
+
+
 def measure(state: SparseState, targets, seed: Optional[int] = None) -> MeasurementBranch:
     """Sample one measurement branch with seeded randomness."""
     opts = branches(state, targets)
-    rng = random.Random(seed)
-    draw = rng.random()
-    acc = 0.0
-    for br in opts:
-        acc += br.probability
-        if draw <= acc:
-            return br
-    return opts[-1]
+    return opts[sample_index([br.probability for br in opts], seed)]
 
 
 def fidelity(state: SparseState, reference: SparseState) -> float:

@@ -17,6 +17,8 @@ from .topology import Topology
 
 TRUE, FALSE = 1, 0
 
+_CACHE_TOPOLOGY = "topology"   # run-cache entry naming the topology it serves
+
 
 @dataclass(frozen=True)
 class ClassicalSubroutine:
@@ -40,11 +42,16 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
     """Run a subroutine, memoizing (outputs, cost, pattern) per input vector.
 
     The trace itself is not cached; coherent application only needs the
-    oblivious pattern for cross-component checks.
+    oblivious pattern for cross-component checks.  Results depend on the
+    port numbering, which the key does not hold, so a cache is bound to the
+    first topology it serves and refuses any other.
     """
     if cache is None:
         outputs, cost, trace = sub.run(topology, inputs, global_info)
         return tuple(outputs), cost, trace.pattern()
+    bound = cache.setdefault(_CACHE_TOPOLOGY, topology)
+    if bound is not topology and bound != topology:
+        raise ValueError("run cache holds results for another topology")
     key = (sub.name, inputs, global_info)
     hit = cache.get(key)
     if hit is None:

@@ -125,3 +125,25 @@ def test_cost_table_csv(tmp_path, capsys):
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("graph,")
     assert len(lines) == 2
+
+
+def test_compute_rejects_non_bit_inputs(capsys):
+    code = main(["compute", "--catalog", "ring", "--n", "3", "--fn", "parity",
+                 "--inputs", "2,3,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bits" in captured.err
+
+
+def test_invariant_failure_is_json_with_exit_code_1(capsys, monkeypatch):
+    import anonqnet.cli
+    from anonqnet.errors import ExactnessError
+
+    def broken(*_args, **_kwargs):
+        raise ExactnessError("bank residue 1e-3")
+
+    monkeypatch.setattr(anonqnet.cli, "elect", broken)
+    code, out = run_cli(capsys, "elect", "--catalog", "ring", "--n", "3")
+    assert code == 1
+    assert json.loads(out) == {"error": "ExactnessError", "message": "bank residue 1e-3"}

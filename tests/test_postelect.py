@@ -102,6 +102,12 @@ def test_labeled_cycle_pipeline_on_c4():
     assert run.values == (1,) * 4
 
 
+@pytest.mark.parametrize("inputs", [[2, 3, 0], [1, -1, 0], [0, 1, True + 1]])
+def test_pipeline_rejects_non_bit_inputs(inputs):
+    with pytest.raises(ValueError, match="bits"):
+        compute_function(catalog("ring", 3), inputs, parity, seed=0)
+
+
 def test_pipeline_value_is_seed_independent():
     topo = catalog("star", 4)
     values = {compute_function(topo, [1, 0, 1, 1], majority, seed=s).value

@@ -8,7 +8,7 @@ from anonqnet.errors import SimulationError
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
-                                  serialize_view, view, view_depth)
+                                  run_cached, serialize_view, view, view_depth)
 from anonqnet.topology import build_graph, catalog
 
 from conftest import (all_bit_vectors, catalog_cases, case_ids,
@@ -167,3 +167,17 @@ def test_class_count_divides_party_count_guard():
     sub = modular_sum_views(2, 6)
     with pytest.raises(SimulationError):
         run_classical(topo, sub.program, [1, 0, 0, 0], global_info=3)
+
+
+def test_run_cache_refuses_a_second_topology():
+    flood = all_zeros_flooding(3)
+    cache = {}
+    _o, path_cost, _p = run_cached(flood, catalog("path", 3), (0, 0, 0), None, cache)
+    assert path_cost.qubits_sent == 12
+    # an equal topology built separately may share the cache
+    _o, again, _p = run_cached(flood, catalog("path", 3), (0, 0, 0), None, cache)
+    assert again == path_cost
+    with pytest.raises(ValueError):
+        run_cached(flood, catalog("complete", 3), (0, 0, 0), None, cache)
+    _o, complete_cost, _p = run_cached(flood, catalog("complete", 3), (0, 0, 0), None, {})
+    assert complete_cost.qubits_sent == 18
