@@ -191,7 +191,8 @@ class ExactlyOneProcedure:
 
     # -- whole procedure on one classical input ----------------------------
 
-    def _evaluate(self, x: tuple, run_cache) -> tuple:
+    def evaluate(self, x: tuple, run_cache) -> tuple:
+        """Memoized ``(value, phase, cost, InputReport)`` for one classical input."""
         hit = self._memo.get(x)
         if hit is not None:
             return hit
@@ -234,8 +235,7 @@ class ExactlyOneProcedure:
         return self._memo[x]
 
     def apply(self, state: SparseState, x_reg: str, y_reg: str,
-              run_cache: Optional[dict] = None,
-              diagnostics: Optional[list] = None) -> tuple:
+              run_cache: Optional[dict] = None) -> tuple:
         """Coherently fold the weight-one predicate of x_reg into y_reg.
 
         Returns ``(state, cost)``; the cost is that of one execution and is
@@ -248,13 +248,11 @@ class ExactlyOneProcedure:
         amps = {}
         for key, amp in state.amps.items():
             x = tuple(key[s] for s in x_slots)
-            value, phase, one_cost, report = self._evaluate(x, run_cache)
+            value, phase, one_cost, _report = self.evaluate(x, run_cache)
             if cost is None:
                 cost = one_cost
             elif (cost.rounds, cost.qubits_sent) != (one_cost.rounds, one_cost.qubits_sent):
                 raise SimulationError("unique-one cost varied with the input")
-            if diagnostics is not None:
-                diagnostics.append(report)
             nk = list(key)
             if value == FALSE:
                 for s in y_slots:

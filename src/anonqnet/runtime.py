@@ -8,7 +8,7 @@ link per direction per round, with d-level symbols charged ceil(log2 d) bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import SimulationError
 from .topology import Topology, is_automorphism
@@ -36,7 +36,6 @@ class PartyProgram:
     recv: Callable[[Any, dict, int], Any]
     finish: Callable[[Any], Any]
     name: str = "program"
-    setup: Optional[Callable[[], None]] = None  # run once before init, per run
 
     @property
     def bits_per_symbol(self) -> int:
@@ -218,8 +217,6 @@ def run_classical(
     n = topology.n
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs, got {len(inputs)}")
-    if program.setup is not None:
-        program.setup()
     states = [program.init(inputs[v], topology.degree(v), global_info) for v in range(n)]
     events = []
     per_round = []

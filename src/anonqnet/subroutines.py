@@ -10,6 +10,7 @@ Output encoding is integer symbols: predicates return 1 for "yes"
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import SimulationError
 from .runtime import PartyProgram, SizedMessage, run_classical
@@ -149,13 +150,13 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
 
 
 class View:
-    """A truncated universal-cover tree node, hash-consed.
+    """A truncated universal-cover tree node, hash-consed by a :class:`ViewTable`.
 
     ``children`` is ordered by the exit port at this node (1..degree) and each
-    entry is ``(entry_port_at_child, child_view)``.  Interning makes equality
-    an identity check within one interning generation and lets repeated
-    subtrees share storage; compare serializations when objects may span a
-    cache reset.  ``symbols`` is the length of the flat serialization (two
+    entry is ``(entry_port_at_child, child_view)``.  Within one table equal
+    views are one object, so equality is an identity check and repeated
+    subtrees share storage; views from different tables are compared by
+    serialization.  ``symbols`` is the length of the flat serialization (two
     symbols per node, one per edge), which is what transmitting the view is
     metered as.
     """
@@ -172,32 +173,43 @@ class View:
         return f"View(label={self.label}, degree={self.degree}, depth={view_depth(self)})"
 
 
-_INTERN: dict = {}
-_TRUNC: dict = {}
-_CACHE_CEILING = 300_000
+class ViewTable:
+    """Hash-consing table of views plus a memo of their truncations.
 
+    Each modular-sum subroutine owns one, shared by all its parties and all
+    its runs, so equal views stay one object across runs (the equivariance
+    check compares trace payloads by identity) and nothing outlives the
+    subroutine.  Keys hold the child objects themselves (identity-hashed), so
+    entries keep their children alive and ids are never reused.
+    """
 
-def intern_view(label: int, degree: int, children: tuple) -> View:
-    # keys hold the child objects themselves (identity-hashed), so entries
-    # keep their children alive and a cache reset can never alias ids
-    key = (label, degree, children)
-    node = _INTERN.get(key)
-    if node is None:
-        symbols = 2 + sum(1 + c.symbols for _q, c in children)
-        node = View(label, degree, children, symbols)
-        _INTERN[key] = node
-    return node
+    __slots__ = ("_nodes", "_truncated")
 
+    def __init__(self):
+        self._nodes: dict = {}
+        self._truncated: dict = {}
 
-def clear_view_caches() -> None:
-    """Drop interned views.  Only safe between runs, never during one."""
-    _INTERN.clear()
-    _TRUNC.clear()
+    def node(self, label: int, degree: int, children: tuple) -> View:
+        key = (label, degree, children)
+        hit = self._nodes.get(key)
+        if hit is None:
+            symbols = 2 + sum(1 + c.symbols for _q, c in children)
+            # setdefault keeps one node per key if two threads miss together
+            hit = self._nodes.setdefault(key, View(label, degree, children, symbols))
+        return hit
 
-
-def _trim_view_caches() -> None:
-    if len(_INTERN) > _CACHE_CEILING:
-        clear_view_caches()
+    def truncate(self, v: View, depth: int) -> View:
+        if depth <= 0 or not v.children:
+            return self.node(v.label, v.degree, ())
+        key = (v, depth)
+        hit = self._truncated.get(key)
+        if hit is None:
+            hit = self.node(
+                v.label, v.degree,
+                tuple((q, self.truncate(c, depth - 1)) for q, c in v.children),
+            )
+            self._truncated[key] = hit
+        return hit
 
 
 def view_depth(v: View) -> int:
@@ -215,31 +227,21 @@ def serialize_view(v: View) -> tuple:
     return tuple(out)
 
 
-def truncate_view(v: View, depth: int) -> View:
-    if depth <= 0 or not v.children:
-        return intern_view(v.label, v.degree, ())
-    key = (v, depth)
-    hit = _TRUNC.get(key)
-    if hit is None:
-        hit = intern_view(
-            v.label, v.degree,
-            tuple((q, truncate_view(c, depth - 1)) for q, c in v.children),
-        )
-        _TRUNC[key] = hit
-    return hit
-
-
-def view(topology: Topology, node: int, depth: int, inputs=None) -> View:
+def view(topology: Topology, node: int, depth: int, inputs=None,
+         table: Optional[ViewTable] = None) -> View:
     """Harness-side reference constructor for the view of ``node``.
 
     Builds the labeled universal-cover tree of (topology, ports, inputs)
-    rooted at ``node``, truncated at ``depth``.  Tests use this as the
-    independent counterpart of the distributed exchange below.
+    rooted at ``node``, truncated at ``depth``, in ``table`` (a fresh one if
+    omitted; pass one table to compare views by identity).  Tests use this
+    as the independent counterpart of the distributed exchange below.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if inputs is None:
         inputs = [0] * topology.n
+    if table is None:
+        table = ViewTable()
     memo = {}
 
     def build(v: int, d: int) -> View:
@@ -248,25 +250,26 @@ def view(topology: Topology, node: int, depth: int, inputs=None) -> View:
         if hit is not None:
             return hit
         if d == 0:
-            node_ = intern_view(inputs[v], topology.degree(v), ())
+            node_ = table.node(inputs[v], topology.degree(v), ())
         else:
             children = []
             for port in range(1, topology.degree(v) + 1):
                 u, edge = topology.neighbor_at(v, port)
                 children.append((topology.port_of(u, edge), build(u, d - 1)))
-            node_ = intern_view(inputs[v], topology.degree(v), tuple(children))
+            node_ = table.node(inputs[v], topology.degree(v), tuple(children))
         memo[key] = node_
         return node_
 
     return build(node, depth)
 
 
-def distinct_truncated_views(root: View, radius: int) -> list:
+def distinct_truncated_views(root: View, radius: int, table: ViewTable) -> list:
     """Distinct depth-``radius`` views rooted within ``radius`` steps of ``root``.
 
     In a connected n-party network every party sits within n-1 steps of the
     root, so with ``radius = n-1`` this enumerates every party's truncated
-    view exactly once per equivalence class.
+    view exactly once per equivalence class, in no particular order.  The
+    truncations are hash-consed in ``table``.
     """
     found = {}
     seen = set()
@@ -277,12 +280,12 @@ def distinct_truncated_views(root: View, radius: int) -> list:
         if key in seen:
             continue
         seen.add(key)
-        t = truncate_view(node, radius)
+        t = table.truncate(node, radius)
         found[id(t)] = t
         if left > 0:
             for _q, child in node.children:
                 stack.append((child, left - 1))
-    return sorted(found.values(), key=serialize_view)
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +308,14 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
 
-    def setup():
-        _trim_view_caches()
+    table = ViewTable()   # shared by every party and every run; see ViewTable
 
     def init(x, deg, n):
         if n is None:
             raise ValueError("modular sum needs the party count as global info")
         if not (0 <= x < k):
             raise ValueError(f"input {x} outside 0..{k - 1}")
-        return [n, x, deg, intern_view(x, deg, ())]
+        return [n, x, deg, table.node(x, deg, ())]
 
     def send(state, _r):
         _n, _x, deg, v = state
@@ -322,11 +324,11 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
     def recv(state, inbox, _r):
         n, x, deg, _v = state
         children = tuple((inbox[port][0], inbox[port][1]) for port in range(1, deg + 1))
-        return [n, x, deg, intern_view(x, deg, children)]
+        return [n, x, deg, table.node(x, deg, children)]
 
     def finish(state):
         n, _x, _deg, v = state
-        classes = distinct_truncated_views(v, n - 1)
+        classes = distinct_truncated_views(v, n - 1, table)
         c = len(classes)
         if n % c != 0:
             raise SimulationError(
@@ -341,6 +343,5 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
         rounds=depth, symbol_dim=max(k, depth // 2 + 1),
         init=init, send=send, recv=recv, finish=finish,
         name=f"modular_sum[{k},{depth}]",
-        setup=setup,
     )
     return ClassicalSubroutine(program, program.name, output_dim=k)

@@ -106,16 +106,14 @@ def suite_h1() -> list:
         bad = []
         worst_residue = 0.0
         for x in itertools.product(range(2), repeat=n):
-            diag = []
-            out, _cost = proc.apply(unique_one_state({x: 1.0}), "bit", "res",
-                                    run_cache={}, diagnostics=diag)
+            out, _cost = proc.apply(unique_one_state({x: 1.0}), "bit", "res", run_cache={})
             ((key, amp),) = out.amps.items()
             if set(out.symbols(key, "res")) != {_weight_is_one(x)} or abs(amp - 1.0) > 1e-10:
                 bad.append(x)
-            for report in diag:
-                for b in report.banks:
-                    worst_residue = max(worst_residue, b.inversion_residual,
-                                        b.inversion_phase_error)
+            _value, _phase, _cost, report = proc.evaluate(x, None)
+            for b in report.banks:
+                worst_residue = max(worst_residue, b.inversion_residual,
+                                    b.inversion_phase_error)
         checks.append(Check(f"{name}-{n}: all classical inputs exact", not bad,
                             f"failures: {bad}"))
         checks.append(Check(f"{name}-{n}: guess-bank ancillas restored within 1e-10",
@@ -322,8 +320,8 @@ def suite_anonymity() -> list:
                 moved = [None] * n
                 for v in range(n):
                     moved[aut[v]] = x[v]
-                value_x, _phase, cost_x, _rep = proc._evaluate(tuple(x), cache)
-                value_m, _phase, cost_m, _rep = proc._evaluate(tuple(moved), cache)
+                value_x, _phase, cost_x, _rep = proc.evaluate(tuple(x), cache)
+                value_m, _phase, cost_m, _rep = proc.evaluate(tuple(moved), cache)
                 h1_ok &= value_x == value_m and cost_x.qubits_sent == cost_m.qubits_sent
         checks.append(Check(f"{name}-{n}: unique-one outputs and costs equivariant", h1_ok))
         dist = _branch_distribution(elect(topo, all_branches=True))

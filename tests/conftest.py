@@ -57,3 +57,14 @@ def connected_graphs(draw, max_n=6):
                  if candidates else st.just([]))
     edges.update(extra)
     return build_graph(n, sorted(edges))
+
+
+@st.composite
+def shuffled_ports(draw, max_n=6):
+    """A ``connected_graphs`` draw with each node's port labels permuted."""
+    topo = draw(connected_graphs(max_n))
+    ports = []
+    for table in topo.ports:
+        perm = draw(st.permutations(range(1, len(table) + 1)))
+        ports.append({e: perm[p - 1] for e, p in table.items()})
+    return build_graph(topo.n, [sorted(e) for e in topo.edges], ports)

@@ -91,7 +91,7 @@ def weight_one_subroutine(n: int) -> ClassicalSubroutine:
         rounds=prog.rounds, symbol_dim=prog.symbol_dim,
         init=prog.init, send=prog.send, recv=prog.recv,
         finish=lambda st: 1 if prog.finish(st) == 1 else 0,
-        name=f"weight_one[{n}]", setup=prog.setup,
+        name=f"weight_one[{n}]",
     )
     return ClassicalSubroutine(wrapped, wrapped.name)
 

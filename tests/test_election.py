@@ -4,8 +4,8 @@ import pytest
 
 from anonqnet.election import (elect, elect_with_bound,
                                exactly_one_algorithm, guess_success_probability,
-                               rotation_matrix, success_probability)
-from anonqnet.qsim import SparseState, layout
+                               rotation_matrix, success_probability,
+                               unique_one_state)
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import TRUE, all_zeros_flooding
 from anonqnet.topology import automorphisms, build_graph, catalog
@@ -40,23 +40,14 @@ def test_rotation_matrix_prepares_correct_coin():
 # the unique-one procedure
 
 
-def basis_state(n, x):
-    lay = layout(n, [("bit", 2), ("res", 2)])
-    key = []
-    for v in range(n):
-        key.extend((x[v], TRUE))
-    return lay, SparseState(lay, {tuple(key): 1.0 + 0j})
-
-
 def run_unique_one(topo, x, n_known=None):
     proc = exactly_one_algorithm(topo, n_known)
-    lay, state = basis_state(topo.n, x)
-    diag = []
-    out, cost = proc.apply(state, "bit", "res", run_cache={}, diagnostics=diag)
+    out, cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res", run_cache={})
     ((key, amp),) = out.amps.items()
-    values = {key[lay.slot(p, "res")] for p in range(topo.n)}
+    values = set(out.symbols(key, "res"))
     assert len(values) == 1
-    return values.pop(), amp, cost, diag
+    _value, _phase, _cost, report = proc.evaluate(x, None)
+    return values.pop(), amp, cost, report
 
 
 def test_weight_one_input_accepted():
@@ -66,20 +57,20 @@ def test_weight_one_input_accepted():
 
 
 def test_weight_two_input_rejected_exactly():
-    value, amp, _c, diag = run_unique_one(catalog("ring", 3), (1, 1, 0))
+    value, amp, _c, report = run_unique_one(catalog("ring", 3), (1, 1, 0))
     assert value == 0
     assert abs(amp - 1.0) < 1e-10
     # the decisive guess bank holds no consistent amplitude at all
-    bank = next(b for b in diag[0].banks if b.guess == 2)
+    bank = next(b for b in report.banks if b.guess == 2)
     assert bank.max_consistent_amp < 1e-10
     assert bank.purely_inconsistent
 
 
 def test_all_zero_input_rejected_by_first_test():
-    value, _amp, _c, diag = run_unique_one(catalog("ring", 4), (0, 0, 0, 0))
+    value, _amp, _c, report = run_unique_one(catalog("ring", 4), (0, 0, 0, 0))
     assert value == 0
-    assert diag[0].zeros_flag == TRUE
-    assert all(b.purely_consistent for b in diag[0].banks)
+    assert report.zeros_flag == TRUE
+    assert all(b.purely_consistent for b in report.banks)
 
 
 @pytest.mark.parametrize("name,n,topo", catalog_cases(2, 4),
@@ -88,19 +79,18 @@ def test_unique_one_matches_oracle_everywhere(name, n, topo):
     proc = exactly_one_algorithm(topo)
     cache = {}
     for x in all_bit_vectors(n):
-        lay, state = basis_state(n, x)
-        out, _cost = proc.apply(state, "bit", "res", run_cache=cache)
+        out, _cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res",
+                                run_cache=cache)
         ((key, amp),) = out.amps.items()
-        values = {key[lay.slot(p, "res")] for p in range(n)}
-        assert values == {oracle_weight_is_one(x)}
+        assert set(out.symbols(key, "res")) == {oracle_weight_is_one(x)}
         assert abs(amp - 1.0) < 1e-10
 
 
 def test_unique_one_ancillas_restored_tightly():
     topo = catalog("star", 4)
     for x in all_bit_vectors(4):
-        _v, _a, _c, diag = run_unique_one(topo, x)
-        for bank in diag[0].banks:
+        _v, _a, _c, report = run_unique_one(topo, x)
+        for bank in report.banks:
             assert bank.inversion_residual < 1e-10
             assert bank.inversion_phase_error < 1e-10
 
@@ -108,29 +98,19 @@ def test_unique_one_ancillas_restored_tightly():
 def test_unique_one_superposition_preserves_amplitudes():
     topo = catalog("ring", 3)
     proc = exactly_one_algorithm(topo)
-    lay = layout(3, [("bit", 2), ("res", 2)])
-    amps = {}
-    weights = {}
     total = sum((i + 1) ** 2 for i in range(8))
-    for i, x in enumerate(all_bit_vectors(3)):
-        key = []
-        for v in range(3):
-            key.extend((x[v], TRUE))
-        amps[tuple(key)] = (i + 1) / math.sqrt(total)
-        weights[x] = (i + 1) / math.sqrt(total)
-    state = SparseState(lay, amps)
-    out, _cost = proc.apply(state, "bit", "res", run_cache={})
+    weights = {x: (i + 1) / math.sqrt(total) for i, x in enumerate(all_bit_vectors(3))}
+    out, _cost = proc.apply(unique_one_state(weights), "bit", "res", run_cache={})
     for key, amp in out.amps.items():
-        x = tuple(key[lay.slot(p, "bit")] for p in range(3))
-        expect = oracle_weight_is_one(x)
-        assert {key[lay.slot(p, "res")] for p in range(3)} == {expect}
+        x = out.symbols(key, "bit")
+        assert set(out.symbols(key, "res")) == {oracle_weight_is_one(x)}
         assert abs(amp - weights[x]) < 1e-12
 
 
 def test_unique_one_is_involution():
     topo = catalog("ring", 3)
     proc = exactly_one_algorithm(topo)
-    lay, state = basis_state(3, (1, 1, 0))
+    state = unique_one_state({(1, 1, 0): 1.0 + 0j})
     once, _ = proc.apply(state, "bit", "res", run_cache={})
     twice, _ = proc.apply(once, "bit", "res", run_cache={})
     assert set(twice.amps) == set(state.amps)
@@ -182,8 +162,7 @@ def test_cost_identity_against_standalone_runs():
         zeros = all_zeros_flooding(n)
         _o, h0_cost, _t = run_classical(topo, zeros.program, [0] * n)
         proc = exactly_one_algorithm(topo)
-        lay, state = basis_state(n, (0,) * n)
-        _s, h1_cost = proc.apply(state, "bit", "res", run_cache={})
+        _s, h1_cost = proc.apply(unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res", run_cache={})
         result = elect(topo, all_branches=True)
         assert result.cost.qubits_sent == 2 * h0_cost.qubits_sent + 2 * h1_cost.qubits_sent
         assert result.cost.rounds == 2 * h0_cost.rounds + 2 * h1_cost.rounds

@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonqnet.errors import SimulationError
-from anonqnet.runtime import run_classical
-from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
+from anonqnet.runtime import run_classical, verify_anonymity
+from anonqnet.subroutines import (ViewTable, all_zeros_flooding,
+                                  consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
                                   run_cached, serialize_view, view, view_depth)
-from anonqnet.topology import build_graph, catalog
+from anonqnet.topology import automorphisms, build_graph, catalog
 
 from conftest import (all_bit_vectors, catalog_cases, case_ids,
                       connected_graphs, oracle_all_zeros, oracle_consistency,
-                      oracle_modular_sum)
+                      oracle_modular_sum, shuffled_ports)
 
 CASES_4 = catalog_cases(2, 4)
 
@@ -108,6 +109,26 @@ def test_modular_sum_random_graphs(topo, k, data):
     assert out == [sum(x) % k] * topo.n
 
 
+@settings(max_examples=60, deadline=None)
+@given(shuffled_ports(max_n=4), st.integers(min_value=2, max_value=3), st.data())
+def test_random_port_numberings(topo, k, data):
+    n = topo.n
+    x = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                           min_size=n, max_size=n))
+    marks = data.draw(st.lists(st.integers(min_value=0, max_value=1),
+                               min_size=n, max_size=n))
+    sums = modular_sum_views(k, 2 * (n - 1))
+    out, _c, _t = run_classical(topo, sums.program, x, global_info=n)
+    assert out == [oracle_modular_sum(x, k)] * n
+    bits = [s % 2 for s in x]
+    zeros = all_zeros_flooding(n)
+    cons = consistency_from_all_zeros(zeros)
+    for aut in automorphisms(topo):
+        assert verify_anonymity(topo, zeros.program, bits, aut)
+        assert verify_anonymity(topo, cons.program, list(zip(bits, marks)), aut)
+        assert verify_anonymity(topo, sums.program, x, aut, global_info=n)
+
+
 def test_modular_sum_single_party():
     topo = build_graph(1, [])
     sub = modular_sum_views(3, 0)
@@ -124,7 +145,8 @@ def test_view_depth_zero():
 
 def test_views_of_symmetric_ring_coincide():
     topo = catalog("ring", 4)
-    views = [view(topo, p, 3, inputs=[1, 1, 1, 1]) for p in range(4)]
+    table = ViewTable()
+    views = [view(topo, p, 3, inputs=[1, 1, 1, 1], table=table) for p in range(4)]
     assert len({id(v) for v in views}) == 1  # interning makes equality identity
 
 
@@ -137,17 +159,38 @@ def test_view_k2_alternates():
 
 def test_view_labels_break_symmetry():
     topo = catalog("ring", 4)
-    views = [view(topo, p, 3, inputs=[1, 0, 0, 0]) for p in range(4)]
+    table = ViewTable()
+    views = [view(topo, p, 3, inputs=[1, 0, 0, 0], table=table) for p in range(4)]
     assert len({id(v) for v in views}) == 4
 
 
 def test_distinct_truncated_views_counts_classes():
     topo = catalog("ring", 4)
-    root = view(topo, 0, 6, inputs=[1, 0, 1, 0])
-    classes = distinct_truncated_views(root, 3)
+    table = ViewTable()
+    root = view(topo, 0, 6, inputs=[1, 0, 1, 0], table=table)
+    classes = distinct_truncated_views(root, 3, table)
     assert len(classes) == 2  # opposite nodes are indistinguishable
-    root = view(topo, 0, 6, inputs=[1, 0, 0, 0])
-    assert len(distinct_truncated_views(root, 3)) == 4
+    root = view(topo, 0, 6, inputs=[1, 0, 0, 0], table=table)
+    assert len(distinct_truncated_views(root, 3, table)) == 4
+
+
+def _payload_views(trace):
+    return [ev.payload[1] for ev in trace.events]   # payloads are (port, view)
+
+
+def test_view_tables_are_per_subroutine():
+    topo = catalog("ring", 4)
+    x = [1, 0, 0, 1]
+    one, two = modular_sum_views(2, 6), modular_sum_views(2, 6)
+    _o, _c, trace_one = run_classical(topo, one.program, x, global_info=4)
+    _o, _c, trace_two = run_classical(topo, two.program, x, global_info=4)
+    views_one, views_two = _payload_views(trace_one), _payload_views(trace_two)
+    assert views_one and views_two
+    assert not {id(v) for v in views_one} & {id(v) for v in views_two}
+    # a second run of one subroutine reuses its table: equal views are one
+    # object, which is what lets verify_anonymity compare payloads
+    _o, _c, trace_again = run_classical(topo, one.program, x, global_info=4)
+    assert [id(v) for v in _payload_views(trace_again)] == [id(v) for v in views_one]
 
 
 def test_view_message_sizes_are_label_independent():
