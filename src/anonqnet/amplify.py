@@ -76,7 +76,7 @@ class Flag:
 
 def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
                    in_regs: Sequence[str], out_reg: str, trigger: int,
-                   fiducial: int, global_info=None, run_cache: Optional[dict] = None,
+                   fiducial: int, global_info=None,
                    *, divisor: Optional[int] = None, conditions=()) -> Flag:
     """The flag a classical subroutine computes when run coherently.
 
@@ -85,7 +85,7 @@ def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
     """
     in_regs = (in_regs,) if isinstance(in_regs, str) else tuple(in_regs)
     args = (sub, topology, in_regs, out_reg)
-    opts = dict(fiducial=fiducial, global_info=global_info, run_cache=run_cache)
+    opts = dict(fiducial=fiducial, global_info=global_info)
     return Flag(
         apply=lambda s: apply_coherent_subroutine(s, *args, **opts),
         invert=lambda s: uncompute_subroutine(s, *args, **opts),

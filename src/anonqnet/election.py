@@ -121,7 +121,7 @@ class ExactlyOneProcedure:
 
     # -- per-guess bank ----------------------------------------------------
 
-    def _bank_tape(self, guess: int, run_cache) -> list:
+    def _bank_tape(self, guess: int) -> list:
         topo = self.topology
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -131,7 +131,7 @@ class ExactlyOneProcedure:
         # only marked parties kick, 1/guess each: when the guess equals the
         # number of marked parties the collected phase is exact, which keeps
         # the procedure exact when the parties know only a bound on n
-        marked = dict(run_cache=run_cache, divisor=guess, conditions=(("mark", MARKED),))
+        marked = dict(divisor=guess, conditions=(("mark", MARKED),))
         chi = SubroutineFlag(self.cons, topo, ("coin", "mark"), "cons_flag",
                              trigger=INCONSISTENT, fiducial=CONSISTENT, **marked)
         zero = SubroutineFlag(self.zeros, topo, ("coin",), "zero_flag",
@@ -140,14 +140,14 @@ class ExactlyOneProcedure:
 
         verdict = SubroutineFlag(
             self.cons, topo, ("coin", "mark"), "verdict",
-            trigger=INCONSISTENT, fiducial=CONSISTENT, run_cache=run_cache)
+            trigger=INCONSISTENT, fiducial=CONSISTENT)
 
         tape = [Step("spread", local_step(spread), local_step(spread))]
         tape += amplification_steps(spread, spread, chi, zero, angles)
         tape.append(Step("verdict", verdict.apply, verdict.invert))
         return tape
 
-    def _run_bank(self, x: tuple, guess: int, run_cache) -> tuple:
+    def _run_bank(self, x: tuple, guess: int) -> tuple:
         n = self.topology.n
         lay = layout(n, [("mark", 2), ("coin", 2), ("cons_flag", 2),
                          ("zero_flag", 2), ("verdict", 2)])
@@ -156,7 +156,7 @@ class ExactlyOneProcedure:
             key.extend((MARKED if x[v] else UNMARKED, 0, CONSISTENT, TRUE, CONSISTENT))
         start = tuple(key)
         bank = SparseState(lay, {start: 1.0 + 0j})
-        tape = self._bank_tape(guess, run_cache)
+        tape = self._bank_tape(guess)
         bank, fwd_cost = run_steps(bank, tape)
 
         verdict_slots = lay.slots("verdict")
@@ -191,13 +191,13 @@ class ExactlyOneProcedure:
 
     # -- whole procedure on one classical input ----------------------------
 
-    def evaluate(self, x: tuple, run_cache) -> tuple:
+    def evaluate(self, x: tuple) -> tuple:
         """Memoized ``(value, phase, cost, InputReport)`` for one classical input."""
         hit = self._memo.get(x)
         if hit is not None:
             return hit
-        zeros_out, zeros_cost, _ = run_cached(
-            self.zeros, self.topology, tuple(int(b) for b in x), None, run_cache)
+        zeros_out, zeros_cost, _ = run_cached(self.zeros, self.topology,
+                                              tuple(int(b) for b in x))
         if len(set(zeros_out)) > 1:
             raise ExactnessError("all-zeros flood disagrees across parties")
         s0 = zeros_out[0]
@@ -206,7 +206,7 @@ class ExactlyOneProcedure:
         bank_costs = []
         phase = 1.0 + 0j
         for t in self.guesses:
-            report, fid_amp, cost = self._run_bank(x, t, run_cache)
+            report, fid_amp, cost = self._run_bank(x, t)
             reports.append(report)
             bank_costs.append(cost)
             phase *= fid_amp
@@ -240,6 +240,8 @@ class ExactlyOneProcedure:
 
         Returns ``(state, cost)``; the cost is that of one execution and is
         identical for every component (the communication is oblivious).
+        ``run_cache`` is accepted and ignored: the subroutines memoize their
+        own runs.
         """
         lay = state.layout
         x_slots = lay.slots(x_reg)
@@ -248,7 +250,7 @@ class ExactlyOneProcedure:
         amps = {}
         for key, amp in state.amps.items():
             x = tuple(key[s] for s in x_slots)
-            value, phase, one_cost, _report = self.evaluate(x, run_cache)
+            value, phase, one_cost, _report = self.evaluate(x)
             if cost is None:
                 cost = one_cost
             elif (cost.rounds, cost.qubits_sent) != (one_cost.rounds, one_cost.qubits_sent):
@@ -355,7 +357,7 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
     n = topology.n
     if n == 1:
         return _trivial_result()
-    state, cost = _amplified_coins(exactly_one_algorithm(topology), n, {},
+    state, cost = _amplified_coins(exactly_one_algorithm(topology), n,
                                    check_success=True)
     out = []
     for br in branches(state, "coin"):
@@ -367,7 +369,7 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)
 
 
-def _amplified_coins(procedure: ExactlyOneProcedure, guess: int, run_cache: dict,
+def _amplified_coins(procedure: ExactlyOneProcedure, guess: int,
                      check_success: bool) -> tuple:
     """The coins after one exact amplification towards weight one, for n = guess.
 
@@ -383,23 +385,21 @@ def _amplified_coins(procedure: ExactlyOneProcedure, guess: int, run_cache: dict
         return apply_all_parties(s, "coin", gate)
 
     def weight_one(s):
-        return procedure.apply(s, "coin", "one_flag", run_cache)
+        return procedure.apply(s, "coin", "one_flag")
 
     # applying the unique-one procedure twice is the identity
     chi = Flag(apply=weight_one, invert=weight_one, register="one_flag",
                trigger=TRUE, divisor=guess)
     zero = SubroutineFlag(procedure.zeros, topology, ("coin",), "zero_flag",
-                          trigger=TRUE, fiducial=TRUE, run_cache=run_cache,
-                          divisor=guess)
+                          trigger=TRUE, fiducial=TRUE, divisor=guess)
     return exact_amplify(prepare(state), prepare, prepare, chi, zero,
                          a=success_probability(guess), check_success=check_success)
 
 
-def _verify_unique(procedure: ExactlyOneProcedure, outcome: tuple,
-                   run_cache: dict) -> tuple:
+def _verify_unique(procedure: ExactlyOneProcedure, outcome: tuple) -> tuple:
     """Run the unique-one procedure on a measured classical outcome."""
     state, cost = procedure.apply(unique_one_state({outcome: 1.0 + 0j}),
-                                  "bit", "res", run_cache)
+                                  "bit", "res")
     (final_key, _amp), = state.amps.items()
     values = {final_key[s] for s in state.layout.slots("res")}
     if len(values) > 1:
@@ -425,19 +425,17 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         raise ValueError("upper bound below the true party count")
     if n == 1:
         return _trivial_result()
-    run_cache: dict = {}
     procedure = exactly_one_algorithm(topology, n_known=upper_bound)
 
     guesses = range(2, upper_bound + 1)
     per_guess = []
     guess_costs = []
     for guess in guesses:
-        state, attempt_cost = _amplified_coins(procedure, guess, run_cache,
-                                               check_success=False)
+        state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
         options = []
         for br in branches(state, "coin"):
             outcome = br.outcome_vector("coin")
-            ok, verify_cost = _verify_unique(procedure, outcome, run_cache)
+            ok, verify_cost = _verify_unique(procedure, outcome)
             options.append((outcome, br.probability, ok))
         per_guess.append(options)
         guess_costs.append(sequential(attempt_cost, verify_cost))
@@ -475,5 +473,5 @@ def cost_breakdown(topology: Topology) -> dict:
     _out, cs, _trace = run_classical(topology, consistency_from_all_zeros(zeros).program,
                                      [(0, 1)] * n)
     _state, h1 = exactly_one_algorithm(topology).apply(
-        unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res", run_cache={})
+        unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res")
     return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

@@ -59,7 +59,7 @@ class AttemptBranch:
     state: SparseState   # over register "share"
 
 
-def _attempt(topology: Topology, k: int, fk, run_cache: dict, audit: list) -> tuple:
+def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     """Run one attempt up to its measurement; enumerate all its branches."""
     n = topology.n
     lay = layout(n, [("share", k), ("sum", k)])
@@ -70,7 +70,7 @@ def _attempt(topology: Topology, k: int, fk, run_cache: dict, audit: list) -> tu
     audit.append(f"sum_mod_{k}_blackbox")
     state, cost = apply_coherent_subroutine(
         state, fk, topology, ("share",), "sum",
-        fiducial=0, global_info=n, run_cache=run_cache)
+        fiducial=0, global_info=n)
     audit.append("measure")
     audit.append(f"fourier_dag[{k}]")
     out = []
@@ -86,16 +86,13 @@ def _attempt(topology: Topology, k: int, fk, run_cache: dict, audit: list) -> tu
     return out, cost
 
 
-def phase1(topology: Topology, k: int, *, run_cache: Optional[dict] = None,
-           audit: Optional[list] = None) -> tuple:
+def phase1(topology: Topology, k: int, *, audit: Optional[list] = None) -> tuple:
     """All k parallel attempts, fully branch-enumerated.
 
     Returns ``(attempts, cost)`` where ``attempts[i]`` lists the branches of
     attempt i; measuring the shared sum of attempt i leaves its qudits in the
     cat state of phase index (-outcome) mod k.
     """
-    if run_cache is None:
-        run_cache = {}
     if audit is None:
         audit = []
     n = topology.n
@@ -103,7 +100,7 @@ def phase1(topology: Topology, k: int, *, run_cache: Optional[dict] = None,
     attempts = []
     costs = []
     for _i in range(k):
-        branches_i, cost_i = _attempt(topology, k, fk, run_cache, audit)
+        branches_i, cost_i = _attempt(topology, k, fk, audit)
         attempts.append(branches_i)
         costs.append(cost_i)
     return attempts, parallel(*costs)
@@ -205,9 +202,8 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
     n = topology.n
     if k < 2:
         raise ValueError("qudit dimension must be at least 2")
-    run_cache: dict = {}
     audit: list = []
-    attempts, cost = phase1(topology, k, run_cache=run_cache, audit=audit)
+    attempts, cost = phase1(topology, k, audit=audit)
 
     out = []
     for picked, prob in joint_branches(attempts):

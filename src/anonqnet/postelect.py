@@ -60,7 +60,6 @@ def spanning_tree(topology: Topology, leader: int) -> tuple:
     parent = [None] * n
     order = []
     visited = [False] * n
-    stack = [(leader, None)]
     # iterative DFS, expanding ports in ascending order
     def visit(v):
         visited[v] = True

@@ -377,7 +377,6 @@ def apply_coherent_subroutine(
     *,
     fiducial: int = 0,
     global_info=None,
-    run_cache: Optional[dict] = None,
 ) -> tuple:
     """Run a classical subroutine on every basis component of ``state``.
 
@@ -388,7 +387,7 @@ def apply_coherent_subroutine(
     execution.
     """
     return _coherent(state, sub, topology, in_regs, out_reg, fiducial,
-                     global_info, run_cache, inverse=False)
+                     global_info, inverse=False)
 
 
 def uncompute_subroutine(
@@ -400,7 +399,6 @@ def uncompute_subroutine(
     *,
     fiducial: int = 0,
     global_info=None,
-    run_cache: Optional[dict] = None,
 ) -> tuple:
     """Invert a previous coherent application, restoring ``out_reg``.
 
@@ -409,11 +407,11 @@ def uncompute_subroutine(
     metered exactly like the forward pass.
     """
     return _coherent(state, sub, topology, in_regs, out_reg, fiducial,
-                     global_info, run_cache, inverse=True)
+                     global_info, inverse=True)
 
 
 def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
-              run_cache, inverse):
+              inverse):
     lay = state.layout
     if topology.n != lay.n_parties:
         raise ValueError("topology and layout disagree on the party count")
@@ -428,7 +426,7 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
     amps = {}
     for key, amp in state.amps.items():
         inputs = _component_inputs(state, key, in_regs)
-        outputs, one_cost, one_pattern = run_cached(sub, topology, inputs, global_info, run_cache)
+        outputs, one_cost, one_pattern = run_cached(sub, topology, inputs, global_info)
         if pattern is None:
             pattern, cost = one_pattern, one_cost
         elif one_pattern != pattern:

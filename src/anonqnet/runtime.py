@@ -160,7 +160,7 @@ class Trace:
             (ev.round, ev.sender, ev.receiver, ev.payload, ev.symbols) for ev in self.events
         ))
 
-    def to_json(self, topo: Topology) -> list:
+    def to_json(self) -> list:
         out = []
         for ev in self.events:
             u, v = sorted((ev.sender, ev.receiver))

@@ -6,10 +6,14 @@ layer to run them once per basis component of a superposed input.
 
 Output encoding is integer symbols: predicates return 1 for "yes"
 (all-zeros / consistent) and 0 for "no".
+
+Each subroutine instance memoizes its own runs per topology object and
+input vector (:func:`run_cached`); the memo lives as long as the instance
+and is never shared with another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SimulationError
@@ -18,48 +22,39 @@ from .topology import Topology
 
 TRUE, FALSE = 1, 0
 
-_CACHE_TOPOLOGY = "topology"   # run-cache entry naming the topology it serves
-
 
 @dataclass(frozen=True)
 class ClassicalSubroutine:
-    """A party program plus the metadata the quantum layer needs.
+    """A party program plus the memo of its runs.
 
-    ``input_arity`` is the number of registers consumed per party: 1 means
-    the program input is a single symbol, 2 means a pair, and so on.
+    ``runs`` belongs to this instance and lives as long as it does; see
+    :func:`run_cached`.
     """
 
     program: PartyProgram
-    name: str
-    input_arity: int = 1
-    output_dim: int = 2
+    runs: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def run(self, topology: Topology, inputs, global_info=None):
-        return run_classical(topology, self.program, inputs, global_info)
+    @property
+    def name(self) -> str:
+        return self.program.name
 
 
 def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
-               global_info=None, cache: dict = None):
-    """Run a subroutine, memoizing (outputs, cost, pattern) per input vector.
+               global_info=None):
+    """Run a subroutine, memoizing ``(outputs, cost, pattern)`` in ``sub.runs``.
 
-    The trace itself is not cached; coherent application only needs the
+    The trace itself is not kept; coherent application only needs the
     oblivious pattern for cross-component checks.  Results depend on the
-    port numbering, which the key does not hold, so a cache is bound to the
-    first topology it serves and refuses any other.
+    port numbering, so the key holds the topology's identity; each entry
+    keeps the topology alive, so its id is not reused while the entry lives.
     """
-    if cache is None:
-        outputs, cost, trace = sub.run(topology, inputs, global_info)
-        return tuple(outputs), cost, trace.pattern()
-    bound = cache.setdefault(_CACHE_TOPOLOGY, topology)
-    if bound is not topology and bound != topology:
-        raise ValueError("run cache holds results for another topology")
-    key = (sub.name, inputs, global_info)
-    hit = cache.get(key)
-    if hit is None:
-        outputs, cost, trace = sub.run(topology, inputs, global_info)
-        hit = (tuple(outputs), cost, trace.pattern())
-        cache[key] = hit
-    return hit
+    key = (id(topology), inputs, global_info)
+    entry = sub.runs.get(key)
+    if entry is None:
+        outputs, cost, trace = run_classical(topology, sub.program, inputs, global_info)
+        # setdefault keeps one entry per key if two threads miss together
+        entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost, trace.pattern())))
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,7 @@ def all_zeros_flooding(delta: int) -> ClassicalSubroutine:
         init=init, send=send, recv=recv, finish=finish,
         name=f"all_zeros_flooding[{delta}]",
     )
-    return ClassicalSubroutine(program, program.name)
+    return ClassicalSubroutine(program)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
         init=init, send=send, recv=recv, finish=finish,
         name=f"consistency[{delta}]",
     )
-    return ClassicalSubroutine(program, program.name, input_arity=2)
+    return ClassicalSubroutine(program)
 
 
 # ---------------------------------------------------------------------------
@@ -344,4 +339,4 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
         init=init, send=send, recv=recv, finish=finish,
         name=f"modular_sum[{k},{depth}]",
     )
-    return ClassicalSubroutine(program, program.name, output_dim=k)
+    return ClassicalSubroutine(program)

@@ -106,11 +106,11 @@ def suite_h1() -> list:
         bad = []
         worst_residue = 0.0
         for x in itertools.product(range(2), repeat=n):
-            out, _cost = proc.apply(unique_one_state({x: 1.0}), "bit", "res", run_cache={})
+            out, _cost = proc.apply(unique_one_state({x: 1.0}), "bit", "res")
             ((key, amp),) = out.amps.items()
             if set(out.symbols(key, "res")) != {_weight_is_one(x)} or abs(amp - 1.0) > 1e-10:
                 bad.append(x)
-            _value, _phase, _cost, report = proc.evaluate(x, None)
+            _value, _phase, _cost, report = proc.evaluate(x)
             for b in report.banks:
                 worst_residue = max(worst_residue, b.inversion_residual,
                                     b.inversion_phase_error)
@@ -123,7 +123,7 @@ def suite_h1() -> list:
         uniform = 2 ** (-n / 2)
         out, _cost = proc.apply(
             unique_one_state({x: uniform for x in itertools.product(range(2), repeat=n)}),
-            "bit", "res", run_cache={})
+            "bit", "res")
         off = 0.0
         for key, amp in out.amps.items():
             x = out.symbols(key, "bit")
@@ -313,15 +313,14 @@ def suite_anonymity() -> list:
         checks.append(Check(f"{name}-{n}: flooding and consistency traces equivariant",
                             flood_ok))
         proc = exactly_one_algorithm(topo)
-        cache: dict = {}
         h1_ok = True
         for aut in auts:
             for x in itertools.product(range(2), repeat=n):
                 moved = [None] * n
                 for v in range(n):
                     moved[aut[v]] = x[v]
-                value_x, _phase, cost_x, _rep = proc.evaluate(tuple(x), cache)
-                value_m, _phase, cost_m, _rep = proc.evaluate(tuple(moved), cache)
+                value_x, _phase, cost_x, _rep = proc.evaluate(tuple(x))
+                value_m, _phase, cost_m, _rep = proc.evaluate(tuple(moved))
                 h1_ok &= value_x == value_m and cost_x.qubits_sent == cost_m.qubits_sent
         checks.append(Check(f"{name}-{n}: unique-one outputs and costs equivariant", h1_ok))
         dist = _branch_distribution(elect(topo, all_branches=True))

@@ -93,7 +93,7 @@ def weight_one_subroutine(n: int) -> ClassicalSubroutine:
         finish=lambda st: 1 if prog.finish(st) == 1 else 0,
         name=f"weight_one[{n}]",
     )
-    return ClassicalSubroutine(wrapped, wrapped.name)
+    return ClassicalSubroutine(wrapped)
 
 
 def rotation(n):

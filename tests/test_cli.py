@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -147,3 +148,26 @@ def test_invariant_failure_is_json_with_exit_code_1(capsys, monkeypatch):
     code, out = run_cli(capsys, "elect", "--catalog", "ring", "--n", "3")
     assert code == 1
     assert json.loads(out) == {"error": "ExactnessError", "message": "bank residue 1e-3"}
+
+
+# sha256 of the exact stdout of each command; any change to these bytes is a
+# change to the CLI contract and must be made on purpose
+GOLDEN_STDOUT = {
+    "elect --catalog ring --n 4 --all-branches":
+        "1cf202008a0bb315e1479809a05b94ee1d2fb1e6c5c37f195ac3f2a3eab03fda",
+    "elect --catalog ring --n 3 --upper-bound 5 --seed 3":
+        "66aad286d325b1dcc3ef2b30519da69e37a98d67ccca8670fc659fbcc054d045",
+    "ghz --k 3 --catalog ring --n 3 --all-branches":
+        "1ee54637c9c652611a95ce1277fce52265cd690b1d20a3f74122d09966544b36",
+    "compute --catalog ring --n 5 --fn majority --inputs 1,1,1,0,0 --seed 1":
+        "e418bfa58861c100f5b25c7f7adc54912dd0b57f210f8b2293b0927e607398b5",
+    "cost-table --catalog ring --n 3 4 5":
+        "dbedd1416a2f330bb12f7a463b9ef4b617b1db9811db496a8c8d1e8dd79b6e47",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[command]

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from anonqnet.election import (elect, elect_with_bound,
                                exactly_one_algorithm, guess_success_probability,
@@ -10,7 +11,8 @@ from anonqnet.runtime import run_classical
 from anonqnet.subroutines import TRUE, all_zeros_flooding
 from anonqnet.topology import automorphisms, build_graph, catalog
 
-from conftest import all_bit_vectors, catalog_cases, case_ids, oracle_weight_is_one
+from conftest import (all_bit_vectors, catalog_cases, case_ids, oracle_weight_is_one,
+                      shuffled_ports)
 
 
 def test_probability_formulas():
@@ -42,11 +44,11 @@ def test_rotation_matrix_prepares_correct_coin():
 
 def run_unique_one(topo, x, n_known=None):
     proc = exactly_one_algorithm(topo, n_known)
-    out, cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res", run_cache={})
+    out, cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res")
     ((key, amp),) = out.amps.items()
     values = set(out.symbols(key, "res"))
     assert len(values) == 1
-    _value, _phase, _cost, report = proc.evaluate(x, None)
+    _value, _phase, _cost, report = proc.evaluate(x)
     return values.pop(), amp, cost, report
 
 
@@ -77,10 +79,8 @@ def test_all_zero_input_rejected_by_first_test():
                          ids=case_ids(catalog_cases(2, 4)))
 def test_unique_one_matches_oracle_everywhere(name, n, topo):
     proc = exactly_one_algorithm(topo)
-    cache = {}
     for x in all_bit_vectors(n):
-        out, _cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res",
-                                run_cache=cache)
+        out, _cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res")
         ((key, amp),) = out.amps.items()
         assert set(out.symbols(key, "res")) == {oracle_weight_is_one(x)}
         assert abs(amp - 1.0) < 1e-10
@@ -100,7 +100,7 @@ def test_unique_one_superposition_preserves_amplitudes():
     proc = exactly_one_algorithm(topo)
     total = sum((i + 1) ** 2 for i in range(8))
     weights = {x: (i + 1) / math.sqrt(total) for i, x in enumerate(all_bit_vectors(3))}
-    out, _cost = proc.apply(unique_one_state(weights), "bit", "res", run_cache={})
+    out, _cost = proc.apply(unique_one_state(weights), "bit", "res")
     for key, amp in out.amps.items():
         x = out.symbols(key, "bit")
         assert set(out.symbols(key, "res")) == {oracle_weight_is_one(x)}
@@ -111,8 +111,8 @@ def test_unique_one_is_involution():
     topo = catalog("ring", 3)
     proc = exactly_one_algorithm(topo)
     state = unique_one_state({(1, 1, 0): 1.0 + 0j})
-    once, _ = proc.apply(state, "bit", "res", run_cache={})
-    twice, _ = proc.apply(once, "bit", "res", run_cache={})
+    once, _ = proc.apply(state, "bit", "res")
+    twice, _ = proc.apply(once, "bit", "res")
     assert set(twice.amps) == set(state.amps)
 
 
@@ -162,7 +162,7 @@ def test_cost_identity_against_standalone_runs():
         zeros = all_zeros_flooding(n)
         _o, h0_cost, _t = run_classical(topo, zeros.program, [0] * n)
         proc = exactly_one_algorithm(topo)
-        _s, h1_cost = proc.apply(unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res", run_cache={})
+        _s, h1_cost = proc.apply(unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res")
         result = elect(topo, all_branches=True)
         assert result.cost.qubits_sent == 2 * h0_cost.qubits_sent + 2 * h1_cost.qubits_sent
         assert result.cost.rounds == 2 * h0_cost.rounds + 2 * h1_cost.rounds
@@ -181,6 +181,19 @@ def test_election_distribution_is_automorphism_invariant():
             assert abs(dist[tuple(moved)] - p) < 1e-10
 
 
+@settings(max_examples=25, deadline=None)
+@given(shuffled_ports(max_n=4))
+def test_random_port_numberings_elect_one_leader(topo):
+    n = topo.n
+    result = elect(topo, all_branches=True)
+    assert all(b.leader_count == 1 for b in result.branches)
+    assert abs(result.total_probability() - 1.0) < 1e-9
+    marginal = [0.0] * n
+    for b in result.branches:
+        marginal[b.leaders[0]] += b.probability
+    assert all(abs(p - 1 / n) < 1e-9 for p in marginal)
+
+
 # ---------------------------------------------------------------------------
 # knowing only an upper bound
 
@@ -193,6 +206,14 @@ def test_upper_bound_unique_leader(name, n):
         assert all(b.leader_count == 1 for b in result.branches)
         assert abs(result.total_probability() - 1.0) < 1e-9
         assert all(b.winner_guess in range(2, bound + 1) for b in result.branches)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shuffled_ports(max_n=4))
+def test_random_port_numberings_upper_bound(topo):
+    result = elect_with_bound(topo, topo.n + 1, all_branches=True)
+    assert all(b.leader_count == 1 for b in result.branches)
+    assert abs(result.total_probability() - 1.0) < 1e-9
 
 
 def test_upper_bound_verification_flags():

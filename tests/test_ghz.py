@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from anonqnet.ghz import cat_state, fourier_gate, ghz_share, phase1, phase2
 from anonqnet.qsim import (SparseState, apply_all_parties, fidelity, layout,
@@ -11,6 +12,8 @@ from anonqnet.qsim import (SparseState, apply_all_parties, fidelity, layout,
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import modular_sum_views
 from anonqnet.topology import build_graph, catalog
+
+from conftest import shuffled_ports
 
 
 def test_fourier_k2_is_hadamard():
@@ -126,6 +129,15 @@ def test_ghz_share_every_branch_is_target(k, n):
     for branch in result.branches:
         assert fidelity(branch.state, target) > 1 - 1e-9
     assert abs(result.total_probability() - 1.0) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(shuffled_ports(max_n=4))
+def test_random_port_numberings_share_cat(topo):
+    result = ghz_share(topo, 2, all_branches=True)
+    assert abs(sum(b.probability for b in result.branches) - 1.0) < 1e-9
+    target = cat_state(2, 0, topo.n)
+    assert all(fidelity(b.state, target) > 1 - 1e-9 for b in result.branches)
 
 
 def test_ghz_share_single_party():

@@ -171,7 +171,7 @@ def test_cost_report_validation():
 def test_trace_json_shape():
     topo = catalog("complete", 2)
     _out, _cost, trace = run_classical(topo, echo_program(), [1, 0])
-    rows = trace.to_json(topo)
+    rows = trace.to_json()
     assert rows[0]["edge"] == [0, 1]
     assert {row["direction"] for row in rows} == {"0->1", "1->0"}
     assert all(row["symbols"] == 1 and row["bits"] == 1 for row in rows)

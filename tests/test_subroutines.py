@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonqnet.errors import SimulationError
-from anonqnet.runtime import run_classical, verify_anonymity
-from anonqnet.subroutines import (ViewTable, all_zeros_flooding,
-                                  consistency_from_all_zeros,
+from anonqnet.runtime import PartyProgram, run_classical, verify_anonymity
+from anonqnet.subroutines import (ClassicalSubroutine, ViewTable,
+                                  all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
                                   run_cached, serialize_view, view, view_depth)
 from anonqnet.topology import automorphisms, build_graph, catalog
@@ -212,15 +212,23 @@ def test_class_count_divides_party_count_guard():
         run_classical(topo, sub.program, [1, 0, 0, 0], global_info=3)
 
 
-def test_run_cache_refuses_a_second_topology():
+def test_run_memo_keys_on_topology_and_program():
     flood = all_zeros_flooding(3)
-    cache = {}
-    _o, path_cost, _p = run_cached(flood, catalog("path", 3), (0, 0, 0), None, cache)
+    path = catalog("path", 3)
+    _o, path_cost, _p = run_cached(flood, path, (0, 0, 0))
     assert path_cost.qubits_sent == 12
-    # an equal topology built separately may share the cache
-    _o, again, _p = run_cached(flood, catalog("path", 3), (0, 0, 0), None, cache)
-    assert again == path_cost
-    with pytest.raises(ValueError):
-        run_cached(flood, catalog("complete", 3), (0, 0, 0), None, cache)
-    _o, complete_cost, _p = run_cached(flood, catalog("complete", 3), (0, 0, 0), None, {})
+    # one instance on a second topology runs again instead of reusing path-3
+    _o, complete_cost, _p = run_cached(flood, catalog("complete", 3), (0, 0, 0))
     assert complete_cost.qubits_sent == 18
+    _o, again, _p = run_cached(flood, path, (0, 0, 0))
+    assert again is path_cost
+    # programs that share a name but not a finish keep separate memos
+    prog = flood.program
+    negated = PartyProgram(rounds=prog.rounds, symbol_dim=prog.symbol_dim,
+                           init=prog.init, send=prog.send, recv=prog.recv,
+                           finish=lambda state: 1 - prog.finish(state),
+                           name=prog.name)
+    other = ClassicalSubroutine(negated)
+    assert other.name == flood.name
+    assert run_cached(flood, path, (0, 0, 0))[0] == (1, 1, 1)
+    assert run_cached(other, path, (0, 0, 0))[0] == (0, 0, 0)
