@@ -337,9 +337,10 @@ class ElectionResult:
         return payload
 
 
-def _trivial_result() -> ElectionResult:
+def _trivial_result(all_branches: bool) -> ElectionResult:
     branch = ElectionBranch(outcomes=(1,), probability=1.0, leaders=(0,))
-    return ElectionResult(n=1, branches=[branch], cost=CostReport.zero(), sampled_index=0)
+    return ElectionResult(n=1, branches=[branch], cost=CostReport.zero(),
+                          sampled_index=None if all_branches else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +354,28 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
     Enumerates every measurement branch; exactly one party measures 1 in each
     of them.  With ``all_branches`` false a branch is additionally sampled
     with seeded randomness and exposed as ``result.sampled``.
+
+    The branches and the cost depend only on the topology, so the election is
+    simulated once per ``Topology`` object and kept in ``topology.memo``;
+    later calls only sample.  Every call reports the full election cost.
     """
     n = topology.n
     if n == 1:
-        return _trivial_result()
-    state, cost = _amplified_coins(exactly_one_algorithm(topology), n,
-                                   check_success=True)
-    out = []
-    for br in branches(state, "coin"):
-        outcome = br.outcome_vector("coin")
-        leaders = tuple(p for p, bit in enumerate(outcome) if bit == 1)
-        out.append(ElectionBranch(outcomes=outcome, probability=br.probability,
-                                  leaders=leaders))
+        return _trivial_result(all_branches)
+    memo = topology.memo.get("elect")
+    if memo is None:
+        state, cost = _amplified_coins(exactly_one_algorithm(topology), n,
+                                       check_success=True)
+        out = []
+        for br in branches(state, "coin"):
+            outcome = br.outcome_vector("coin")
+            leaders = tuple(p for p, bit in enumerate(outcome) if bit == 1)
+            out.append(ElectionBranch(outcomes=outcome, probability=br.probability,
+                                      leaders=leaders))
+        memo = topology.memo.setdefault("elect", (tuple(out), cost))
+    out, cost = memo
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)
-    return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)
+    return ElectionResult(n=n, branches=list(out), cost=cost, sampled_index=sampled)
 
 
 def _amplified_coins(procedure: ExactlyOneProcedure, guess: int,
@@ -424,7 +433,7 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
     if upper_bound < n:
         raise ValueError("upper bound below the true party count")
     if n == 1:
-        return _trivial_result()
+        return _trivial_result(all_branches)
     procedure = exactly_one_algorithm(topology, n_known=upper_bound)
 
     guesses = range(2, upper_bound + 1)

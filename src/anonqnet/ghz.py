@@ -91,19 +91,15 @@ def phase1(topology: Topology, k: int, *, audit: Optional[list] = None) -> tuple
 
     Returns ``(attempts, cost)`` where ``attempts[i]`` lists the branches of
     attempt i; measuring the shared sum of attempt i leaves its qudits in the
-    cat state of phase index (-outcome) mod k.
+    cat state of phase index (-outcome) mod k.  The attempts run the same
+    gates and subroutine on the same topology and inputs, so one is simulated
+    and its branches stand for all k; the cost still meters k in parallel.
     """
     if audit is None:
         audit = []
-    n = topology.n
-    fk = modular_sum_views(k, 2 * (n - 1))
-    attempts = []
-    costs = []
-    for _i in range(k):
-        branches_i, cost_i = _attempt(topology, k, fk, audit)
-        attempts.append(branches_i)
-        costs.append(cost_i)
-    return attempts, parallel(*costs)
+    fk = modular_sum_views(k, 2 * (topology.n - 1))
+    branches_0, cost_0 = _attempt(topology, k, fk, audit)
+    return [branches_0] * k, parallel(*[cost_0] * k)
 
 
 def phase2(state: SparseState, k: int, keep_reg: str, add_reg: str,

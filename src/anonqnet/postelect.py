@@ -190,7 +190,8 @@ def compute_function(topology: Topology, inputs: Sequence[int],
     ``inputs`` holds one bit per party.  ``fn(adjacency, labels)`` sees the
     graph in identifier space with ``labels[i]`` the input of the party
     holding identifier i+1; it must not care which consistent relabeling it
-    is given.
+    is given.  The election is simulated once per topology object (see
+    ``elect``), but every call is charged its full cost.
     """
     n = topology.n
     if len(inputs) != n:

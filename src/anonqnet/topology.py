@@ -23,12 +23,21 @@ class Topology:
 
     ``ports[v]`` maps each edge incident to ``v`` to a port label in
     ``1..deg(v)``; the labeling of one node is independent of all others.
-    Instances are immutable and safe to share between concurrent runs.
+    ``memo`` holds results that protocols derive from n, edges and ports
+    alone (the election, see ``election.elect``); it is not a field, so
+    ``dataclasses.replace`` starts a new topology with an empty one.
+    Instances are safe to share between concurrent runs: every memo entry is
+    immutable, depends on nothing but the topology, and is inserted with
+    ``dict.setdefault``.
     """
 
     n: int
     edges: frozenset
     ports: tuple  # ports[v] is a dict {edge: port}
+
+    @cached_property
+    def memo(self) -> dict:
+        return {}
 
     @cached_property
     def m(self) -> int:

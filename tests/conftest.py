@@ -1,8 +1,10 @@
 """Shared helpers: brute-force oracles and graph generators for tests."""
 import itertools
 
+import pytest
 from hypothesis import strategies as st
 
+from anonqnet import election
 from anonqnet.topology import build_graph, catalog
 
 
@@ -17,6 +19,20 @@ def catalog_cases(n_min, n_max, names=("ring", "path", "complete", "star")):
 
 def case_ids(cases):
     return [f"{name}-{n}" for name, n, _topo in cases]
+
+
+@pytest.fixture
+def election_runs(monkeypatch):
+    """Arguments of every ``election._amplified_coins`` call made in the test."""
+    calls = []
+    original = election._amplified_coins
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(election, "_amplified_coins", counting)
+    return calls
 
 
 # brute-force oracles: these never touch the simulator

@@ -155,6 +155,35 @@ def test_single_party_network():
     result = elect(topo)
     assert result.branches[0].leaders == (0,)
     assert result.cost.qubits_sent == 0
+    assert elect(topo, all_branches=True).sampled_index is None
+    assert elect_with_bound(topo, 3, all_branches=True).sampled_index is None
+
+
+def test_elect_simulates_once_per_topology(election_runs):
+    topo = catalog("ring", 4)
+    edges = sorted(tuple(sorted(e)) for e in topo.edges)
+    seeds = [0, 1, 2, 3, 4, None]
+    expected = [elect(build_graph(4, edges, topo.ports), seed=s, all_branches=s is None)
+                for s in seeds]
+
+    election_runs.clear()
+    results = [elect(topo, seed=s, all_branches=s is None) for s in seeds]
+    assert len(election_runs) == 1
+    for result, fresh in zip(results, expected):
+        assert result.branches == fresh.branches
+        assert result.cost == fresh.cost
+        assert result.sampled_index == fresh.sampled_index
+
+    # a caller mutating its result cannot reach the memo
+    results[0].branches.clear()
+    assert elect(topo, seed=0).branches == expected[0].branches
+
+    # the same graph under another port numbering is another topology
+    renumbered = [{e: topo.degree(v) + 1 - p for e, p in topo.ports[v].items()}
+                  for v in range(4)]
+    elect(build_graph(4, edges, renumbered), seed=0)
+    elect(topo, seed=0)
+    assert len(election_runs) == 2
 
 
 def test_cost_identity_against_standalone_runs():

@@ -108,11 +108,17 @@ def test_pipeline_rejects_non_bit_inputs(inputs):
         compute_function(catalog("ring", 3), inputs, parity, seed=0)
 
 
-def test_pipeline_value_is_seed_independent():
+def test_pipeline_value_is_seed_independent(election_runs):
+    # the sampled leader, and with it the tree cost, depends on the seed: a
+    # run on a fresh topology is the reference for the cost of each seed
+    fresh = [compute_function(catalog("star", 4), [1, 0, 1, 1], majority, seed=s).cost
+             for s in range(5)]
+    election_runs.clear()
     topo = catalog("star", 4)
-    values = {compute_function(topo, [1, 0, 1, 1], majority, seed=s).value
-              for s in range(5)}
-    assert len(values) == 1
+    runs = [compute_function(topo, [1, 0, 1, 1], majority, seed=s) for s in range(5)]
+    assert len({run.value for run in runs}) == 1
+    assert [run.cost for run in runs] == fresh
+    assert len(election_runs) == 1
 
 
 @pytest.mark.parametrize("fn_name", sorted(BUILTIN_FUNCTIONS))
