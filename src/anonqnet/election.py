@@ -117,6 +117,7 @@ class ExactlyOneProcedure:
         self.guesses = tuple(range(2, self.n_known + 1))
         self.zeros = all_zeros_flooding(self.n_known)
         self.cons = consistency_from_all_zeros(self.zeros)
+        self._tapes = {t: self._bank_tape(t) for t in self.guesses}
         self._memo: dict = {}
 
     # -- per-guess bank ----------------------------------------------------
@@ -156,7 +157,7 @@ class ExactlyOneProcedure:
             key.extend((MARKED if x[v] else UNMARKED, 0, CONSISTENT, TRUE, CONSISTENT))
         start = tuple(key)
         bank = SparseState(lay, {start: 1.0 + 0j})
-        tape = self._bank_tape(guess)
+        tape = self._tapes[guess]
         bank, fwd_cost = run_steps(bank, tape)
 
         verdict_slots = lay.slots("verdict")
@@ -478,9 +479,9 @@ def cost_breakdown(topology: Topology) -> dict:
     """
     n = topology.n
     zeros = all_zeros_flooding(n)
-    _out, h0, _trace = run_classical(topology, zeros.program, [0] * n)
-    _out, cs, _trace = run_classical(topology, consistency_from_all_zeros(zeros).program,
-                                     [(0, 1)] * n)
+    _out, h0, _events = run_classical(topology, zeros.program, [0] * n)
+    _out, cs, _events = run_classical(topology, consistency_from_all_zeros(zeros).program,
+                                      [(0, 1)] * n)
     _state, h1 = exactly_one_algorithm(topology).apply(
         unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res")
     return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

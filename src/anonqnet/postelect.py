@@ -31,9 +31,6 @@ class SpanningTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def children(self, v: int) -> list:
-        return [u for u in self.preorder if self.parent[u] == v]
-
     def depth(self, v: int) -> int:
         d = 0
         while self.parent[v] is not None:
@@ -71,7 +68,7 @@ def spanning_tree(topology: Topology, leader: int) -> tuple:
         v = path[-1]
         advanced = False
         for port in range(1, topology.degree(v) + 1):
-            u, _e = topology.neighbor_at(v, port)
+            u, _q = topology.link(v, port)
             if not visited[u]:
                 parent[u] = v
                 visit(u)

@@ -356,18 +356,6 @@ def binary_op_all_parties(state: SparseState, source_reg: str, target_reg: str, 
 # coherent classical subroutines
 
 
-def _component_inputs(state: SparseState, key: tuple, in_regs: Sequence[str]) -> tuple:
-    lay = state.layout
-    if len(in_regs) == 1:
-        slots = lay.slots(in_regs[0])
-        return tuple(key[s] for s in slots)
-    per_reg = [lay.slots(r) for r in in_regs]
-    return tuple(
-        tuple(key[slots[p]] for slots in per_reg)
-        for p in range(lay.n_parties)
-    )
-
-
 def apply_coherent_subroutine(
     state: SparseState,
     sub: ClassicalSubroutine,
@@ -421,11 +409,18 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
         raise ValueError("fiducial out of range")
     if isinstance(in_regs, str):
         in_regs = (in_regs,)
+    single = len(in_regs) == 1
+    # one input register: a party's input is its symbol; several: a tuple of
+    # its symbols, one per register
+    in_slots = lay.slots(in_regs[0]) if single else list(zip(*(lay.slots(r) for r in in_regs)))
     pattern = None
     cost = None
     amps = {}
     for key, amp in state.amps.items():
-        inputs = _component_inputs(state, key, in_regs)
+        if single:
+            inputs = tuple(key[s] for s in in_slots)
+        else:
+            inputs = tuple(tuple(key[s] for s in party) for party in in_slots)
         outputs, one_cost, one_pattern = run_cached(sub, topology, inputs, global_info)
         if pattern is None:
             pattern, cost = one_pattern, one_cost

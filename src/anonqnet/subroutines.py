@@ -43,17 +43,20 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
                global_info=None):
     """Run a subroutine, memoizing ``(outputs, cost, pattern)`` in ``sub.runs``.
 
-    The trace itself is not kept; coherent application only needs the
-    oblivious pattern for cross-component checks.  Results depend on the
-    port numbering, so the key holds the topology's identity; each entry
-    keeps the topology alive, so its id is not reused while the entry lives.
+    The pattern is the ``(round, sender, receiver, symbols)`` part of each
+    message event; payloads are not kept, since coherent application only
+    needs the oblivious pattern for cross-component checks.  Results depend
+    on the port numbering, so the key holds the topology's identity; each
+    entry keeps the topology alive, so its id is not reused while the entry
+    lives.
     """
     key = (id(topology), inputs, global_info)
     entry = sub.runs.get(key)
     if entry is None:
-        outputs, cost, trace = run_classical(topology, sub.program, inputs, global_info)
+        outputs, cost, events = run_classical(topology, sub.program, inputs, global_info)
+        pattern = tuple(ev[:4] for ev in events)
         # setdefault keeps one entry per key if two threads miss together
-        entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost, trace.pattern())))
+        entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost, pattern)))
     return entry[1]
 
 
@@ -173,7 +176,7 @@ class ViewTable:
 
     Each modular-sum subroutine owns one, shared by all its parties and all
     its runs, so equal views stay one object across runs (the equivariance
-    check compares trace payloads by identity) and nothing outlives the
+    check compares message payloads by identity) and nothing outlives the
     subroutine.  Keys hold the child objects themselves (identity-hashed), so
     entries keep their children alive and ids are never reused.
     """
@@ -249,8 +252,8 @@ def view(topology: Topology, node: int, depth: int, inputs=None,
         else:
             children = []
             for port in range(1, topology.degree(v) + 1):
-                u, edge = topology.neighbor_at(v, port)
-                children.append((topology.port_of(u, edge), build(u, d - 1)))
+                u, q = topology.link(v, port)
+                children.append((q, build(u, d - 1)))
             node_ = table.node(inputs[v], topology.degree(v), tuple(children))
         memo[key] = node_
         return node_

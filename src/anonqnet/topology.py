@@ -53,29 +53,24 @@ class Topology:
         return tuple(tuple(sorted(s)) for s in nbrs)
 
     @cached_property
-    def _by_port(self) -> tuple:
-        # _by_port[v][port] = (neighbor, edge)
-        table = []
-        for v in range(self.n):
-            row = {}
-            for e, p in self.ports[v].items():
-                (u,) = set(e) - {v}
-                row[p] = (u, e)
-            table.append(row)
+    def _links(self) -> tuple:
+        # _links[v][port] = (neighbor, port at neighbor)
+        table = [dict() for _ in range(self.n)]
+        for e in self.edges:
+            u, v = e
+            table[u][self.ports[u][e]] = (v, self.ports[v][e])
+            table[v][self.ports[v][e]] = (u, self.ports[u][e])
         return tuple(table)
 
     def degree(self, v: int) -> int:
         return len(self.ports[v])
 
-    def neighbor_at(self, v: int, port: int):
-        """Return ``(neighbor, edge)`` reached through ``port`` of node ``v``."""
+    def link(self, v: int, port: int) -> tuple:
+        """Return ``(neighbor, port at neighbor)`` across ``port`` of node ``v``."""
         try:
-            return self._by_port[v][port]
+            return self._links[v][port]
         except KeyError:
             raise ValueError(f"node {v} has no port {port}") from None
-
-    def port_of(self, v: int, edge: Edge) -> int:
-        return self.ports[v][edge]
 
     def port_between(self, v: int, u: int) -> int:
         return self.ports[v][_edge(v, u)]
@@ -244,6 +239,9 @@ def _torus_rows(n: int) -> int:
 CATALOG_NAMES = ("ring", "path", "complete", "star", "torus2d")
 
 
+_RECORD_FIELDS = {"n": 1, "e": 2, "p": 3}
+
+
 def load_graph(text: str) -> Topology:
     """Parse the plain-text graph format.
 
@@ -259,16 +257,19 @@ def load_graph(text: str) -> Topology:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "n":
-            n = int(fields[1])
-        elif tag == "e":
-            edges.append((int(fields[1]), int(fields[2])))
-        elif tag == "p":
-            overrides.append((int(fields[1]), int(fields[2]), int(fields[3])))
-        else:
+        tag, *fields = line.split()
+        if tag not in _RECORD_FIELDS:
             raise ValueError(f"line {lineno}: unknown record {tag!r}")
+        if len(fields) != _RECORD_FIELDS[tag]:
+            raise ValueError(f"line {lineno}: record {tag!r} needs "
+                             f"{_RECORD_FIELDS[tag]} fields, got {len(fields)}")
+        values = tuple(int(f) for f in fields)
+        if tag == "n":
+            (n,) = values
+        elif tag == "e":
+            edges.append(values)
+        else:
+            overrides.append(values)
     if n is None:
         raise ValueError("missing 'n <count>' line")
     if not overrides:

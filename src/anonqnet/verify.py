@@ -328,7 +328,8 @@ def suite_anonymity() -> list:
                      for aut in auts)
         checks.append(Check(f"{name}-{n}: election branch distribution equivariant", qle_ok))
         # ghz communication happens only in the modular-sum subroutine; its
-        # traces must map onto each other exactly under every automorphism
+        # message events must map onto each other exactly under every
+        # automorphism
         sub = modular_sum_views(2, 2 * (n - 1))
         ghz_ok = all(
             verify_anonymity(topo, sub.program, list(x), aut, global_info=n)

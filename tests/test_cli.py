@@ -137,6 +137,16 @@ def test_compute_rejects_non_bit_inputs(capsys):
     assert "bits" in captured.err
 
 
+def test_truncated_graph_record_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("n 3\ne 0 1\ne 1\n", encoding="utf-8")
+    code = main(["elect", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 3" in captured.err
+
+
 def test_invariant_failure_is_json_with_exit_code_1(capsys, monkeypatch):
     import anonqnet.cli
     from anonqnet.errors import ExactnessError

@@ -25,10 +25,10 @@ def echo_program(rounds=1):
 
 def test_k2_echo_two_messages():
     topo = catalog("complete", 2)
-    out, cost, trace = run_classical(topo, echo_program(), [1, 0])
+    out, cost, events = run_classical(topo, echo_program(), [1, 0])
     assert out == [1, 0]
     assert cost.rounds == 1 and cost.qubits_sent == 2 and cost.bits_sent == 2
-    assert len(trace.events) == 2
+    assert len(events) == 2
 
 
 def test_flooding_cost_is_two_m_delta():
@@ -48,10 +48,10 @@ def test_zero_round_program():
                         send=lambda s, r: {},
                         recv=lambda s, i, r: s,
                         finish=lambda s: s)
-    out, cost, trace = run_classical(topo, prog, [1, 2, 3, 4])
+    out, cost, events = run_classical(topo, prog, [1, 2, 3, 4])
     assert out == [1, 2, 3, 4]
     assert cost == CostReport.zero()
-    assert trace.events == ()
+    assert events == ()
 
 
 def test_determinism():
@@ -60,7 +60,7 @@ def test_determinism():
     runs = [run_classical(topo, sub.program, [0, 1, 0, 0]) for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
-    assert runs[0][2].canonical() == runs[1][2].canonical()
+    assert runs[0][2] == runs[1][2]
 
 
 def test_bad_port_rejected():
@@ -98,11 +98,28 @@ def test_anonymity_rotated_inputs():
         assert verify_anonymity(topo, sub.program, [1, 0, 0, 0], aut)
 
 
+def test_anonymity_detects_payload_asymmetry():
+    # every party sends the index a shared counter hands it, so the outputs,
+    # costs and message pattern are symmetric but the payloads are not
+    counter = itertools.count()
+    prog = PartyProgram(rounds=1, symbol_dim=4,
+                        init=lambda x, d, g: (next(counter) % 4, d),
+                        send=lambda s, r: {p: (s[0],) for p in range(1, s[1] + 1)},
+                        recv=lambda s, i, r: s,
+                        finish=lambda s: 0)
+    assert not verify_anonymity(catalog("ring", 4), prog, [0, 0, 0, 0], (1, 2, 3, 0))
+
+
 def test_anonymity_rejects_non_automorphism():
     topo = catalog("ring", 4)
     sub = all_zeros_flooding(4)
     with pytest.raises(ValueError):
         verify_anonymity(topo, sub.program, [0, 0, 0, 0], (0, 2, 1, 3))
+
+
+def pattern(events):
+    """The input-oblivious part of a run: (round, sender, receiver, symbols)."""
+    return tuple(ev[:4] for ev in events)
 
 
 @pytest.mark.parametrize("name,n", [("ring", 3), ("ring", 4), ("path", 4), ("star", 4)])
@@ -113,17 +130,17 @@ def test_oblivious_patterns(name, n):
     cons = consistency_from_all_zeros(zeros)
     sums = modular_sum_views(2, 2 * (n - 1))
     patterns = {
-        run_classical(topo, zeros.program, list(x))[2].pattern()
+        pattern(run_classical(topo, zeros.program, list(x))[2])
         for x in all_bit_vectors(n)
     }
     assert len(patterns) == 1
     patterns = {
-        run_classical(topo, cons.program, list(rz))[2].pattern()
+        pattern(run_classical(topo, cons.program, list(rz))[2])
         for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n)
     }
     assert len(patterns) == 1
     patterns = {
-        run_classical(topo, sums.program, list(x), global_info=n)[2].pattern()
+        pattern(run_classical(topo, sums.program, list(x), global_info=n)[2])
         for x in all_bit_vectors(n)
     }
     assert len(patterns) == 1
@@ -168,10 +185,8 @@ def test_cost_report_validation():
         CostReport(1, 5, 5, (5, 0))
 
 
-def test_trace_json_shape():
+def test_message_events_shape():
     topo = catalog("complete", 2)
-    _out, _cost, trace = run_classical(topo, echo_program(), [1, 0])
-    rows = trace.to_json()
-    assert rows[0]["edge"] == [0, 1]
-    assert {row["direction"] for row in rows} == {"0->1", "1->0"}
-    assert all(row["symbols"] == 1 and row["bits"] == 1 for row in rows)
+    _out, _cost, events = run_classical(topo, echo_program(), [1, 0])
+    assert {(sender, receiver) for _r, sender, receiver, _n, _p in events} == {(0, 1), (1, 0)}
+    assert all(r == 1 and symbols == 1 for r, _s, _t, symbols, _p in events)

@@ -174,23 +174,23 @@ def test_distinct_truncated_views_counts_classes():
     assert len(distinct_truncated_views(root, 3, table)) == 4
 
 
-def _payload_views(trace):
-    return [ev.payload[1] for ev in trace.events]   # payloads are (port, view)
+def _payload_views(events):
+    return [payload[1] for *_pattern, payload in events]   # payloads are (port, view)
 
 
 def test_view_tables_are_per_subroutine():
     topo = catalog("ring", 4)
     x = [1, 0, 0, 1]
     one, two = modular_sum_views(2, 6), modular_sum_views(2, 6)
-    _o, _c, trace_one = run_classical(topo, one.program, x, global_info=4)
-    _o, _c, trace_two = run_classical(topo, two.program, x, global_info=4)
-    views_one, views_two = _payload_views(trace_one), _payload_views(trace_two)
+    _o, _c, events_one = run_classical(topo, one.program, x, global_info=4)
+    _o, _c, events_two = run_classical(topo, two.program, x, global_info=4)
+    views_one, views_two = _payload_views(events_one), _payload_views(events_two)
     assert views_one and views_two
     assert not {id(v) for v in views_one} & {id(v) for v in views_two}
     # a second run of one subroutine reuses its table: equal views are one
     # object, which is what lets verify_anonymity compare payloads
-    _o, _c, trace_again = run_classical(topo, one.program, x, global_info=4)
-    assert [id(v) for v in _payload_views(trace_again)] == [id(v) for v in views_one]
+    _o, _c, events_again = run_classical(topo, one.program, x, global_info=4)
+    assert [id(v) for v in _payload_views(events_again)] == [id(v) for v in views_one]
 
 
 def test_view_message_sizes_are_label_independent():

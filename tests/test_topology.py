@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from anonqnet.topology import (automorphisms, build_graph, catalog, dump_graph,
                                is_automorphism, load_graph)
 
-from conftest import connected_graphs
+from conftest import catalog_cases, connected_graphs, shuffled_ports
 
 
 def test_triangle():
@@ -126,6 +126,29 @@ def test_ports_always_bijective(topo):
         assert sorted(topo.ports[v].values()) == list(range(1, topo.degree(v) + 1))
 
 
+def _check_links(topo):
+    for v in range(topo.n):
+        for p in range(1, topo.degree(v) + 1):
+            u, q = topo.link(v, p)
+            assert topo.port_between(v, u) == p and topo.port_between(u, v) == q
+            assert topo.link(u, q) == (v, p)
+        for missing in (0, topo.degree(v) + 1):
+            with pytest.raises(ValueError):
+                topo.link(v, missing)
+
+
+def test_link_is_an_involution():
+    for _name, _n, topo in catalog_cases(2, 5):
+        _check_links(topo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_ports(max_n=5))
+    def random_ports(topo):
+        _check_links(topo)
+
+    random_ports()
+
+
 def test_graph_file_round_trip():
     topo = catalog("ring", 4)
     text = dump_graph(topo)
@@ -147,3 +170,8 @@ def test_graph_file_errors():
         load_graph("n 2\nz 0 1\n")
     with pytest.raises(ValueError):
         load_graph("n 2\ne 0 1\np 0 5 1\n")  # bad edge index
+    for short in ("n\n", "n 2\ne 0\n", "n 2\ne 0 1\np 0 0\n"):
+        with pytest.raises(ValueError, match="line"):
+            load_graph(short)
+    with pytest.raises(ValueError, match="line 2"):
+        load_graph("n 2\ne 0 1 1\n")  # one field too many
