@@ -24,6 +24,8 @@ from .runtime import CostReport, sequential
 from .subroutines import ClassicalSubroutine
 from .topology import Topology
 
+PROBABILITY_EPS = 1e-10   # allowed gap between measured and promised success odds
+
 
 @dataclass(frozen=True)
 class PhasePair:
@@ -171,7 +173,6 @@ def exact_amplify(
     a: float,
     *,
     check_success: bool = True,
-    probability_tol: float = 1e-10,
 ) -> tuple:
     """Apply one exact amplification iterate to ``state``.
 
@@ -188,7 +189,7 @@ def exact_amplify(
     state, c0 = steps[0].forward(state)
     if check_success:
         measured = flag_mass(state, chi_flag.register, chi_flag.trigger)
-        if abs(measured - a) > probability_tol:
+        if abs(measured - a) > PROBABILITY_EPS:
             raise ExactnessError(
                 f"good probability {measured!r} differs from promised {a!r}"
             )

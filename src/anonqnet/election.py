@@ -369,9 +369,8 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
                                        check_success=True)
         out = []
         for br in branches(state, "coin"):
-            outcome = br.outcome_vector("coin")
-            leaders = tuple(p for p, bit in enumerate(outcome) if bit == 1)
-            out.append(ElectionBranch(outcomes=outcome, probability=br.probability,
+            leaders = tuple(p for p, bit in enumerate(br.outcome) if bit == 1)
+            out.append(ElectionBranch(outcomes=br.outcome, probability=br.probability,
                                       leaders=leaders))
         memo = topology.memo.setdefault("elect", (tuple(out), cost))
     out, cost = memo
@@ -429,8 +428,6 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
     an anonymous network.
     """
     n = topology.n
-    if upper_bound < 2:
-        raise ValueError("upper bound must be at least 2")
     if upper_bound < n:
         raise ValueError("upper bound below the true party count")
     if n == 1:
@@ -444,13 +441,13 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
         options = []
         for br in branches(state, "coin"):
-            outcome = br.outcome_vector("coin")
-            ok, verify_cost = _verify_unique(procedure, outcome)
-            options.append((outcome, br.probability, ok))
+            ok, verify_cost = _verify_unique(procedure, br.outcome)
+            options.append((br.outcome, br.probability, ok))
         per_guess.append(options)
         guess_costs.append(sequential(attempt_cost, verify_cost))
 
     cost = parallel(*guess_costs)
+    # already sorted by guess_outcomes: branches() and joint_branches keep lexicographic order
     out = []
     for picked, prob in joint_branches(per_guess, probability=lambda opt: opt[1]):
         verified = tuple(guess for guess, (_outcome, _p, ok) in zip(guesses, picked) if ok)
@@ -465,7 +462,6 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
             guess_outcomes=tuple((g, opt[0]) for g, opt in zip(guesses, picked)),
             verified=verified,
         ))
-    out.sort(key=lambda b: (b.guess_outcomes, -b.probability))
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)
 

@@ -76,7 +76,7 @@ def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     out = []
     dagger = gate.conj().T
     for br in branches(state, "sum"):
-        values = set(br.outcome_vector("sum"))
+        values = set(br.outcome)
         if len(values) > 1:
             raise SimulationError("sum register disagrees across parties")
         outcome = values.pop()
@@ -114,11 +114,11 @@ def phase2(state: SparseState, k: int, keep_reg: str, add_reg: str,
     if audit is None:
         audit = []
     audit.append(f"add_mod_{k}")
-    state = binary_op_all_parties(state, keep_reg, add_reg, "addmod")
+    state = binary_op_all_parties(state, keep_reg, add_reg)
     audit.append("measure")
     out = []
     for br in branches(state, add_reg):
-        values = set(br.outcome_vector(add_reg))
+        values = set(br.outcome)
         if len(values) > 1:
             raise SimulationError("distillation outcomes disagree across parties")
         post = drop_registers(br.post_state, [add_reg])
@@ -201,6 +201,17 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
     audit: list = []
     attempts, cost = phase1(topology, k, audit=audit)
 
+    # the k attempts are one attempt repeated, so two attempts that landed on
+    # the same nonzero index t hold the same state: distill each t once
+    distilled = {}
+    for br in attempts[0]:
+        if br.outcome != 0:
+            joint = tensor(rename_register(br.state, "share", "keep"),
+                           rename_register(br.state, "share", "aux"))
+            distilled[br.outcome] = [
+                (d, rename_register(d.state, "keep", "share"))
+                for d in phase2(joint, k, "keep", "aux", audit=audit)]
+
     out = []
     for picked, prob in joint_branches(attempts):
         outcomes = tuple(br.outcome for br in picked)
@@ -212,15 +223,12 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
                 state=picked[i0].state, source_attempt=i0))
             continue
         l, m = _first_equal_pair(outcomes)
-        joint = rename_register(picked[l].state, "share", "keep")
-        joint = tensor(joint, rename_register(picked[m].state, "share", "aux"))
-        for distilled in phase2(joint, k, "keep", "aux", audit=audit):
+        for d, state in distilled[outcomes[l]]:
             out.append(GhzBranch(
                 attempt_outcomes=outcomes,
-                probability=prob * distilled.probability,
-                state=rename_register(distilled.state, "keep", "share"),
-                source_attempt=l, pair=(l, m),
-                distill_outcome=distilled.outcome))
+                probability=prob * d.probability,
+                state=state, source_attempt=l, pair=(l, m),
+                distill_outcome=d.outcome))
 
     gates = tuple(sorted(set(audit)))
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)

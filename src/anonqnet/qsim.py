@@ -3,18 +3,21 @@
 Basis states are tuples with one symbol per (party, register) slot, ordered
 by party index first and registration order second.  Amplitudes live in a
 dict keyed by those tuples, which keeps desk-scale networks cheap as long as
-algorithms avoid needless superposition.  Classical subroutines run once per
-basis component with the engine checking that their communication pattern
-never depends on the component.
+algorithms avoid needless superposition.
+
+Every operation acts alike at every party, as the protocols do: one local
+gate per party, one local addition mod d of a register into another, and the
+measurement of one register at every party, enumerated branch by branch.
+Classical subroutines run once per basis component with the engine checking
+that their communication pattern never depends on the component.
 """
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +29,8 @@ PRUNE_EPS = 1e-14        # amplitudes below this are floating-point dust
 NORM_DRIFT_EPS = 1e-12   # renormalize when pruning shifted the norm this much
 NORM_EPS = 1e-10         # hard invariant on every produced state
 UNITARY_EPS = 1e-12
+FACTOR_EPS = 1e-9        # residual allowed where dropped registers must factor out
+MIN_BRANCH_PROBABILITY = 1e-12   # lighter measurement branches are dropped
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,6 @@ class SparseState:
     def symbols(self, key: tuple, name: str) -> tuple:
         return tuple(key[s] for s in self.layout.slots(name))
 
-    def components(self) -> list:
-        return sorted(self.amps.items())
-
 
 def init_state(lay: RegisterLayout, fiducial: Union[dict, int] = 0) -> SparseState:
     """Point state with every register at its fiducial symbol."""
@@ -121,29 +123,12 @@ def init_state(lay: RegisterLayout, fiducial: Union[dict, int] = 0) -> SparseSta
     return SparseState(lay, {tuple(key): 1.0 + 0j})
 
 
-def add_register(state: SparseState, name: str, dim: int, fiducial: int = 0) -> SparseState:
-    """Extend the layout with a fresh register at ``fiducial`` everywhere."""
-    lay = state.layout
-    new_lay = RegisterLayout(lay.n_parties, lay.regs + ((name, dim),))
-    if not (0 <= fiducial < dim):
-        raise ValueError("fiducial out of range")
-    w = lay.width
-    amps = {}
-    for key, amp in state.amps.items():
-        new_key = []
-        for p in range(lay.n_parties):
-            new_key.extend(key[p * w:(p + 1) * w])
-            new_key.append(fiducial)
-        amps[tuple(new_key)] = amp
-    return SparseState(new_lay, amps)
-
-
-def drop_registers(state: SparseState, names: Sequence[str], *, tol: float = 1e-9) -> SparseState:
+def drop_registers(state: SparseState, names: Sequence[str]) -> SparseState:
     """Remove registers, requiring them to factor out of the state.
 
     The kept/dropped split must have Schmidt rank one; the dropped factor is
     discarded and the kept factor is returned renormalized.  Raises
-    ``ExactnessError`` when the cut is entangled beyond ``tol``.
+    ``ExactnessError`` when the cut is entangled beyond ``FACTOR_EPS``.
     """
     lay = state.layout
     drop_idx = {lay.reg_index(n) for n in names}
@@ -170,7 +155,7 @@ def drop_registers(state: SparseState, names: Sequence[str], *, tol: float = 1e-
         residual = 0.0
         for dk in set(row) | set(beta):
             residual += abs(row.get(dk, 0j) - alpha * beta.get(dk, 0j)) ** 2
-        if residual > tol:
+        if residual > FACTOR_EPS:
             raise ExactnessError(
                 f"registers {tuple(names)} are entangled with the rest (residual {residual:.3e})"
             )
@@ -217,21 +202,18 @@ def apply_all_parties(
     matrix: np.ndarray,
     *,
     control: Optional[tuple] = None,
-    parties: Optional[Iterable[int]] = None,
 ) -> SparseState:
     """Apply one single-qudit unitary to ``register`` at each party.
 
     ``control=(name, symbol)`` restricts the action at each party to the
-    components where that party's control register holds ``symbol``;
-    ``parties`` restricts to a subset of parties (classical gating).
+    components where that party's control register holds ``symbol``.
     """
     lay = state.layout
     dim = lay.dim(register)
     mat = _check_unitary(matrix, dim)
     cols = [[(j, mat[j, s]) for j in range(dim) if abs(mat[j, s]) > 0.0] for s in range(dim)]
-    targets = range(lay.n_parties) if parties is None else parties
     amps = state.amps
-    for party in targets:
+    for party in range(lay.n_parties):
         slot = lay.slot(party, register)
         ctrl_slot = lay.slot(party, control[0]) if control else None
         out: dict = {}
@@ -246,16 +228,6 @@ def apply_all_parties(
                 out[nk] = out.get(nk, 0j) + coeff * amp
         amps = out
     return SparseState(lay, amps)
-
-
-def phase_kick(state: SparseState, register: str, trigger: int, phase_per_party: float) -> SparseState:
-    """Multiply each component by exp(i*phase) per party showing ``trigger``.
-
-    When the register holds the same symbol at every party this realizes a
-    collective phase of n times ``phase_per_party`` on the triggering
-    components.
-    """
-    return phase_kick_where(state, ((register, trigger),), phase_per_party)
 
 
 def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> SparseState:
@@ -285,71 +257,23 @@ def scale(state: SparseState, factor: complex) -> SparseState:
     return SparseState(state.layout, {k: v * factor for k, v in state.amps.items()})
 
 
-def xor_op(src: int, tgt: int) -> int:
-    return tgt ^ src
-
-
-def mod_add_op(k: int) -> Callable[[int, int], int]:
-    def add(src: int, tgt: int) -> int:
-        return (tgt + src) % k
-    return add
-
-
-def _check_bijective(op: Callable, src_dim: int, tgt_dim: int) -> None:
-    for s in range(src_dim):
-        image = {op(s, t) for t in range(tgt_dim)}
-        if image != set(range(tgt_dim)):
-            raise ValueError(f"operation is not a bijection on the target for source {s}")
-
-
-def local_binary_op(
-    state: SparseState,
-    source: tuple,
-    target: tuple,
-    op: Union[str, Callable[[int, int], int]],
-) -> SparseState:
-    """Per-component reversible update of one target slot from one source slot.
-
-    ``source`` and ``target`` are (party, register) pairs; ``op`` is "xor",
-    "addmod", or a callable (src_symbol, tgt_symbol) -> new target symbol that
-    is bijective in the target for every source symbol.
-    """
+def binary_op_all_parties(state: SparseState, source_reg: str, target_reg: str) -> SparseState:
+    """Add ``source_reg`` into ``target_reg`` mod their dimension at every party."""
     lay = state.layout
-    s_party, s_reg = source
-    t_party, t_reg = target
-    s_slot, t_slot = lay.slot(s_party, s_reg), lay.slot(t_party, t_reg)
-    if s_slot == t_slot:
-        raise ValueError("source and target slots coincide")
-    tgt_dim = lay.dim(t_reg)
-    if op == "xor":
-        if tgt_dim != 2 or lay.dim(s_reg) != 2:
-            raise ValueError("xor needs two-level registers")
-        fn = xor_op
-    elif op == "addmod":
-        if lay.dim(s_reg) != tgt_dim:
-            raise ValueError("addmod needs equal dimensions")
-        fn = mod_add_op(tgt_dim)
-    elif callable(op):
-        fn = op
-        _check_bijective(fn, lay.dim(s_reg), tgt_dim)
-    else:
-        raise ValueError(f"unknown operation {op!r}")
+    dim = lay.dim(target_reg)
+    if source_reg == target_reg or lay.dim(source_reg) != dim:
+        raise ValueError("modular addition needs two registers of equal dimension")
+    pairs = list(zip(lay.slots(source_reg), lay.slots(target_reg)))
     amps = {}
     for key, amp in state.amps.items():
-        new_t = fn(key[s_slot], key[t_slot])
-        if not (0 <= new_t < tgt_dim):
-            raise ValueError("operation left the target dimension")
-        nk = key[:t_slot] + (new_t,) + key[t_slot + 1:]
+        nk = list(key)
+        for src, tgt in pairs:
+            nk[tgt] = (key[tgt] + key[src]) % dim
+        nk = tuple(nk)
         if nk in amps:
             raise SimulationError("binary op collided two components; not reversible")
         amps[nk] = amp
     return SparseState(lay, amps)
-
-
-def binary_op_all_parties(state: SparseState, source_reg: str, target_reg: str, op) -> SparseState:
-    for party in range(state.layout.n_parties):
-        state = local_binary_op(state, (party, source_reg), (party, target_reg), op)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -460,46 +384,29 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
 
 @dataclass(frozen=True)
 class MeasurementBranch:
-    outcomes: dict          # (party, register) -> symbol
+    outcome: tuple          # the measured symbol at each party
     probability: float
     post_state: SparseState
 
-    def outcome_vector(self, register: str) -> tuple:
-        n = self.post_state.layout.n_parties
-        return tuple(self.outcomes[(p, register)] for p in range(n))
 
+def branches(state: SparseState, register: str) -> list:
+    """All branches of measuring ``register`` at every party, exactly enumerated.
 
-def _measure_slots(state: SparseState, targets) -> list:
-    lay = state.layout
-    if isinstance(targets, str):
-        targets = [(p, targets) for p in range(lay.n_parties)]
-    return [((p, r), lay.slot(p, r)) for p, r in targets]
-
-
-def branches(state: SparseState, targets, *, min_probability: float = 1e-12) -> list:
-    """All measurement branches of the named registers, exactly enumerated.
-
-    ``targets`` is a register name (measured at every party) or an iterable
-    of (party, register) pairs.  Probabilities over the full enumeration sum
-    to one; branches lighter than ``min_probability`` are dropped.
+    Branches come in lexicographic order of their outcomes.  Probabilities
+    over the full enumeration sum to one; branches lighter than
+    ``MIN_BRANCH_PROBABILITY`` are dropped.
     """
-    pairs = _measure_slots(state, targets)
+    slots = state.layout.slots(register)
     grouped: dict = {}
     for key, amp in state.amps.items():
-        outcome = tuple(key[slot] for _pr, slot in pairs)
-        grouped.setdefault(outcome, {})[key] = amp
+        grouped.setdefault(tuple(key[s] for s in slots), {})[key] = amp
     out = []
     for outcome in sorted(grouped):
         sub = grouped[outcome]
         prob = sum(abs(v) ** 2 for v in sub.values())
-        if prob < min_probability:
-            continue
-        post = SparseState(state.layout, sub, normalize=True)
-        out.append(MeasurementBranch(
-            outcomes={pr: sym for (pr, _slot), sym in zip(pairs, outcome)},
-            probability=prob,
-            post_state=post,
-        ))
+        if prob >= MIN_BRANCH_PROBABILITY:
+            out.append(MeasurementBranch(outcome, prob,
+                                         SparseState(state.layout, sub, normalize=True)))
     return out
 
 
@@ -532,12 +439,6 @@ def joint_branches(per_part, probability=lambda option: option.probability) -> l
     return combos
 
 
-def measure(state: SparseState, targets, seed: Optional[int] = None) -> MeasurementBranch:
-    """Sample one measurement branch with seeded randomness."""
-    opts = branches(state, targets)
-    return opts[sample_index([br.probability for br in opts], seed)]
-
-
 def fidelity(state: SparseState, reference: SparseState) -> float:
     """Squared overlap |<reference|state>|^2; layouts must match."""
     if state.layout != reference.layout:
@@ -565,7 +466,7 @@ def dump_state(state: SparseState) -> dict:
     lay = state.layout
     sep = "" if all(dim <= 10 for _n, dim in lay.regs) else ","
     entries = []
-    for key, amp in state.components():
+    for key, amp in sorted(state.amps.items()):
         entries.append({
             "basis": sep.join(str(s) for s in key),
             "re": float(amp.real),
@@ -588,10 +489,3 @@ def load_state(payload: dict) -> SparseState:
         amps[key] = complex(entry["re"], entry["im"])
     return SparseState(lay, amps)
 
-
-def state_to_json(state: SparseState) -> str:
-    return json.dumps(dump_state(state), indent=2)
-
-
-def state_from_json(text: str) -> SparseState:
-    return load_state(json.loads(text))

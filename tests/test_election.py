@@ -157,6 +157,8 @@ def test_single_party_network():
     assert result.cost.qubits_sent == 0
     assert elect(topo, all_branches=True).sampled_index is None
     assert elect_with_bound(topo, 3, all_branches=True).sampled_index is None
+    # the exact bound is the true party count
+    assert elect_with_bound(topo, 1).branches[0].leaders == (0,)
 
 
 def test_elect_simulates_once_per_topology(election_runs):
@@ -242,6 +244,8 @@ def test_upper_bound_unique_leader(name, n):
 def test_random_port_numberings_upper_bound(topo):
     result = elect_with_bound(topo, topo.n + 1, all_branches=True)
     assert all(b.leader_count == 1 for b in result.branches)
+    guess_outcomes = [b.guess_outcomes for b in result.branches]
+    assert guess_outcomes == sorted(guess_outcomes)
     assert abs(result.total_probability() - 1.0) < 1e-9
 
 

@@ -131,6 +131,23 @@ def test_ghz_share_every_branch_is_target(k, n):
     assert abs(result.total_probability() - 1.0) < 1e-9
 
 
+def test_ghz_share_distills_each_phase_index_once(monkeypatch):
+    import anonqnet.ghz
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return phase2(*args, **kwargs)
+
+    monkeypatch.setattr(anonqnet.ghz, "phase2", counting)
+    topo = catalog("ring", 3)
+    attempts, _cost = phase1(topo, 4)
+    nonzero = {br.outcome for br in attempts[0]} - {0}
+    result = ghz_share(topo, 4, all_branches=True)
+    assert len(calls) == len(nonzero) == 3
+    assert abs(result.total_probability() - 1.0) < 1e-9
+
+
 @settings(max_examples=25, deadline=None)
 @given(shuffled_ports(max_n=4))
 def test_random_port_numberings_share_cat(topo):
