@@ -153,10 +153,10 @@ def flag_mass(state: SparseState, register: str, trigger: int) -> float:
     Also checks the flag is shared: a component with disagreeing flag values
     across parties means the flag subroutine is broken.
     """
-    slots = state.layout.slots(register)
+    flags = state.layout.reader(register)
     mass = 0.0
     for key, amp in state.amps.items():
-        values = {key[s] for s in slots}
+        values = set(flags(key))
         if len(values) > 1:
             raise ExactnessError(f"flag register {register!r} disagrees across parties")
         if values == {trigger}:

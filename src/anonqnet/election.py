@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
                       exact_amplify, local_step, phase_angles, run_steps)
 from .errors import ExactnessError, SimulationError
 from .qsim import (SparseState, apply_all_parties, branches, init_state,
-                   joint_branches, layout, sample_index)
+                   layout, sample_index)
 from .runtime import CostReport, parallel, run_classical, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
                           consistency_from_all_zeros, run_cached)
@@ -118,6 +119,8 @@ class ExactlyOneProcedure:
         self.zeros = all_zeros_flooding(self.n_known)
         self.cons = consistency_from_all_zeros(self.zeros)
         self._tapes = {t: self._bank_tape(t) for t in self.guesses}
+        self._bank_layout = layout(topology.n, [("mark", 2), ("coin", 2), ("cons_flag", 2),
+                                                ("zero_flag", 2), ("verdict", 2)])
         self._memo: dict = {}
 
     # -- per-guess bank ----------------------------------------------------
@@ -149,22 +152,20 @@ class ExactlyOneProcedure:
         return tape
 
     def _run_bank(self, x: tuple, guess: int) -> tuple:
-        n = self.topology.n
-        lay = layout(n, [("mark", 2), ("coin", 2), ("cons_flag", 2),
-                         ("zero_flag", 2), ("verdict", 2)])
+        lay = self._bank_layout
         key = []
-        for v in range(n):
-            key.extend((MARKED if x[v] else UNMARKED, 0, CONSISTENT, TRUE, CONSISTENT))
+        for bit in x:
+            key.extend((MARKED if bit else UNMARKED, 0, CONSISTENT, TRUE, CONSISTENT))
         start = tuple(key)
         bank = SparseState(lay, {start: 1.0 + 0j})
         tape = self._tapes[guess]
         bank, fwd_cost = run_steps(bank, tape)
 
-        verdict_slots = lay.slots("verdict")
+        verdicts = lay.reader("verdict")
         mass = {CONSISTENT: 0.0, INCONSISTENT: 0.0}
         peak = {CONSISTENT: 0.0, INCONSISTENT: 0.0}
         for comp, amp in bank.amps.items():
-            values = {comp[s] for s in verdict_slots}
+            values = set(verdicts(comp))
             if len(values) > 1:
                 raise ExactnessError("consistency verdict disagrees across parties")
             verdict = values.pop()
@@ -245,12 +246,12 @@ class ExactlyOneProcedure:
         own runs.
         """
         lay = state.layout
-        x_slots = lay.slots(x_reg)
+        x_of = lay.reader(x_reg)
         y_slots = lay.slots(y_reg)
         cost = None
         amps = {}
         for key, amp in state.amps.items():
-            x = tuple(key[s] for s in x_slots)
+            x = x_of(key)
             value, phase, one_cost, _report = self.evaluate(x)
             if cost is None:
                 cost = one_cost
@@ -338,6 +339,11 @@ class ElectionResult:
         return payload
 
 
+def _leaders(outcome: tuple) -> tuple:
+    """The parties whose coin came up 1."""
+    return tuple(p for p, bit in enumerate(outcome) if bit == 1)
+
+
 def _trivial_result(all_branches: bool) -> ElectionResult:
     branch = ElectionBranch(outcomes=(1,), probability=1.0, leaders=(0,))
     return ElectionResult(n=1, branches=[branch], cost=CostReport.zero(),
@@ -369,9 +375,8 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
                                        check_success=True)
         out = []
         for br in branches(state, "coin"):
-            leaders = tuple(p for p, bit in enumerate(br.outcome) if bit == 1)
             out.append(ElectionBranch(outcomes=br.outcome, probability=br.probability,
-                                      leaders=leaders))
+                                      leaders=_leaders(br.outcome)))
         memo = topology.memo.setdefault("elect", (tuple(out), cost))
     out, cost = memo
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)
@@ -410,7 +415,7 @@ def _verify_unique(procedure: ExactlyOneProcedure, outcome: tuple) -> tuple:
     state, cost = procedure.apply(unique_one_state({outcome: 1.0 + 0j}),
                                   "bit", "res")
     (final_key, _amp), = state.amps.items()
-    values = {final_key[s] for s in state.layout.slots("res")}
+    values = set(state.layout.reader("res")(final_key))
     if len(values) > 1:
         raise ExactnessError("verification flag disagrees across parties")
     return values.pop() == TRUE, cost
@@ -434,33 +439,38 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         return _trivial_result(all_branches)
     procedure = exactly_one_algorithm(topology, n_known=upper_bound)
 
-    guesses = range(2, upper_bound + 1)
-    per_guess = []
-    guess_costs = []
-    for guess in guesses:
+    # per guess: its (guess, outcome) pairs, and per pair the probability,
+    # the verdict ((guess,) if verified, else ()) and the leaders, each built
+    # once per option
+    pairs, options, guess_costs = [], [], []
+    for guess in range(2, upper_bound + 1):
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
-        options = []
+        guess_pairs, guess_options = [], []
         for br in branches(state, "coin"):
             ok, verify_cost = _verify_unique(procedure, br.outcome)
-            options.append((br.outcome, br.probability, ok))
-        per_guess.append(options)
+            guess_pairs.append((guess, br.outcome))
+            guess_options.append((br.probability, (guess,) if ok else (),
+                                  _leaders(br.outcome)))
+        pairs.append(guess_pairs)
+        options.append(guess_options)
         guess_costs.append(sequential(attempt_cost, verify_cost))
 
     cost = parallel(*guess_costs)
-    # already sorted by guess_outcomes: branches() and joint_branches keep lexicographic order
+    # both products run in the same lexicographic order, and branches() sorts
+    # each guess's outcomes, so the joint branches come sorted by guess_outcomes
     out = []
-    for picked, prob in joint_branches(per_guess, probability=lambda opt: opt[1]):
-        verified = tuple(guess for guess, (_outcome, _p, ok) in zip(guesses, picked) if ok)
+    for guess_outcomes, picked in zip(product(*pairs), product(*options)):
+        prob, verified = 1.0, ()
+        for p, verdict, _ in picked:
+            prob *= p
+            verified += verdict
         if not verified:
             raise ExactnessError("no guess verified a unique leader in some branch")
         winner = verified[0]
-        outcome = picked[winner - 2][0]
-        leaders = tuple(p for p, bit in enumerate(outcome) if bit == 1)
         out.append(ElectionBranch(
-            outcomes=outcome, probability=prob, leaders=leaders,
-            winner_guess=winner,
-            guess_outcomes=tuple((g, opt[0]) for g, opt in zip(guesses, picked)),
-            verified=verified,
+            outcomes=guess_outcomes[winner - 2][1], probability=prob,
+            leaders=picked[winner - 2][2], winner_guess=winner,
+            guess_outcomes=guess_outcomes, verified=verified,
         ))
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)

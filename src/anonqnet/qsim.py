@@ -17,6 +17,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,15 +50,30 @@ class RegisterLayout:
             if dim < 2:
                 raise ValueError(f"register {name!r} needs dimension >= 2")
 
-    @property
+    @cached_property
     def width(self) -> int:
         return len(self.regs)
 
+    @cached_property
+    def _index(self) -> dict:
+        return {name: i for i, (name, _dim) in enumerate(self.regs)}
+
+    @cached_property
+    def _slots(self) -> tuple:
+        """The slot of each register at every party, in registration order."""
+        w = self.width
+        return tuple(tuple(range(i, self.n_parties * w, w)) for i in range(w))
+
+    @cached_property
+    def _readers(self) -> tuple:
+        w = self.width
+        return tuple(itemgetter(slice(i, None, w)) for i in range(w))
+
     def reg_index(self, name: str) -> int:
-        for i, (reg, _dim) in enumerate(self.regs):
-            if reg == name:
-                return i
-        raise KeyError(f"no register named {name!r}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"no register named {name!r}") from None
 
     def dim(self, name: str) -> int:
         return self.regs[self.reg_index(name)][1]
@@ -66,9 +83,16 @@ class RegisterLayout:
             raise KeyError(f"no party {party}")
         return party * self.width + self.reg_index(name)
 
-    def slots(self, name: str) -> list:
-        i = self.reg_index(name)
-        return [p * self.width + i for p in range(self.n_parties)]
+    def slots(self, name: str) -> tuple:
+        return self._slots[self.reg_index(name)]
+
+    def reader(self, name: str):
+        """A function from a basis key to ``name``'s symbol at each party.
+
+        It reads one extended slice of the key, so it returns a tuple even
+        for a single party.
+        """
+        return self._readers[self.reg_index(name)]
 
 
 def layout(n_parties: int, regs: Iterable) -> RegisterLayout:
@@ -106,7 +130,7 @@ class SparseState:
         return self.amps.get(tuple(key), 0j)
 
     def symbols(self, key: tuple, name: str) -> tuple:
-        return tuple(key[s] for s in self.layout.slots(name))
+        return self.layout.reader(name)(key)
 
 
 def init_state(lay: RegisterLayout, fiducial: Union[dict, int] = 0) -> SparseState:
@@ -196,6 +220,11 @@ def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     return mat
 
 
+def _check_symbol(lay: RegisterLayout, name: str, symbol: int) -> None:
+    if not (0 <= symbol < lay.dim(name)):
+        raise ValueError(f"symbol {symbol} out of range for register {name!r}")
+
+
 def apply_all_parties(
     state: SparseState,
     register: str,
@@ -206,24 +235,31 @@ def apply_all_parties(
     """Apply one single-qudit unitary to ``register`` at each party.
 
     ``control=(name, symbol)`` restricts the action at each party to the
-    components where that party's control register holds ``symbol``.
+    components where that party's control register holds ``symbol``; a
+    party whose control holds it in no component is skipped.  A symbol
+    outside the control register's range raises ``ValueError``.
     """
     lay = state.layout
     dim = lay.dim(register)
     mat = _check_unitary(matrix, dim)
     cols = [[(j, mat[j, s]) for j in range(dim) if abs(mat[j, s]) > 0.0] for s in range(dim)]
+    if control is not None:
+        ctrl_name, ctrl_sym = control
+        _check_symbol(lay, ctrl_name, ctrl_sym)
+        ctrl_slots = lay.slots(ctrl_name)
     amps = state.amps
-    for party in range(lay.n_parties):
-        slot = lay.slot(party, register)
-        ctrl_slot = lay.slot(party, control[0]) if control else None
+    for party, slot in enumerate(lay.slots(register)):
+        if control is not None:
+            ctrl_slot = ctrl_slots[party]
+            if not any(key[ctrl_slot] == ctrl_sym for key in amps):
+                continue
         out: dict = {}
         for key, amp in amps.items():
-            if ctrl_slot is not None and key[ctrl_slot] != control[1]:
+            if control is not None and key[ctrl_slot] != ctrl_sym:
                 out[key] = out.get(key, 0j) + amp
                 continue
-            s = key[slot]
             prefix, suffix = key[:slot], key[slot + 1:]
-            for j, coeff in cols[s]:
+            for j, coeff in cols[key[slot]]:
                 nk = prefix + (j,) + suffix
                 out[nk] = out.get(nk, 0j) + coeff * amp
         amps = out
@@ -231,22 +267,27 @@ def apply_all_parties(
 
 
 def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> SparseState:
-    """Phase per party whose registers satisfy all (register, symbol) pairs."""
-    if phase_per_party == 0.0:
-        return state
+    """Phase per party whose registers satisfy all (register, symbol) pairs.
+
+    At least one condition is needed, and a symbol outside its register's
+    range raises ``ValueError``.
+    """
     lay = state.layout
     conditions = tuple(conditions)
-    per_party = [
-        [(lay.slot(p, reg), sym) for reg, sym in conditions]
-        for p in range(lay.n_parties)
-    ]
+    if not conditions:
+        raise ValueError("a phase kick needs at least one condition")
+    for reg, sym in conditions:
+        _check_symbol(lay, reg, sym)
+    if phase_per_party == 0.0:
+        return state
+    # zip pairs up each party's condition symbols, one tuple per party
+    readers = [lay.reader(reg) for reg, _sym in conditions]
+    wanted = tuple(sym for _reg, sym in conditions)
+    kicks = [cmath.exp(1j * phase_per_party * count) for count in range(lay.n_parties + 1)]
     amps = {}
     for key, amp in state.amps.items():
-        count = sum(
-            1 for checks in per_party
-            if all(key[slot] == sym for slot, sym in checks)
-        )
-        amps[key] = amp * cmath.exp(1j * phase_per_party * count) if count else amp
+        count = list(zip(*[read(key) for read in readers])).count(wanted)
+        amps[key] = amp * kicks[count] if count else amp
     return SparseState(state.layout, amps)
 
 
@@ -327,50 +368,56 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
     lay = state.layout
     if topology.n != lay.n_parties:
         raise ValueError("topology and layout disagree on the party count")
-    out_slots = lay.slots(out_reg)
     out_dim = lay.dim(out_reg)
     if not (0 <= fiducial < out_dim):
         raise ValueError("fiducial out of range")
     if isinstance(in_regs, str):
         in_regs = (in_regs,)
-    single = len(in_regs) == 1
     # one input register: a party's input is its symbol; several: a tuple of
     # its symbols, one per register
-    in_slots = lay.slots(in_regs[0]) if single else list(zip(*(lay.slots(r) for r in in_regs)))
+    in_readers = [lay.reader(r) for r in in_regs]
+    read_one = in_readers[0] if len(in_readers) == 1 else None
+    held_at = lay.reader(out_reg)
+    # the out register's slots are the extended slice out_first::width
+    out_first, width = lay.reg_index(out_reg), lay.width
+    resting = (fiducial,) * lay.n_parties
     pattern = None
     cost = None
     amps = {}
     for key, amp in state.amps.items():
-        if single:
-            inputs = tuple(key[s] for s in in_slots)
+        if read_one is not None:
+            inputs = read_one(key)
         else:
-            inputs = tuple(tuple(key[s] for s in party) for party in in_slots)
+            inputs = tuple(zip(*[read(key) for read in in_readers]))
         outputs, one_cost, one_pattern = run_cached(sub, topology, inputs, global_info)
-        if pattern is None:
-            pattern, cost = one_pattern, one_cost
-        elif one_pattern != pattern:
-            raise SimulationError(
-                f"subroutine {sub.name} has an input-dependent communication pattern"
-            )
-        nk = list(key)
-        for p, slot in enumerate(out_slots):
-            out_sym = outputs[p]
-            if not (0 <= out_sym < out_dim):
+        # run_cached interns patterns per subroutine, so equal is identical
+        if one_pattern is not pattern:
+            if pattern is not None:
                 raise SimulationError(
-                    f"subroutine {sub.name} produced symbol {out_sym} outside register {out_reg!r}"
+                    f"subroutine {sub.name} has an input-dependent communication pattern"
                 )
-            if inverse:
-                if key[slot] != out_sym:
-                    raise ExactnessError(
-                        f"uncompute mismatch in {out_reg!r}: held {key[slot]}, recomputed {out_sym}"
-                    )
-                nk[slot] = fiducial
-            else:
-                if key[slot] != fiducial:
-                    raise SimulationError(
-                        f"out register {out_reg!r} not at fiducial before {sub.name}"
-                    )
-                nk[slot] = out_sym
+            pattern, cost = one_pattern, one_cost
+        if min(outputs) < 0 or max(outputs) >= out_dim:
+            bad = next(sym for sym in outputs if not 0 <= sym < out_dim)
+            raise SimulationError(
+                f"subroutine {sub.name} produced symbol {bad} outside register {out_reg!r}"
+            )
+        held = held_at(key)
+        if inverse:
+            if held != outputs:
+                was, now = next((h, o) for h, o in zip(held, outputs) if h != o)
+                raise ExactnessError(
+                    f"uncompute mismatch in {out_reg!r}: held {was}, recomputed {now}"
+                )
+            written = resting
+        else:
+            if held != resting:
+                raise SimulationError(
+                    f"out register {out_reg!r} not at fiducial before {sub.name}"
+                )
+            written = outputs
+        nk = list(key)
+        nk[out_first::width] = written
         nk = tuple(nk)
         if nk in amps:
             raise SimulationError("coherent subroutine collided two components")
@@ -396,10 +443,10 @@ def branches(state: SparseState, register: str) -> list:
     over the full enumeration sum to one; branches lighter than
     ``MIN_BRANCH_PROBABILITY`` are dropped.
     """
-    slots = state.layout.slots(register)
+    outcome_of = state.layout.reader(register)
     grouped: dict = {}
     for key, amp in state.amps.items():
-        grouped.setdefault(tuple(key[s] for s in slots), {})[key] = amp
+        grouped.setdefault(outcome_of(key), {})[key] = amp
     out = []
     for outcome in sorted(grouped):
         sub = grouped[outcome]

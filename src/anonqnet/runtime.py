@@ -10,6 +10,7 @@ A run yields the parties' outputs, its cost, and one plain
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import Any, Callable, Sequence
 
 from .errors import SimulationError
@@ -120,17 +121,29 @@ class CostReport:
 
 
 def sequential(*costs: CostReport) -> CostReport:
-    total = CostReport.zero()
-    for c in costs:
-        total = total.then(c)
-    return total
+    """``costs[0].then(costs[1]).then(...)``, built as one report."""
+    detailed = all(c.detailed for c in costs)
+    return CostReport(
+        sum(c.rounds for c in costs),
+        sum(c.qubits_sent for c in costs),
+        sum(c.bits_sent for c in costs),
+        tuple(chain.from_iterable(c.per_round for c in costs)) if detailed else (),
+    )
 
 
 def parallel(*costs: CostReport) -> CostReport:
-    total = CostReport.zero()
-    for c in costs:
-        total = total.alongside(c)
-    return total
+    """``costs[0].alongside(costs[1]).alongside(...)``, built as one report."""
+    rounds = max((c.rounds for c in costs), default=0)
+    detail = ()
+    if all(c.detailed for c in costs):
+        detail = tuple(sum(col) for col in zip_longest(*(c.per_round for c in costs),
+                                                       fillvalue=0))
+    return CostReport(
+        rounds,
+        sum(c.qubits_sent for c in costs),
+        sum(c.bits_sent for c in costs),
+        detail,
+    )
 
 
 def _normalize(msg, symbol_dim: int, sender: int, port: int) -> tuple:

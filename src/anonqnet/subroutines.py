@@ -27,12 +27,13 @@ TRUE, FALSE = 1, 0
 class ClassicalSubroutine:
     """A party program plus the memo of its runs.
 
-    ``runs`` belongs to this instance and lives as long as it does; see
-    :func:`run_cached`.
+    ``runs`` and ``patterns`` belong to this instance and live as long as it
+    does; see :func:`run_cached`.
     """
 
     program: PartyProgram
     runs: dict = field(default_factory=dict, compare=False, repr=False)
+    patterns: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -45,7 +46,9 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
 
     The pattern is the ``(round, sender, receiver, symbols)`` part of each
     message event; payloads are not kept, since coherent application only
-    needs the oblivious pattern for cross-component checks.  Results depend
+    needs the oblivious pattern for cross-component checks.  Patterns are
+    interned in ``sub.patterns``, so two runs of one subroutine have equal
+    patterns exactly when they return the same object.  Results depend
     on the port numbering, so the key holds the topology's identity; each
     entry keeps the topology alive, so its id is not reused while the entry
     lives.
@@ -55,6 +58,7 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
     if entry is None:
         outputs, cost, events = run_classical(topology, sub.program, inputs, global_info)
         pattern = tuple(ev[:4] for ev in events)
+        pattern = sub.patterns.setdefault(pattern, pattern)
         # setdefault keeps one entry per key if two threads miss together
         entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost, pattern)))
     return entry[1]

@@ -10,8 +10,9 @@ from anonqnet.qsim import (SparseState, apply_all_parties,
                            init_state, layout, load_state, phase_kick_where,
                            rename_register, scale, tensor,
                            uncompute_subroutine)
-from anonqnet.subroutines import all_zeros_flooding
-from anonqnet.topology import catalog
+from anonqnet.runtime import PartyProgram
+from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding
+from anonqnet.topology import build_graph, catalog
 
 from conftest import all_bit_vectors
 
@@ -244,3 +245,142 @@ def test_branch_probabilities_sum_to_one_after_ops():
     brs = branches(st, "q")
     assert abs(sum(b.probability for b in brs) - 1.0) < 1e-10
     assert all(b.probability >= 0 for b in brs)
+
+
+def local_program(fn, *, rounds=0, size=None):
+    """Each party outputs ``fn(own input)``; ``size(input)`` symbols per port per round."""
+    def send(x, _r):
+        return {} if size is None else {1: (0,) * size(x)}
+
+    return ClassicalSubroutine(PartyProgram(
+        rounds=rounds, symbol_dim=2,
+        init=lambda x, _deg, _g: x, send=send, recv=lambda x, _inbox, _r: x,
+        finish=fn, name="local"))
+
+
+def test_layout_tables():
+    lay = layout(3, [("a", 2), ("b", 3)])
+    assert lay.slots("b") == (1, 3, 5)
+    assert [lay.slot(p, "a") for p in range(3)] == [0, 2, 4]
+    assert lay.dim("b") == 3 and lay.reg_index("b") == 1
+    assert lay.reader("b")((0, 1, 1, 2, 0, 0)) == (1, 2, 0)
+    # one party: still a tuple, not a bare symbol
+    assert layout(1, [("a", 2), ("b", 3)]).reader("b")((0, 2)) == (2,)
+    for lookup in (lay.reg_index, lay.dim, lay.slots, lay.reader):
+        with pytest.raises(KeyError):
+            lookup("c")
+    with pytest.raises(KeyError):
+        lay.slot(3, "a")
+
+
+def test_control_symbol_out_of_range_raises():
+    st = init_state(layout(2, [("m", 2), ("q", 2)]), 0)
+    for bad in (7, 2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_all_parties(st, "q", H, control=("m", bad))
+
+
+def test_phase_kick_condition_out_of_range_raises():
+    st = init_state(layout(2, [("m", 2), ("f", 3)]), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        phase_kick_where(st, (("m", 1), ("f", 3)), 0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        phase_kick_where(st, (("m", -1),), 0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        phase_kick_where(st, (("m", 2),), 0.0)
+    with pytest.raises(ValueError):
+        phase_kick_where(st, (), 0.5)
+
+
+def test_controlled_gate_with_no_active_party_keeps_amplitudes():
+    lay = layout(3, [("mark", 2), ("q", 2)])
+    amp = 1 / math.sqrt(2)
+    st = SparseState(lay, {(0, 0, 0, 1, 0, 0): amp, (0, 1, 0, 0, 0, 1): -amp})
+    out = apply_all_parties(st, "q", H, control=("mark", 1))
+    assert out.amps == st.amps
+
+
+def test_controlled_gate_acts_only_where_marked():
+    lay = layout(2, [("mark", 2), ("q", 2)])
+    st = SparseState(lay, {(0, 0, 1, 0): 1.0})
+    out = apply_all_parties(st, "q", H, control=("mark", 1))
+    amp = 1 / math.sqrt(2)
+    assert set(out.amps) == {(0, 0, 1, 0), (0, 0, 1, 1)}
+    assert all(abs(out.amps[k] - amp) < 1e-15 for k in out.amps)
+
+
+def test_phase_kick_two_conditions_matches_brute_force_count():
+    lay = layout(3, [("m", 2), ("f", 3)])
+    st = SparseState(lay, {key: 1.0 for key in np.ndindex(*(2, 3) * 3)}, normalize=True)
+    phase = 0.37
+    out = phase_kick_where(st, (("m", 1), ("f", 2)), phase)
+    assert set(out.amps) == set(st.amps)
+    for key, amp in st.amps.items():
+        count = sum(1 for p in range(3)
+                    if key[lay.slot(p, "m")] == 1 and key[lay.slot(p, "f")] == 2)
+        assert abs(out.amps[key] - amp * np.exp(1j * phase * count)) < 1e-15
+
+
+def test_coherent_single_party_against_hand_outputs():
+    topo = build_graph(1, [])
+    lay = layout(1, [("q", 3), ("out", 3)])
+    st = SparseState(lay, {(0, 0): 0.6, (1, 0): 0.0 + 0.8j})
+    sub = local_program(lambda x: (x + 1) % 3)
+    mid, cost = apply_coherent_subroutine(st, sub, topo, ("q",), "out")
+    assert mid.amps == {(0, 1): 0.6, (1, 2): 0.8j}
+    assert (cost.rounds, cost.qubits_sent) == (0, 0)
+    back, _cost = uncompute_subroutine(mid, sub, topo, "q", "out")
+    assert back.amps == st.amps
+
+
+def test_coherent_two_input_registers_against_hand_outputs():
+    topo = catalog("complete", 2)
+    lay = layout(2, [("a", 2), ("b", 2), ("out", 2)])
+    seen = []
+
+    def xor(pair):
+        seen.append(pair)
+        a, b = pair
+        return a ^ b
+
+    amp = 0.5
+    # keys: (a0, b0, out0, a1, b1, out1)
+    st = SparseState(lay, {(0, 0, 0, 1, 0, 0): amp, (0, 1, 0, 1, 1, 0): amp,
+                           (1, 1, 0, 0, 1, 0): amp, (1, 0, 0, 0, 0, 0): amp})
+    out, _cost = apply_coherent_subroutine(st, local_program(xor), topo, ("a", "b"), "out")
+    assert out.amps == {(0, 0, 0, 1, 0, 1): amp, (0, 1, 1, 1, 1, 0): amp,
+                        (1, 1, 0, 0, 1, 1): amp, (1, 0, 1, 0, 0, 0): amp}
+    assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in seen)
+
+
+def test_coherent_rejects_input_dependent_message_size():
+    topo = catalog("complete", 2)
+    lay = layout(2, [("q", 2), ("out", 2)])
+    amp = 1 / math.sqrt(2)
+    st = SparseState(lay, {(0, 0, 0, 0): amp, (1, 0, 1, 0): amp})
+    sub = local_program(lambda x: 0, rounds=1, size=lambda x: 1 + x)
+    with pytest.raises(SimulationError, match="input-dependent communication pattern"):
+        apply_coherent_subroutine(st, sub, topo, "q", "out")
+    # the same sizes on every input pass
+    fixed = local_program(lambda x: 0, rounds=1, size=lambda x: 2)
+    apply_coherent_subroutine(st, fixed, topo, "q", "out")
+
+
+def test_coherent_rejects_output_outside_register():
+    topo = catalog("complete", 2)
+    lay = layout(2, [("q", 3), ("out", 2)])
+    st = SparseState(lay, {(2, 0, 0, 0): 1.0})
+    sub = local_program(lambda x: x)
+    with pytest.raises(SimulationError, match="outside register 'out'"):
+        apply_coherent_subroutine(st, sub, topo, "q", "out")
+
+
+def test_coherent_collision_raises():
+    # uncomputing a copy of the register into itself maps both components
+    # to the all-fiducial key
+    topo = catalog("complete", 2)
+    lay = layout(2, [("q", 2)])
+    amp = 1 / math.sqrt(2)
+    st = SparseState(lay, {(0, 0): amp, (1, 1): amp})
+    with pytest.raises(SimulationError, match="collided"):
+        uncompute_subroutine(st, local_program(lambda x: x), topo, "q", "q")

@@ -178,6 +178,18 @@ def test_cost_composition():
     assert sequential(a, c).qubits_sent == 15
 
 
+def test_compositions_equal_pairwise_folds():
+    costs = [CostReport.zero(), CostReport(2, 10, 10, (4, 6)), CostReport(3, 6, 12, (2, 2, 2)),
+             CostReport(1, 5, 5, ()), CostReport(1, 0, 0, (0,)), CostReport(4, 0, 0, ())]
+    for size in range(4):
+        for picked in itertools.product(costs, repeat=size):
+            seq, par = CostReport.zero(), CostReport.zero()
+            for c in picked:
+                seq, par = seq.then(c), par.alongside(c)
+            assert sequential(*picked) == seq
+            assert parallel(*picked) == par
+
+
 def test_cost_report_validation():
     with pytest.raises(ValueError):
         CostReport(2, 5, 5, (1, 1))
