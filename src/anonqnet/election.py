@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
                       exact_amplify, local_step, phase_angles, run_steps)
 from .errors import ExactnessError, SimulationError
 from .qsim import (SparseState, apply_all_parties, branches, init_state,
-                   layout, sample_index)
+                   joint_branches, layout, sample_index)
 from .runtime import CostReport, parallel, run_classical, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
                           consistency_from_all_zeros, run_cached)
@@ -421,6 +420,15 @@ def _verify_unique(procedure: ExactlyOneProcedure, outcome: tuple) -> tuple:
     return values.pop() == TRUE, cost
 
 
+class _GuessOption(NamedTuple):
+    """One measured outcome of one guess's attempt, built once per outcome."""
+
+    pair: tuple              # (guess, outcome)
+    probability: float
+    verified: bool
+    leaders: tuple
+
+
 def elect_with_bound(topology: Topology, upper_bound: int, *,
                      seed: Optional[int] = None,
                      all_branches: bool = False) -> ElectionResult:
@@ -439,38 +447,30 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         return _trivial_result(all_branches)
     procedure = exactly_one_algorithm(topology, n_known=upper_bound)
 
-    # per guess: its (guess, outcome) pairs, and per pair the probability,
-    # the verdict ((guess,) if verified, else ()) and the leaders, each built
-    # once per option
-    pairs, options, guess_costs = [], [], []
+    options, guess_costs = [], []
     for guess in range(2, upper_bound + 1):
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
-        guess_pairs, guess_options = [], []
+        guess_options = []
         for br in branches(state, "coin"):
             ok, verify_cost = _verify_unique(procedure, br.outcome)
-            guess_pairs.append((guess, br.outcome))
-            guess_options.append((br.probability, (guess,) if ok else (),
-                                  _leaders(br.outcome)))
-        pairs.append(guess_pairs)
+            guess_options.append(_GuessOption((guess, br.outcome), br.probability, ok,
+                                              _leaders(br.outcome)))
         options.append(guess_options)
         guess_costs.append(sequential(attempt_cost, verify_cost))
 
     cost = parallel(*guess_costs)
-    # both products run in the same lexicographic order, and branches() sorts
-    # each guess's outcomes, so the joint branches come sorted by guess_outcomes
+    # branches() sorts each guess's outcomes, so the joint branches come
+    # sorted by guess_outcomes
     out = []
-    for guess_outcomes, picked in zip(product(*pairs), product(*options)):
-        prob, verified = 1.0, ()
-        for p, verdict, _ in picked:
-            prob *= p
-            verified += verdict
+    for picked, prob in joint_branches(options):
+        verified = tuple(o.pair[0] for o in picked if o.verified)
         if not verified:
             raise ExactnessError("no guess verified a unique leader in some branch")
-        winner = verified[0]
+        winner = picked[verified[0] - 2]
         out.append(ElectionBranch(
-            outcomes=guess_outcomes[winner - 2][1], probability=prob,
-            leaders=picked[winner - 2][2], winner_guess=winner,
-            guess_outcomes=guess_outcomes, verified=verified,
+            outcomes=winner.pair[1], probability=prob, leaders=winner.leaders,
+            winner_guess=verified[0], guess_outcomes=tuple(o.pair for o in picked),
+            verified=verified,
         ))
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)

@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -269,13 +270,11 @@ def apply_all_parties(
 def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> SparseState:
     """Phase per party whose registers satisfy all (register, symbol) pairs.
 
-    At least one condition is needed, and a symbol outside its register's
-    range raises ``ValueError``.
+    Every party satisfies an empty condition list.  A symbol outside its
+    register's range raises ``ValueError``.
     """
     lay = state.layout
     conditions = tuple(conditions)
-    if not conditions:
-        raise ValueError("a phase kick needs at least one condition")
     for reg, sym in conditions:
         _check_symbol(lay, reg, sym)
     if phase_per_party == 0.0:
@@ -286,7 +285,8 @@ def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> 
     kicks = [cmath.exp(1j * phase_per_party * count) for count in range(lay.n_parties + 1)]
     amps = {}
     for key, amp in state.amps.items():
-        count = list(zip(*[read(key) for read in readers])).count(wanted)
+        count = (list(zip(*[read(key) for read in readers])).count(wanted)
+                 if readers else lay.n_parties)
         amps[key] = amp * kicks[count] if count else amp
     return SparseState(state.layout, amps)
 
@@ -472,18 +472,18 @@ def sample_index(probabilities, seed: Optional[int] = None) -> int:
     return len(probabilities) - 1
 
 
-def joint_branches(per_part, probability=lambda option: option.probability) -> list:
+def joint_branches(per_part):
     """Every choice of one option per independent part, with its probability.
 
-    Returns ``[(picked, p), ...]`` with ``picked`` one option per part, in
+    Yields ``(picked, p)`` with ``picked`` one option per part, in
     lexicographic order of the option lists, and ``p`` the product of the
-    picked options' probabilities taken left to right.
+    picked options' ``probability`` taken left to right from 1.0.
     """
-    combos = [((), 1.0)]
-    for options in per_part:
-        combos = [(picked + (opt,), p * probability(opt))
-                  for picked, p in combos for opt in options]
-    return combos
+    for picked in product(*per_part):
+        p = 1.0
+        for option in picked:
+            p *= option.probability
+        yield picked, p
 
 
 def fidelity(state: SparseState, reference: SparseState) -> float:

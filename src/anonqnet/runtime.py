@@ -87,29 +87,11 @@ class CostReport:
 
     def then(self, other: "CostReport") -> "CostReport":
         """Sequential composition: rounds and traffic add."""
-        detail = self.per_round + other.per_round if (self.detailed and other.detailed) else ()
-        return CostReport(
-            self.rounds + other.rounds,
-            self.qubits_sent + other.qubits_sent,
-            self.bits_sent + other.bits_sent,
-            detail,
-        )
+        return sequential(self, other)
 
     def alongside(self, other: "CostReport") -> "CostReport":
         """Parallel composition: traffic adds, rounds overlap."""
-        rounds = max(self.rounds, other.rounds)
-        if self.detailed and other.detailed:
-            a = self.per_round + (0,) * (rounds - self.rounds)
-            b = other.per_round + (0,) * (rounds - other.rounds)
-            detail = tuple(x + y for x, y in zip(a, b))
-        else:
-            detail = ()
-        return CostReport(
-            rounds,
-            self.qubits_sent + other.qubits_sent,
-            self.bits_sent + other.bits_sent,
-            detail,
-        )
+        return parallel(self, other)
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +103,10 @@ class CostReport:
 
 
 def sequential(*costs: CostReport) -> CostReport:
-    """``costs[0].then(costs[1]).then(...)``, built as one report."""
+    """Sequential composition of ``costs``: rounds and traffic add.
+
+    ``per_round`` is the concatenation when every operand is detailed.
+    """
     detailed = all(c.detailed for c in costs)
     return CostReport(
         sum(c.rounds for c in costs),
@@ -132,7 +117,11 @@ def sequential(*costs: CostReport) -> CostReport:
 
 
 def parallel(*costs: CostReport) -> CostReport:
-    """``costs[0].alongside(costs[1]).alongside(...)``, built as one report."""
+    """Parallel composition of ``costs``: traffic adds, rounds overlap.
+
+    ``per_round`` is the column sum, shorter operands padded with zeros,
+    when every operand is detailed.
+    """
     rounds = max((c.rounds for c in costs), default=0)
     detail = ()
     if all(c.detailed for c in costs):

@@ -288,8 +288,6 @@ def test_phase_kick_condition_out_of_range_raises():
         phase_kick_where(st, (("m", -1),), 0.5)
     with pytest.raises(ValueError, match="out of range"):
         phase_kick_where(st, (("m", 2),), 0.0)
-    with pytest.raises(ValueError):
-        phase_kick_where(st, (), 0.5)
 
 
 def test_controlled_gate_with_no_active_party_keeps_amplitudes():
@@ -384,3 +382,10 @@ def test_coherent_collision_raises():
     st = SparseState(lay, {(0, 0): amp, (1, 1): amp})
     with pytest.raises(SimulationError, match="collided"):
         uncompute_subroutine(st, local_program(lambda x: x), topo, "q", "q")
+
+
+def test_phase_kick_without_conditions_kicks_every_party():
+    st = SparseState(layout(2, [("m", 2)]), {(0, 1): 1.0})
+    out = phase_kick_where(st, (), 0.5)
+    assert set(out.amps) == {(0, 1)}
+    assert abs(out.amps[(0, 1)] - np.exp(1j * 0.5 * 2)) < 1e-15

@@ -172,6 +172,7 @@ def test_cost_composition():
     par = parallel(a, b)
     assert (par.rounds, par.qubits_sent) == (3, 16)
     assert par.per_round == (6, 8, 2)
+    assert (a.then(b), a.alongside(b)) == (seq, par)
     # detail is dropped, not faked, when one side lacks it
     c = CostReport(1, 5, 5, ())
     assert sequential(a, c).per_round == ()
