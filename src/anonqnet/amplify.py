@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import ExactnessError
-from .qsim import (SparseState, apply_coherent_subroutine, phase_kick_where,
-                   scale, uncompute_subroutine)
+from .qsim import (SparseState, agreed, apply_coherent_subroutine,
+                   phase_kick_where, scale, uncompute_subroutine)
 from .runtime import CostReport, sequential
 from .subroutines import ClassicalSubroutine
 from .topology import Topology
@@ -114,25 +114,28 @@ def local_step(fn: Callable[[SparseState], SparseState]):
 
 def amplification_steps(
     prepare: Callable[[SparseState], SparseState],
-    unprepare: Callable[[SparseState], SparseState],
     chi_flag,
     zero_flag,
     angles: PhasePair,
 ) -> list:
-    """The iterate as a reversible step list (applied left to right)."""
+    """The iterate as a reversible step list (applied left to right).
+
+    ``prepare`` must be its own inverse: the "unprepare" step applies it too.
+    """
+    flip = local_step(prepare)
     return [
         Step("flag_good", chi_flag.apply, chi_flag.invert),
         Step("phase_good",
              local_step(lambda s: chi_flag.kick(s, angles.theta)),
              local_step(lambda s: chi_flag.kick(s, -angles.theta))),
         Step("unflag_good", chi_flag.invert, chi_flag.apply),
-        Step("unprepare", local_step(unprepare), local_step(prepare)),
+        Step("unprepare", flip, flip),
         Step("flag_zero", zero_flag.apply, zero_flag.invert),
         Step("phase_zero",
              local_step(lambda s: zero_flag.kick(s, angles.phi)),
              local_step(lambda s: zero_flag.kick(s, -angles.phi))),
         Step("unflag_zero", zero_flag.invert, zero_flag.apply),
-        Step("prepare", local_step(prepare), local_step(unprepare)),
+        Step("prepare", flip, flip),
         Step("negate", local_step(lambda s: scale(s, -1)), local_step(lambda s: scale(s, -1))),
     ]
 
@@ -154,12 +157,10 @@ def flag_mass(state: SparseState, register: str, trigger: int) -> float:
     across parties means the flag subroutine is broken.
     """
     flags = state.layout.reader(register)
+    what = f"flag register {register!r}"
     mass = 0.0
     for key, amp in state.amps.items():
-        values = set(flags(key))
-        if len(values) > 1:
-            raise ExactnessError(f"flag register {register!r} disagrees across parties")
-        if values == {trigger}:
+        if agreed(flags(key), what) == trigger:
             mass += abs(amp) ** 2
     return mass
 
@@ -167,7 +168,6 @@ def flag_mass(state: SparseState, register: str, trigger: int) -> float:
 def exact_amplify(
     state: SparseState,
     prepare: Callable[[SparseState], SparseState],
-    unprepare: Callable[[SparseState], SparseState],
     chi_flag,
     zero_flag,
     a: float,
@@ -177,13 +177,14 @@ def exact_amplify(
     """Apply one exact amplification iterate to ``state``.
 
     ``state`` must be ``prepare`` applied to the all-fiducial state, with the
-    good-subspace probability equal to ``a``; afterwards the good probability
-    is exactly one.  ``check_success=False`` skips the precondition check and
-    applies the iterate regardless, for callers that amplify on a guess.
+    good-subspace probability equal to ``a``, and ``prepare`` must be its own
+    inverse; afterwards the good probability is exactly one.
+    ``check_success=False`` skips the precondition check and applies the
+    iterate regardless, for callers that amplify on a guess.
     Cost is exactly two executions of each flag subroutine.
     """
     angles = phase_angles(a)
-    steps = amplification_steps(prepare, unprepare, chi_flag, zero_flag, angles)
+    steps = amplification_steps(prepare, chi_flag, zero_flag, angles)
     # run the first flag, optionally audit the promised success probability,
     # then run the rest
     state, c0 = steps[0].forward(state)

@@ -124,6 +124,8 @@ def cmd_cost_table(args) -> int:
         graphs = [(f"{args.catalog}-{n}", catalog(args.catalog, n)) for n in sizes]
     for label, topo in graphs:
         n = topo.n
+        if n < 2:
+            raise SystemExit2(f"cost-table needs at least two parties; {label} has {n}")
         costs = cost_breakdown(topo)
         row = {"graph": label, "n": n, "m": topo.m}
         for part, cost in costs.items():

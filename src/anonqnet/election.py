@@ -26,8 +26,8 @@ import numpy as np
 from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
                       exact_amplify, local_step, phase_angles, run_steps)
 from .errors import ExactnessError, SimulationError
-from .qsim import (SparseState, apply_all_parties, branches, init_state,
-                   joint_branches, layout, sample_index)
+from .qsim import (SparseState, agreed, apply_all_parties, branches,
+                   init_state, joint_branches, layout, sample_index)
 from .runtime import CostReport, parallel, run_classical, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
                           consistency_from_all_zeros, run_cached)
@@ -67,17 +67,17 @@ def rotation_matrix(n: int) -> np.ndarray:
 # the unique-one procedure
 
 
-@dataclass
+@dataclass(frozen=True)
 class BankReport:
-    """Numerical evidence from one guess bank of the unique-one procedure."""
+    """What one guess bank of the unique-one procedure did to one input."""
 
     guess: int
-    mass_consistent: float
-    mass_inconsistent: float
     max_consistent_amp: float
     max_inconsistent_amp: float
     inversion_residual: float      # mass off the restored basis state
-    inversion_phase_error: float   # |final fiducial amplitude - 1|
+    inversion_phase_error: float   # |restored_amp - 1|
+    restored_amp: complex          # final amplitude of the bank's start state
+    cost: CostReport               # forward and backward passes
 
     @property
     def purely_inconsistent(self) -> bool:
@@ -88,16 +88,19 @@ class BankReport:
         return self.max_inconsistent_amp < RESIDUE_TOL
 
 
-@dataclass
+@dataclass(frozen=True)
 class InputReport:
-    """Diagnostics for the procedure's action on one classical input."""
+    """The unique-one procedure's action on one classical input.
 
-    x: tuple
-    zeros_flag: int
-    banks: list
-    flips_output: bool
+    ``value`` is the weight-one predicate (TRUE or FALSE), ``phase`` the
+    factor the input's amplitude picks up and ``cost`` that of one execution.
+    """
+
     value: int
-    phase_factor: complex
+    phase: complex
+    cost: CostReport
+    zeros_flag: int
+    banks: tuple                   # one BankReport per guess
 
 
 class ExactlyOneProcedure:
@@ -106,7 +109,8 @@ class ExactlyOneProcedure:
     ``apply`` maps each basis component |x>|y> to |x>|y xor not H(x)> where
     H(x) is the weight-one predicate, leaving every working register back at
     its fiducial.  Applying it twice is the identity, which is also how the
-    inverse is realized.
+    inverse is realized.  ``evaluate`` gives the memoized ``InputReport`` of
+    one classical input; ``apply`` and ``elect_with_bound`` read it.
     """
 
     def __init__(self, topology: Topology, n_known: Optional[int] = None):
@@ -146,11 +150,11 @@ class ExactlyOneProcedure:
             trigger=INCONSISTENT, fiducial=CONSISTENT)
 
         tape = [Step("spread", local_step(spread), local_step(spread))]
-        tape += amplification_steps(spread, spread, chi, zero, angles)
+        tape += amplification_steps(spread, chi, zero, angles)
         tape.append(Step("verdict", verdict.apply, verdict.invert))
         return tape
 
-    def _run_bank(self, x: tuple, guess: int) -> tuple:
+    def _run_bank(self, x: tuple, guess: int) -> BankReport:
         lay = self._bank_layout
         key = []
         for bit in x:
@@ -161,14 +165,9 @@ class ExactlyOneProcedure:
         bank, fwd_cost = run_steps(bank, tape)
 
         verdicts = lay.reader("verdict")
-        mass = {CONSISTENT: 0.0, INCONSISTENT: 0.0}
         peak = {CONSISTENT: 0.0, INCONSISTENT: 0.0}
         for comp, amp in bank.amps.items():
-            values = set(verdicts(comp))
-            if len(values) > 1:
-                raise ExactnessError("consistency verdict disagrees across parties")
-            verdict = values.pop()
-            mass[verdict] += abs(amp) ** 2
+            verdict = agreed(verdicts(comp), "consistency verdict")
             peak[verdict] = max(peak[verdict], abs(amp))
 
         bank, bwd_cost = run_steps(bank, tape, backward=True)
@@ -179,61 +178,50 @@ class ExactlyOneProcedure:
             raise ExactnessError(
                 f"guess bank t={guess} failed to disentangle (residual {residual:.3e})"
             )
-        report = BankReport(
+        return BankReport(
             guess=guess,
-            mass_consistent=mass[CONSISTENT],
-            mass_inconsistent=mass[INCONSISTENT],
             max_consistent_amp=peak[CONSISTENT],
             max_inconsistent_amp=peak[INCONSISTENT],
             inversion_residual=residual,
             inversion_phase_error=phase_err,
+            restored_amp=fid_amp,
+            cost=fwd_cost.then(bwd_cost),
         )
-        return report, fid_amp, fwd_cost.then(bwd_cost)
 
     # -- whole procedure on one classical input ----------------------------
 
-    def evaluate(self, x: tuple) -> tuple:
-        """Memoized ``(value, phase, cost, InputReport)`` for one classical input."""
-        hit = self._memo.get(x)
-        if hit is not None:
-            return hit
+    def evaluate(self, x: tuple) -> InputReport:
+        """The memoized record of the procedure on one classical input."""
+        report = self._memo.get(x)
+        if report is not None:
+            return report
         zeros_out, zeros_cost, _ = run_cached(self.zeros, self.topology,
                                               tuple(int(b) for b in x))
-        if len(set(zeros_out)) > 1:
-            raise ExactnessError("all-zeros flood disagrees across parties")
-        s0 = zeros_out[0]
+        s0 = agreed(zeros_out, "all-zeros flood")
+        banks = tuple(self._run_bank(x, t) for t in self.guesses)
 
-        reports = []
-        bank_costs = []
-        phase = 1.0 + 0j
-        for t in self.guesses:
-            report, fid_amp, cost = self._run_bank(x, t)
-            reports.append(report)
-            bank_costs.append(cost)
-            phase *= fid_amp
-
-        flips = s0 == TRUE or any(r.purely_inconsistent for r in reports)
+        flips = s0 == TRUE or any(b.purely_inconsistent for b in banks)
         if not flips:
-            undecided = [r for r in reports if not r.purely_consistent]
+            undecided = [b for b in banks if not b.purely_consistent]
             if undecided:
-                worst = max(r.max_inconsistent_amp for r in undecided)
+                worst = max(b.max_inconsistent_amp for b in undecided)
                 raise ExactnessError(
                     f"unique-one outcome undetermined for input {x}: a guess bank "
                     f"kept inconsistent amplitude {worst:.3e} without deciding"
                 )
-        value = FALSE if flips else TRUE
 
         # the flood is metered twice (computing the zeros flag and undoing
         # it); the banks already include their own inversion passes
         cost = sequential(zeros_cost, zeros_cost)
-        if bank_costs:
-            cost = cost.then(parallel(*bank_costs))
+        if banks:
+            cost = cost.then(parallel(*(b.cost for b in banks)))
         report = InputReport(
-            x=tuple(x), zeros_flag=s0, banks=reports,
-            flips_output=flips, value=value, phase_factor=phase,
+            value=FALSE if flips else TRUE,
+            phase=math.prod((b.restored_amp for b in banks), start=1.0 + 0j),
+            cost=cost, zeros_flag=s0, banks=banks,
         )
-        self._memo[x] = (value, phase, cost, report)
-        return self._memo[x]
+        self._memo[x] = report
+        return report
 
     def apply(self, state: SparseState, x_reg: str, y_reg: str,
               run_cache: Optional[dict] = None) -> tuple:
@@ -250,17 +238,17 @@ class ExactlyOneProcedure:
         cost = None
         amps = {}
         for key, amp in state.amps.items():
-            x = x_of(key)
-            value, phase, one_cost, _report = self.evaluate(x)
+            report = self.evaluate(x_of(key))
             if cost is None:
-                cost = one_cost
-            elif (cost.rounds, cost.qubits_sent) != (one_cost.rounds, one_cost.qubits_sent):
+                cost = report.cost
+            elif (cost.rounds, cost.qubits_sent) != (report.cost.rounds,
+                                                     report.cost.qubits_sent):
                 raise SimulationError("unique-one cost varied with the input")
             nk = list(key)
-            if value == FALSE:
+            if report.value == FALSE:
                 for s in y_slots:
                     nk[s] ^= 1
-            amps[tuple(nk)] = amp * phase
+            amps[tuple(nk)] = amp * report.phase
         return SparseState(lay, amps), cost
 
 
@@ -405,19 +393,8 @@ def _amplified_coins(procedure: ExactlyOneProcedure, guess: int,
                trigger=TRUE, divisor=guess)
     zero = SubroutineFlag(procedure.zeros, topology, ("coin",), "zero_flag",
                           trigger=TRUE, fiducial=TRUE, divisor=guess)
-    return exact_amplify(prepare(state), prepare, prepare, chi, zero,
+    return exact_amplify(prepare(state), prepare, chi, zero,
                          a=success_probability(guess), check_success=check_success)
-
-
-def _verify_unique(procedure: ExactlyOneProcedure, outcome: tuple) -> tuple:
-    """Run the unique-one procedure on a measured classical outcome."""
-    state, cost = procedure.apply(unique_one_state({outcome: 1.0 + 0j}),
-                                  "bit", "res")
-    (final_key, _amp), = state.amps.items()
-    values = set(state.layout.reader("res")(final_key))
-    if len(values) > 1:
-        raise ExactnessError("verification flag disagrees across parties")
-    return values.pop() == TRUE, cost
 
 
 class _GuessOption(NamedTuple):
@@ -452,11 +429,11 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
         guess_options = []
         for br in branches(state, "coin"):
-            ok, verify_cost = _verify_unique(procedure, br.outcome)
-            guess_options.append(_GuessOption((guess, br.outcome), br.probability, ok,
-                                              _leaders(br.outcome)))
+            check = procedure.evaluate(br.outcome)
+            guess_options.append(_GuessOption((guess, br.outcome), br.probability,
+                                              check.value == TRUE, _leaders(br.outcome)))
         options.append(guess_options)
-        guess_costs.append(sequential(attempt_cost, verify_cost))
+        guess_costs.append(sequential(attempt_cost, check.cost))
 
     cost = parallel(*guess_costs)
     # branches() sorts each guess's outcomes, so the joint branches come
@@ -488,6 +465,5 @@ def cost_breakdown(topology: Topology) -> dict:
     _out, h0, _events = run_classical(topology, zeros.program, [0] * n)
     _out, cs, _events = run_classical(topology, consistency_from_all_zeros(zeros).program,
                                       [(0, 1)] * n)
-    _state, h1 = exactly_one_algorithm(topology).apply(
-        unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res")
+    h1 = exactly_one_algorithm(topology).evaluate((0,) * n).cost
     return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SimulationError
-from .qsim import (SparseState, apply_all_parties, apply_coherent_subroutine,
+from .qsim import (SparseState, agreed, apply_all_parties, apply_coherent_subroutine,
                    binary_op_all_parties, branches, drop_registers, init_state,
                    joint_branches, layout, rename_register, sample_index,
                    tensor)
@@ -76,10 +76,7 @@ def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     out = []
     dagger = gate.conj().T
     for br in branches(state, "sum"):
-        values = set(br.outcome)
-        if len(values) > 1:
-            raise SimulationError("sum register disagrees across parties")
-        outcome = values.pop()
+        outcome = agreed(br.outcome, "sum register")
         post = apply_all_parties(br.post_state, "share", dagger)
         post = drop_registers(post, ["sum"])
         out.append(AttemptBranch(outcome=outcome, probability=br.probability, state=post))
@@ -118,11 +115,9 @@ def phase2(state: SparseState, k: int, keep_reg: str, add_reg: str,
     audit.append("measure")
     out = []
     for br in branches(state, add_reg):
-        values = set(br.outcome)
-        if len(values) > 1:
-            raise SimulationError("distillation outcomes disagree across parties")
+        outcome = agreed(br.outcome, "distillation outcome")
         post = drop_registers(br.post_state, [add_reg])
-        out.append(AttemptBranch(outcome=values.pop(), probability=br.probability, state=post))
+        out.append(AttemptBranch(outcome=outcome, probability=br.probability, state=post))
     return out
 
 

@@ -9,7 +9,9 @@ Every operation acts alike at every party, as the protocols do: one local
 gate per party, one local addition mod d of a register into another, and the
 measurement of one register at every party, enumerated branch by branch.
 Classical subroutines run once per basis component with the engine checking
-that their communication pattern never depends on the component.
+that their communication pattern never depends on the component.  A value
+all parties must share, such as a flag or a measured sum, is read through
+``agreed``, the one check that they do share it.
 """
 from __future__ import annotations
 
@@ -132,6 +134,18 @@ class SparseState:
 
     def symbols(self, key: tuple, name: str) -> tuple:
         return self.layout.reader(name)(key)
+
+
+def agreed(symbols: Sequence, what: str):
+    """The symbol every party holds in ``symbols``, one entry per party.
+
+    Raises ``ExactnessError("<what> disagrees across parties")`` when two
+    parties hold different symbols.
+    """
+    first = symbols[0]
+    if symbols.count(first) != len(symbols):
+        raise ExactnessError(f"{what} disagrees across parties")
+    return first
 
 
 def init_state(lay: RegisterLayout, fiducial: Union[dict, int] = 0) -> SparseState:

@@ -110,8 +110,7 @@ def suite_h1() -> list:
             ((key, amp),) = out.amps.items()
             if set(out.symbols(key, "res")) != {_weight_is_one(x)} or abs(amp - 1.0) > 1e-10:
                 bad.append(x)
-            _value, _phase, _cost, report = proc.evaluate(x)
-            for b in report.banks:
+            for b in proc.evaluate(x).banks:
                 worst_residue = max(worst_residue, b.inversion_residual,
                                     b.inversion_phase_error)
         checks.append(Check(f"{name}-{n}: all classical inputs exact", not bad,
@@ -319,9 +318,9 @@ def suite_anonymity() -> list:
                 moved = [None] * n
                 for v in range(n):
                     moved[aut[v]] = x[v]
-                value_x, _phase, cost_x, _rep = proc.evaluate(tuple(x))
-                value_m, _phase, cost_m, _rep = proc.evaluate(tuple(moved))
-                h1_ok &= value_x == value_m and cost_x.qubits_sent == cost_m.qubits_sent
+                at_x, at_moved = proc.evaluate(tuple(x)), proc.evaluate(tuple(moved))
+                h1_ok &= (at_x.value == at_moved.value
+                          and at_x.cost.qubits_sent == at_moved.cost.qubits_sent)
         checks.append(Check(f"{name}-{n}: unique-one outputs and costs equivariant", h1_ok))
         dist = _branch_distribution(elect(topo, all_branches=True))
         qle_ok = all(_dist_close(_permuted_distribution(dist, aut), dist, 1e-10)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from anonqnet.amplify import (SubroutineFlag, exact_amplify, phase_angles)
+from anonqnet.amplify import (SubroutineFlag, exact_amplify, flag_mass,
+                              phase_angles)
 from anonqnet.errors import ExactnessError
-from anonqnet.qsim import apply_all_parties, init_state, layout
+from anonqnet.qsim import SparseState, apply_all_parties, init_state, layout
 from anonqnet.runtime import PartyProgram
 from anonqnet.subroutines import (ClassicalSubroutine, all_zeros_flooding,
                                   modular_sum_views)
@@ -135,7 +136,7 @@ def test_exact_amplify_matches_dense_reference(name, n):
                           trigger=1, fiducial=1)
     reference, a = dense_reference(n)
     state = prepare(state)
-    state, cost = exact_amplify(state, prepare, prepare, chi, zero, a)
+    state, cost = exact_amplify(state, prepare, chi, zero, a)
 
     for i in range(2 ** n):
         bits = tuple((i >> (n - 1 - p)) & 1 for p in range(n))
@@ -167,7 +168,7 @@ def test_exact_amplify_cost_is_twice_each_flag():
     zero = SubroutineFlag(zero_sub, topo, ("coin",), "zero", trigger=1, fiducial=1)
     _, a = dense_reference(n)
     state = prepare(state)
-    _state, cost = exact_amplify(state, prepare, prepare, chi, zero, a)
+    _state, cost = exact_amplify(state, prepare, chi, zero, a)
 
     from anonqnet.runtime import run_classical
     _o, chi_cost, _t = run_classical(topo, chi_sub.program, [0] * n, global_info=n)
@@ -192,4 +193,13 @@ def test_success_probability_mismatch_detected():
                           trigger=1, fiducial=1)
     state = prepare(state)
     with pytest.raises(ExactnessError):
-        exact_amplify(state, prepare, prepare, chi, zero, a=0.3)
+        exact_amplify(state, prepare, chi, zero, a=0.3)
+
+
+def test_flag_mass_rejects_a_flag_the_parties_do_not_share():
+    lay = layout(2, [("flag", 2)])
+    shared = SparseState(lay, {(1, 1): 0.6, (0, 0): 0.8})
+    assert abs(flag_mass(shared, "flag", 1) - 0.36) < 1e-12
+    split = SparseState(lay, {(1, 1): 0.6, (1, 0): 0.8})
+    with pytest.raises(ExactnessError, match="flag register 'flag' disagrees across parties"):
+        flag_mass(split, "flag", 1)

@@ -99,6 +99,17 @@ def test_missing_graph_spec_is_usage_error():
     assert err.value.code == 2
 
 
+def test_cost_table_on_one_party_graph_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("n 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["cost-table", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert "two parties" in captured.err
+
+
 def test_out_file_written(tmp_path, capsys):
     path = tmp_path / "result.json"
     code, out = run_cli(capsys, "elect", "--catalog", "ring", "--n", "3",

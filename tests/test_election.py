@@ -8,7 +8,7 @@ from anonqnet.election import (elect, elect_with_bound,
                                rotation_matrix, success_probability,
                                unique_one_state)
 from anonqnet.runtime import run_classical
-from anonqnet.subroutines import TRUE, all_zeros_flooding
+from anonqnet.subroutines import FALSE, TRUE, all_zeros_flooding
 from anonqnet.topology import automorphisms, build_graph, catalog
 
 from conftest import (all_bit_vectors, catalog_cases, case_ids, oracle_weight_is_one,
@@ -48,8 +48,7 @@ def run_unique_one(topo, x, n_known=None):
     ((key, amp),) = out.amps.items()
     values = set(out.symbols(key, "res"))
     assert len(values) == 1
-    _value, _phase, _cost, report = proc.evaluate(x)
-    return values.pop(), amp, cost, report
+    return values.pop(), amp, cost, proc.evaluate(x)
 
 
 def test_weight_one_input_accepted():
@@ -105,6 +104,23 @@ def test_unique_one_superposition_preserves_amplitudes():
         x = out.symbols(key, "bit")
         assert set(out.symbols(key, "res")) == {oracle_weight_is_one(x)}
         assert abs(amp - weights[x]) < 1e-12
+
+
+def test_evaluate_record_matches_apply_on_every_basis_input():
+    topo = catalog("ring", 3)
+    proc = exactly_one_algorithm(topo)
+    for x in all_bit_vectors(3):
+        report = proc.evaluate(x)
+        assert proc.evaluate(x) is report
+        out, cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res")
+        ((key, amp),) = out.amps.items()
+        assert report.cost == cost
+        # "res" starts at TRUE and is flipped exactly when the value is FALSE
+        assert set(out.symbols(key, "res")) == {report.value}
+        assert report.value == (TRUE if sum(x) == 1 else FALSE)
+        assert amp == report.phase
+        assert report.phase == math.prod((b.restored_amp for b in report.banks), start=1.0 + 0j)
+        assert [b.guess for b in report.banks] == [2, 3]
 
 
 def test_unique_one_is_involution():
@@ -257,6 +273,17 @@ def test_upper_bound_verification_flags():
         picked = dict(branch.guess_outcomes)[branch.winner_guess]
         assert picked == branch.outcomes
         assert sum(picked) == 1
+
+
+def test_upper_bound_verifies_exactly_the_outcomes_evaluated_true():
+    topo = catalog("ring", 3)
+    result = elect_with_bound(topo, 4, all_branches=True)
+    proc = exactly_one_algorithm(topo, n_known=4)
+    for branch in result.branches:
+        expected = tuple(guess for guess, outcome in branch.guess_outcomes
+                         if proc.evaluate(outcome).value == TRUE)
+        assert branch.verified == expected
+        assert expected and branch.winner_guess == expected[0]
 
 
 def test_upper_bound_equals_exact_when_bound_is_tight_n2():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from anonqnet.errors import ExactnessError
 from anonqnet.ghz import cat_state, fourier_gate, ghz_share, phase1, phase2
 from anonqnet.qsim import (SparseState, apply_all_parties, fidelity, layout,
                            rename_register, tensor)
@@ -117,6 +118,13 @@ def test_phase2_mismatched_indices_fail_fidelity():
     fids = [fidelity(br.state, cat_state(3, 0, 3, register="keep"))
             for br in phase2(tensor(a, b), 3, "keep", "aux")]
     assert min(fids) < 0.9
+
+
+def test_phase2_rejects_an_outcome_the_parties_do_not_share():
+    # keep = (0, 1) and aux = (0, 0): adding keep into aux leaves aux = (0, 1)
+    state = SparseState(layout(2, [("keep", 2), ("aux", 2)]), {(0, 0, 1, 0): 1.0})
+    with pytest.raises(ExactnessError, match="distillation outcome disagrees across parties"):
+        phase2(state, 2, "keep", "aux")
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 3)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anonqnet.errors import ExactnessError, SimulationError
-from anonqnet.qsim import (SparseState, apply_all_parties,
+from anonqnet.qsim import (SparseState, agreed, apply_all_parties,
                            apply_coherent_subroutine, binary_op_all_parties,
                            branches, drop_registers, dump_state, fidelity,
                            init_state, layout, load_state, phase_kick_where,
@@ -389,3 +389,10 @@ def test_phase_kick_without_conditions_kicks_every_party():
     out = phase_kick_where(st, (), 0.5)
     assert set(out.amps) == {(0, 1)}
     assert abs(out.amps[(0, 1)] - np.exp(1j * 0.5 * 2)) < 1e-15
+
+
+def test_agreed_returns_the_common_symbol():
+    assert agreed((1, 1, 1), "flag") == 1
+    assert agreed((0,), "flag") == 0
+    with pytest.raises(ExactnessError, match="^verdict disagrees across parties$"):
+        agreed((1, 1, 0), "verdict")
