@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
                       exact_amplify, local_step, phase_angles, run_steps)
 from .errors import ExactnessError, SimulationError
-from .qsim import (SparseState, agreed, apply_all_parties, branches,
+from .qsim import (SparseState, agreed, apply_all_parties, branches, gate,
                    init_state, joint_branches, layout, sample_index)
 from .runtime import CostReport, parallel, run_classical, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
@@ -39,6 +40,9 @@ CONSISTENT, INCONSISTENT = 1, 0
 #: how clean "exactly zero amplitude" must be in classifications and ancilla
 #: restoration before the engine refuses to continue
 RESIDUE_TOL = 1e-10
+
+#: the Hadamard every guess bank applies to its marked coins
+BANK_HADAMARD = gate(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0))
 
 
 def success_probability(n: int) -> float:
@@ -130,10 +134,9 @@ class ExactlyOneProcedure:
 
     def _bank_tape(self, guess: int) -> list:
         topo = self.topology
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
         def spread(s):
-            return apply_all_parties(s, "coin", hadamard, control=("mark", MARKED))
+            return apply_all_parties(s, "coin", BANK_HADAMARD, control=("mark", MARKED))
 
         # only marked parties kick, 1/guess each: when the guess equals the
         # number of marked parties the collected phase is exact, which keeps
@@ -235,21 +238,29 @@ class ExactlyOneProcedure:
         lay = state.layout
         x_of = lay.reader(x_reg)
         y_slots = lay.slots(y_reg)
-        cost = None
+        reports = [self.evaluate(x_of(key)) for key in state.amps]
+        cost = _oblivious_cost(reports)
         amps = {}
-        for key, amp in state.amps.items():
-            report = self.evaluate(x_of(key))
-            if cost is None:
-                cost = report.cost
-            elif (cost.rounds, cost.qubits_sent) != (report.cost.rounds,
-                                                     report.cost.qubits_sent):
-                raise SimulationError("unique-one cost varied with the input")
+        for (key, amp), report in zip(state.amps.items(), reports):
             nk = list(key)
             if report.value == FALSE:
                 for s in y_slots:
                     nk[s] ^= 1
             amps[tuple(nk)] = amp * report.phase
         return SparseState(lay, amps), cost
+
+
+def _oblivious_cost(reports: list) -> CostReport:
+    """The cost of one run, which every report must share.
+
+    The unique-one test's communication does not depend on the input, so a
+    cost that does raises ``SimulationError``.
+    """
+    cost = reports[0].cost
+    for report in reports:
+        if (report.cost.rounds, report.cost.qubits_sent) != (cost.rounds, cost.qubits_sent):
+            raise SimulationError("unique-one cost varied with the input")
+    return cost
 
 
 def exactly_one_algorithm(topology: Topology, n_known: Optional[int] = None) -> ExactlyOneProcedure:
@@ -380,10 +391,10 @@ def _amplified_coins(procedure: ExactlyOneProcedure, guess: int,
     topology = procedure.topology
     lay = layout(topology.n, [("coin", 2), ("one_flag", 2), ("zero_flag", 2)])
     state = init_state(lay, {"coin": 0, "one_flag": TRUE, "zero_flag": TRUE})
-    gate = rotation_matrix(guess)
+    rotation = gate(rotation_matrix(guess))
 
     def prepare(s):
-        return apply_all_parties(s, "coin", gate)
+        return apply_all_parties(s, "coin", rotation)
 
     def weight_one(s):
         return procedure.apply(s, "coin", "one_flag")
@@ -424,30 +435,33 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         return _trivial_result(all_branches)
     procedure = exactly_one_algorithm(topology, n_known=upper_bound)
 
+    guesses = tuple(range(2, upper_bound + 1))
     options, guess_costs = [], []
-    for guess in range(2, upper_bound + 1):
+    for guess in guesses:
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
-        guess_options = []
-        for br in branches(state, "coin"):
-            check = procedure.evaluate(br.outcome)
-            guess_options.append(_GuessOption((guess, br.outcome), br.probability,
-                                              check.value == TRUE, _leaders(br.outcome)))
-        options.append(guess_options)
-        guess_costs.append(sequential(attempt_cost, check.cost))
+        measured = branches(state, "coin")
+        checks = [procedure.evaluate(br.outcome) for br in measured]
+        guess_costs.append(sequential(attempt_cost, _oblivious_cost(checks)))
+        options.append([_GuessOption((guess, br.outcome), br.probability,
+                                     check.value == TRUE, _leaders(br.outcome))
+                         for br, check in zip(measured, checks)])
 
     cost = parallel(*guess_costs)
-    # branches() sorts each guess's outcomes, so the joint branches come
-    # sorted by guess_outcomes
+    # the joint tuples come from product over per-option fields, in step with
+    # joint_branches; branches() sorts each guess's outcomes, so the joint
+    # branches come sorted by guess_outcomes
+    pairs = product(*([o.pair for o in guess_options] for guess_options in options))
+    marks = product(*([o.verified for o in guess_options] for guess_options in options))
     out = []
-    for picked, prob in joint_branches(options):
-        verified = tuple(o.pair[0] for o in picked if o.verified)
+    for (picked, prob), guess_outcomes, verified_marks in zip(joint_branches(options),
+                                                               pairs, marks):
+        verified = tuple(compress(guesses, verified_marks))
         if not verified:
             raise ExactnessError("no guess verified a unique leader in some branch")
         winner = picked[verified[0] - 2]
         out.append(ElectionBranch(
             outcomes=winner.pair[1], probability=prob, leaders=winner.leaders,
-            winner_guess=verified[0], guess_outcomes=tuple(o.pair for o in picked),
-            verified=verified,
+            winner_guess=verified[0], guess_outcomes=guess_outcomes, verified=verified,
         ))
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)

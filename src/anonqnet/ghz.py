@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import SimulationError
 from .qsim import (SparseState, agreed, apply_all_parties, apply_coherent_subroutine,
-                   binary_op_all_parties, branches, drop_registers, init_state,
-                   joint_branches, layout, rename_register, sample_index,
-                   tensor)
+                   binary_op_all_parties, branches, drop_registers, gate,
+                   init_state, joint_branches, layout, rename_register,
+                   sample_index, tensor)
 from .runtime import CostReport, parallel
 from .subroutines import modular_sum_views
 from .topology import Topology
@@ -64,9 +64,10 @@ def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     n = topology.n
     lay = layout(n, [("share", k), ("sum", k)])
     state = init_state(lay, 0)
-    gate = fourier_gate(k)
+    fourier = fourier_gate(k)
+    forward, dagger = gate(fourier), gate(fourier.conj().T)
     audit.append(f"fourier[{k}]")
-    state = apply_all_parties(state, "share", gate)
+    state = apply_all_parties(state, "share", forward)
     audit.append(f"sum_mod_{k}_blackbox")
     state, cost = apply_coherent_subroutine(
         state, fk, topology, ("share",), "sum",
@@ -74,7 +75,6 @@ def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     audit.append("measure")
     audit.append(f"fourier_dag[{k}]")
     out = []
-    dagger = gate.conj().T
     for br in branches(state, "sum"):
         outcome = agreed(br.outcome, "sum register")
         post = apply_all_parties(br.post_state, "share", dagger)

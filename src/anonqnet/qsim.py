@@ -226,13 +226,36 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return SparseState(new_lay, amps)
 
 
-def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
+@dataclass(frozen=True)
+class Gate:
+    """A single-qudit unitary checked once, ready for ``apply_all_parties``.
+
+    ``columns[s]`` lists the ``(output symbol, coefficient)`` pairs of input
+    symbol ``s`` with a nonzero coefficient, as Python ``complex`` numbers so
+    that amplitudes never turn into numpy scalars.
+    """
+
+    dim: int
+    columns: tuple
+
+
+def _check_unitary(matrix) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match register dimension {dim}")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > UNITARY_EPS:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"matrix shape {mat.shape} is not square")
+    # written so that a NaN entry fails too
+    if not np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) <= UNITARY_EPS:
         raise ValueError("matrix is not unitary")
     return mat
+
+
+def gate(matrix) -> Gate:
+    """The checked ``Gate`` of a square unitary matrix; ``ValueError`` otherwise."""
+    mat = _check_unitary(matrix)
+    dim = len(mat)
+    columns = tuple(tuple((j, complex(mat[j, s])) for j in range(dim) if abs(mat[j, s]) > 0.0)
+                    for s in range(dim))
+    return Gate(dim, columns)
 
 
 def _check_symbol(lay: RegisterLayout, name: str, symbol: int) -> None:
@@ -243,12 +266,15 @@ def _check_symbol(lay: RegisterLayout, name: str, symbol: int) -> None:
 def apply_all_parties(
     state: SparseState,
     register: str,
-    matrix: np.ndarray,
+    gate: Union[Gate, np.ndarray],
     *,
     control: Optional[tuple] = None,
 ) -> SparseState:
     """Apply one single-qudit unitary to ``register`` at each party.
 
+    ``gate`` is a ``Gate`` built once by ``gate()``, whose check is not
+    repeated here; a bare matrix is checked on every call.  A gate whose
+    dimension differs from the register's raises ``ValueError``.
     ``control=(name, symbol)`` restricts the action at each party to the
     components where that party's control register holds ``symbol``; a
     party whose control holds it in no component is skipped.  A symbol
@@ -256,8 +282,12 @@ def apply_all_parties(
     """
     lay = state.layout
     dim = lay.dim(register)
-    mat = _check_unitary(matrix, dim)
-    cols = [[(j, mat[j, s]) for j in range(dim) if abs(mat[j, s]) > 0.0] for s in range(dim)]
+    if not isinstance(gate, Gate):
+        gate = _gate_of(gate)
+    if gate.dim != dim:
+        raise ValueError(f"matrix shape {(gate.dim, gate.dim)} does not match "
+                         f"register dimension {dim}")
+    cols = gate.columns
     if control is not None:
         ctrl_name, ctrl_sym = control
         _check_symbol(lay, ctrl_name, ctrl_sym)
@@ -279,6 +309,10 @@ def apply_all_parties(
                 out[nk] = out.get(nk, 0j) + coeff * amp
         amps = out
     return SparseState(lay, amps)
+
+
+# apply_all_parties names its argument ``gate``, which hides the builder there
+_gate_of = gate
 
 
 def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> SparseState:

@@ -23,7 +23,7 @@ from .ghz import cat_state, fourier_gate, ghz_share
 from .postelect import (BUILTIN_FUNCTIONS, compute_function,
                         gather_scatter_state, recognize_graph, spanning_tree,
                         unitary_from_first_column)
-from .qsim import (SparseState, apply_all_parties, fidelity, init_state,
+from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
                    layout)
 from .runtime import run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
@@ -223,11 +223,11 @@ def suite_upper_bound() -> list:
 def suite_lemma_a() -> list:
     checks = []
     for k in (2, 3, 5):
-        gate = fourier_gate(k)
+        fourier = gate(fourier_gate(k))
         worst = 1.0
         for t in range(k):
             for n in range(1, 5):
-                state = apply_all_parties(cat_state(k, t, n), "share", gate)
+                state = apply_all_parties(cat_state(k, t, n), "share", fourier)
                 support = [y for y in itertools.product(range(k), repeat=n)
                            if (t + sum(y)) % k == 0]
                 amp = 1.0 / math.sqrt(len(support))

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 
+from anonqnet import election
 from anonqnet.election import (elect, elect_with_bound,
                                exactly_one_algorithm, guess_success_probability,
                                rotation_matrix, success_probability,
                                unique_one_state)
-from anonqnet.runtime import run_classical
+from anonqnet.errors import SimulationError
+from anonqnet.runtime import CostReport, run_classical
 from anonqnet.subroutines import FALSE, TRUE, all_zeros_flooding
 from anonqnet.topology import automorphisms, build_graph, catalog
 
@@ -284,6 +287,28 @@ def test_upper_bound_verifies_exactly_the_outcomes_evaluated_true():
                          if proc.evaluate(outcome).value == TRUE)
         assert branch.verified == expected
         assert expected and branch.winner_guess == expected[0]
+
+
+def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
+    # the amplification sees the true costs; only the verification of the
+    # measured coins sees a cost that grows with the coins' weight
+    amplified = election._amplified_coins
+
+    def then_vary(procedure, guess, check_success):
+        procedure.__dict__.pop("evaluate", None)
+        out = amplified(procedure, guess, check_success)
+        evaluate = procedure.evaluate
+
+        def varying(x):
+            report = evaluate(x)
+            return dataclasses.replace(report, cost=report.cost.then(CostReport(sum(x), 0, 0)))
+
+        procedure.evaluate = varying
+        return out
+
+    monkeypatch.setattr(election, "_amplified_coins", then_vary)
+    with pytest.raises(SimulationError, match="unique-one cost varied with the input"):
+        elect_with_bound(catalog("ring", 3), 4, all_branches=True)
 
 
 def test_upper_bound_equals_exact_when_bound_is_tight_n2():

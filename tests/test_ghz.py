@@ -40,6 +40,12 @@ def test_fourier_rejects_k1():
         fourier_gate(1)
 
 
+def test_ghz_branch_amplitudes_are_python_complex():
+    result = ghz_share(catalog("ring", 3), 3, all_branches=True)
+    amps = [a for b in result.branches for a in b.state.amps.values()]
+    assert amps and all(type(a) is complex for a in amps)
+
+
 def test_cat_state_examples():
     st = cat_state(2, 0, 3)
     amp = 1 / math.sqrt(2)

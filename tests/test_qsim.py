@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from anonqnet import qsim
+from anonqnet.election import elect
 from anonqnet.errors import ExactnessError, SimulationError
-from anonqnet.qsim import (SparseState, agreed, apply_all_parties,
+from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
                            apply_coherent_subroutine, binary_op_all_parties,
-                           branches, drop_registers, dump_state, fidelity,
+                           branches, drop_registers, dump_state, fidelity, gate,
                            init_state, layout, load_state, phase_kick_where,
                            rename_register, scale, tensor,
                            uncompute_subroutine)
@@ -57,6 +59,51 @@ def test_non_unitary_rejected():
     st = init_state(layout(1, [("q", 2)]), 0)
     with pytest.raises(ValueError):
         apply_all_parties(st, "q", np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_gate_refuses_a_matrix_that_is_not_unitary_or_not_square():
+    with pytest.raises(ValueError, match="not unitary"):
+        gate(np.array([[1, 1], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        gate(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError, match="not square"):
+        gate(np.ones((2, 3)) / math.sqrt(3))
+    with pytest.raises(ValueError, match="not square"):
+        gate(np.ones(2))
+
+
+def test_gate_keeps_nonzero_coefficients_as_python_complex():
+    hadamard = gate(H)
+    assert isinstance(hadamard, Gate) and hadamard.dim == 2
+    assert [[j for j, _c in col] for col in hadamard.columns] == [[0, 1], [0, 1]]
+    assert all(type(c) is complex for col in hadamard.columns for _j, c in col)
+    assert gate(np.eye(3)).columns == (((0, 1 + 0j),), ((1, 1 + 0j),), ((2, 1 + 0j),))
+
+
+def test_apply_refuses_a_gate_of_another_dimension():
+    st = init_state(layout(2, [("q", 2)]), 0)
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match register "
+                                         r"dimension 2"):
+        apply_all_parties(st, "q", gate(np.eye(3)))
+
+
+def test_gate_and_bare_matrix_give_the_same_state():
+    st = init_state(layout(3, [("m", 2), ("q", 2)]), {"m": 1})
+    assert (apply_all_parties(st, "q", gate(H), control=("m", 1)).amps
+            == apply_all_parties(st, "q", H, control=("m", 1)).amps)
+
+
+def test_election_checks_each_gate_once_where_it_is_built(monkeypatch):
+    calls = []
+    check = qsim._check_unitary
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(qsim, "_check_unitary", counted)
+    elect(catalog("ring", 5), all_branches=True)
+    assert 1 <= len(calls) <= 2
 
 
 def test_coherent_flooding_on_bell_state():
