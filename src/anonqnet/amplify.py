@@ -195,4 +195,4 @@ def exact_amplify(
                 f"good probability {measured!r} differs from promised {a!r}"
             )
     state, rest = run_steps(state, steps[1:])
-    return state, c0.then(rest)
+    return state, sequential(c0, rest)

@@ -54,7 +54,7 @@ def _load_topology(args) -> Topology:
     if args.catalog:
         if args.n is None:
             raise SystemExit2("--catalog needs --n")
-        return catalog(args.catalog, args.n[0] if isinstance(args.n, list) else args.n)
+        return catalog(args.catalog, args.n)
     raise SystemExit2("supply --graph FILE or --catalog NAME --n N")
 
 
@@ -135,7 +135,8 @@ def cmd_cost_table(args) -> int:
         row["qle_rounds_over_n"] = qle.rounds / n
         row["qle_qubits_over_mn2"] = qle.qubits_sent / (topo.m * n * n)
         row["identity_qle_eq_2h0_plus_2h1"] = (
-            qle.qubits_sent == 2 * h0.qubits_sent + 2 * h1.qubits_sent)
+            (qle.rounds, qle.qubits_sent)
+            == (2 * h0.rounds + 2 * h1.rounds, 2 * h0.qubits_sent + 2 * h1.qubits_sent))
         rows.append(row)
     if args.out and args.out.endswith(".csv"):
         cols = list(rows[0])

@@ -177,9 +177,11 @@ class ExactlyOneProcedure:
         fid_amp = bank.amplitude(start)
         residual = bank.norm_squared() - abs(fid_amp) ** 2
         phase_err = abs(fid_amp - 1.0)
-        if residual > 1e-8 or phase_err > 1e-6:
+        # written so that a NaN fails too
+        if not (residual <= RESIDUE_TOL and phase_err <= RESIDUE_TOL):
             raise ExactnessError(
-                f"guess bank t={guess} failed to disentangle (residual {residual:.3e})"
+                f"guess bank t={guess} failed to disentangle "
+                f"(residual {residual:.3e}, phase error {phase_err:.3e})"
             )
         return BankReport(
             guess=guess,
@@ -188,7 +190,7 @@ class ExactlyOneProcedure:
             inversion_residual=residual,
             inversion_phase_error=phase_err,
             restored_amp=fid_amp,
-            cost=fwd_cost.then(bwd_cost),
+            cost=sequential(fwd_cost, bwd_cost),
         )
 
     # -- whole procedure on one classical input ----------------------------
@@ -215,9 +217,7 @@ class ExactlyOneProcedure:
 
         # the flood is metered twice (computing the zeros flag and undoing
         # it); the banks already include their own inversion passes
-        cost = sequential(zeros_cost, zeros_cost)
-        if banks:
-            cost = cost.then(parallel(*(b.cost for b in banks)))
+        cost = sequential(zeros_cost, zeros_cost, parallel(*(b.cost for b in banks)))
         report = InputReport(
             value=FALSE if flips else TRUE,
             phase=math.prod((b.restored_amp for b in banks), start=1.0 + 0j),

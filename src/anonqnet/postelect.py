@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .election import elect
-from .qsim import SparseState
+from .qsim import SparseState, gate
 from .runtime import CostReport, sequential
 from .topology import Topology
 
@@ -40,9 +40,6 @@ class SpanningTree:
 
     def height(self) -> int:
         return max(self.depth(v) for v in range(self.n))
-
-    def party_with_id(self, ident: int) -> int:
-        return self.ids.index(ident)
 
 
 def spanning_tree(topology: Topology, leader: int) -> tuple:
@@ -94,7 +91,7 @@ def spanning_tree(topology: Topology, leader: int) -> tuple:
                        token_moves + notify, ())
     id_bits = max(1, n.bit_length())
     pass2 = CostReport(token_moves, token_moves, token_moves * id_bits, ())
-    return tree, pass1.then(pass2)
+    return tree, sequential(pass1, pass2)
 
 
 def recognize_graph(topology: Topology, tree: SpanningTree) -> tuple:
@@ -235,7 +232,8 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
     Ownership is tracked by relabeling rather than hop-by-hop state updates,
     but every hop is metered: each qudit travels its tree distance twice.
     ``transform`` acts on the gathered qudits ordered by identifier, and the
-    i-th output qudit ends up at the party holding identifier i.
+    i-th output qudit ends up at the party holding identifier i.  It must
+    pass ``qsim.gate()``, or ``ValueError`` is raised.
     """
     lay = state.layout
     n = lay.n_parties
@@ -245,47 +243,23 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
     if tree is None:
         tree, _ = spanning_tree(topology, leader)
     dim = k ** n
-    mat = np.asarray(transform, dtype=complex)
-    if mat.shape != (dim, dim):
+    unitary = gate(transform)
+    if unitary.dim != dim:
         raise ValueError(f"transform must be {dim}x{dim}")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > 1e-9:
-        raise ValueError("transform is not unitary")
 
-    slots = [lay.slot(p, register) for p in range(n)]
-    others = [s for s in range(len(lay.regs) * n) if s not in slots]
-    by_rest: dict = {}
-    for key, amp in state.amps.items():
-        rest = tuple(key[s] for s in others)
-        by_rest.setdefault(rest, {})[key] = amp
-
-    def id_index(key) -> int:
-        idx = 0
-        for ident in range(1, n + 1):
-            party = tree.party_with_id(ident)
-            idx = idx * k + key[slots[party]]
-        return idx
-
+    # the slot of the qudit that identifier i + 1 holds, most significant first
+    order = [lay.slots(register)[p] for p in tree.preorder]
     amps: dict = {}
-    for rest, group in by_rest.items():
-        vec = np.zeros(dim, dtype=complex)
-        template = None
-        for key, amp in group.items():
-            vec[id_index(key)] += amp
-            template = key
-        vec = mat @ vec
-        for idx in np.flatnonzero(np.abs(vec) > 1e-14):
-            syms = []
-            rem = int(idx)
-            for _ in range(n):
-                syms.append(rem % k)
-                rem //= k
-            syms.reverse()  # syms[i] belongs to identifier i+1
-            nk = list(template)
-            for ident in range(1, n + 1):
-                party = tree.party_with_id(ident)
-                nk[slots[party]] = syms[ident - 1]
+    for key, amp in state.amps.items():
+        index = 0
+        for s in order:
+            index = index * k + key[s]
+        for out, coeff in unitary.columns[index]:
+            nk = list(key)
+            for s in reversed(order):
+                out, nk[s] = divmod(out, k)
             nk = tuple(nk)
-            amps[nk] = amps.get(nk, 0j) + vec[idx]
+            amps[nk] = amps.get(nk, 0j) + coeff * amp
     final = SparseState(lay, amps)
 
     hops = sum(tree.depth(v) for v in range(n))

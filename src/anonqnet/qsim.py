@@ -81,11 +81,6 @@ class RegisterLayout:
     def dim(self, name: str) -> int:
         return self.regs[self.reg_index(name)][1]
 
-    def slot(self, party: int, name: str) -> int:
-        if not (0 <= party < self.n_parties):
-            raise KeyError(f"no party {party}")
-        return party * self.width + self.reg_index(name)
-
     def slots(self, name: str) -> tuple:
         return self._slots[self.reg_index(name)]
 
@@ -108,10 +103,13 @@ class SparseState:
     __slots__ = ("layout", "amps")
 
     def __init__(self, layout: RegisterLayout, amps: dict, *, normalize: bool = False):
-        amps = {k: v for k, v in amps.items() if abs(v) > PRUNE_EPS}
+        # written so that a NaN amplitude is kept and fails the norm check
+        amps = {k: v for k, v in amps.items() if not abs(v) <= PRUNE_EPS}
         if not amps:
             raise SimulationError("state has no support left")
         norm2 = sum(abs(v) ** 2 for v in amps.values())
+        if not math.isfinite(norm2):
+            raise SimulationError(f"state norm is {norm2!r}")
         if normalize:
             scale = 1.0 / math.sqrt(norm2)
             amps = {k: v * scale for k, v in amps.items()}
@@ -266,15 +264,15 @@ def _check_symbol(lay: RegisterLayout, name: str, symbol: int) -> None:
 def apply_all_parties(
     state: SparseState,
     register: str,
-    gate: Union[Gate, np.ndarray],
+    gate: Gate,
     *,
     control: Optional[tuple] = None,
 ) -> SparseState:
     """Apply one single-qudit unitary to ``register`` at each party.
 
     ``gate`` is a ``Gate`` built once by ``gate()``, whose check is not
-    repeated here; a bare matrix is checked on every call.  A gate whose
-    dimension differs from the register's raises ``ValueError``.
+    repeated here.  A gate whose dimension differs from the register's
+    raises ``ValueError``.
     ``control=(name, symbol)`` restricts the action at each party to the
     components where that party's control register holds ``symbol``; a
     party whose control holds it in no component is skipped.  A symbol
@@ -282,8 +280,6 @@ def apply_all_parties(
     """
     lay = state.layout
     dim = lay.dim(register)
-    if not isinstance(gate, Gate):
-        gate = _gate_of(gate)
     if gate.dim != dim:
         raise ValueError(f"matrix shape {(gate.dim, gate.dim)} does not match "
                          f"register dimension {dim}")
@@ -309,10 +305,6 @@ def apply_all_parties(
                 out[nk] = out.get(nk, 0j) + coeff * amp
         amps = out
     return SparseState(lay, amps)
-
-
-# apply_all_parties names its argument ``gate``, which hides the builder there
-_gate_of = gate
 
 
 def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> SparseState:

@@ -61,8 +61,8 @@ class SizedMessage:
 class CostReport:
     """Exact communication cost: rounds and symbols (qubits) transmitted.
 
-    ``per_round`` optionally details the symbols per round; compositions keep
-    it only when both operands carry it.
+    ``per_round`` optionally details the symbols per round; the compositions
+    ``sequential`` and ``parallel`` keep it only when every operand carries it.
     """
 
     rounds: int
@@ -84,14 +84,6 @@ class CostReport:
     @staticmethod
     def zero() -> "CostReport":
         return CostReport(0, 0, 0, ())
-
-    def then(self, other: "CostReport") -> "CostReport":
-        """Sequential composition: rounds and traffic add."""
-        return sequential(self, other)
-
-    def alongside(self, other: "CostReport") -> "CostReport":
-        """Parallel composition: traffic adds, rounds overlap."""
-        return parallel(self, other)
 
     def to_json(self) -> dict:
         return {

@@ -72,9 +72,6 @@ class Topology:
         except KeyError:
             raise ValueError(f"node {v} has no port {port}") from None
 
-    def port_between(self, v: int, u: int) -> int:
-        return self.ports[v][_edge(v, u)]
-
     def diameter(self) -> int:
         dist = 0
         for s in range(self.n):

@@ -7,7 +7,7 @@ import pytest
 from anonqnet.amplify import (SubroutineFlag, exact_amplify, flag_mass,
                               phase_angles)
 from anonqnet.errors import ExactnessError
-from anonqnet.qsim import SparseState, apply_all_parties, init_state, layout
+from anonqnet.qsim import SparseState, apply_all_parties, gate, init_state, layout
 from anonqnet.runtime import PartyProgram
 from anonqnet.subroutines import (ClassicalSubroutine, all_zeros_flooding,
                                   modular_sum_views)
@@ -125,10 +125,10 @@ def test_exact_amplify_matches_dense_reference(name, n):
     topo = catalog(name, n)
     lay = layout(n, [("coin", 2), ("good", 2), ("zero", 2)])
     state = init_state(lay, {"coin": 0, "good": 1, "zero": 1})
-    gate = rotation(n)
+    coin_gate = gate(rotation(n))
 
     def prepare(s):
-        return apply_all_parties(s, "coin", gate)
+        return apply_all_parties(s, "coin", coin_gate)
 
     chi = SubroutineFlag(weight_one_subroutine(n), topo, ("coin",), "good",
                          trigger=1, fiducial=1, global_info=n)
@@ -147,7 +147,7 @@ def test_exact_amplify_matches_dense_reference(name, n):
         assert abs(got - reference[i]) < 1e-10, (bits, got, reference[i])
     support = {k for k in state.amps}
     for key in support:
-        coin = tuple(key[lay.slot(p, "coin")] for p in range(n))
+        coin = lay.reader("coin")(key)
         assert sum(coin) == 1
 
 
@@ -156,10 +156,10 @@ def test_exact_amplify_cost_is_twice_each_flag():
     topo = catalog("ring", n)
     lay = layout(n, [("coin", 2), ("good", 2), ("zero", 2)])
     state = init_state(lay, {"coin": 0, "good": 1, "zero": 1})
-    gate = rotation(n)
+    coin_gate = gate(rotation(n))
 
     def prepare(s):
-        return apply_all_parties(s, "coin", gate)
+        return apply_all_parties(s, "coin", coin_gate)
 
     chi_sub = weight_one_subroutine(n)
     zero_sub = all_zeros_flooding(n)
@@ -182,10 +182,10 @@ def test_success_probability_mismatch_detected():
     topo = catalog("complete", n)
     lay = layout(n, [("coin", 2), ("good", 2), ("zero", 2)])
     state = init_state(lay, {"coin": 0, "good": 1, "zero": 1})
-    gate = rotation(n)
+    coin_gate = gate(rotation(n))
 
     def prepare(s):
-        return apply_all_parties(s, "coin", gate)
+        return apply_all_parties(s, "coin", coin_gate)
 
     chi = SubroutineFlag(weight_one_subroutine(n), topo, ("coin",), "good",
                          trigger=1, fiducial=1, global_info=n)

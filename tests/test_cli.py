@@ -74,6 +74,24 @@ def test_cost_table_identity_column(capsys):
     assert all(r["qle_rounds_over_n"] <= 30 for r in rows)
 
 
+def test_cost_table_identity_column_checks_rounds(capsys, monkeypatch):
+    import anonqnet.cli
+    from anonqnet.runtime import CostReport, sequential
+
+    breakdown = anonqnet.cli.cost_breakdown
+
+    def one_round_more(topo):
+        costs = dict(breakdown(topo))
+        costs["qle"] = sequential(costs["qle"], CostReport(1, 0, 0))
+        return costs
+
+    monkeypatch.setattr(anonqnet.cli, "cost_breakdown", one_round_more)
+    code, out = run_cli(capsys, "cost-table", "--catalog", "ring", "--n", "3")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["identity_qle_eq_2h0_plus_2h1"] is False
+
+
 def test_verify_single_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "angles")
     assert code == 0

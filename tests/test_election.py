@@ -1,16 +1,17 @@
+import cmath
 import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 
-from anonqnet import election
+from anonqnet import election, qsim
 from anonqnet.election import (elect, elect_with_bound,
                                exactly_one_algorithm, guess_success_probability,
                                rotation_matrix, success_probability,
                                unique_one_state)
-from anonqnet.errors import SimulationError
-from anonqnet.runtime import CostReport, run_classical
+from anonqnet.errors import ExactnessError, SimulationError
+from anonqnet.runtime import CostReport, run_classical, sequential
 from anonqnet.subroutines import FALSE, TRUE, all_zeros_flooding
 from anonqnet.topology import automorphisms, build_graph, catalog
 
@@ -301,7 +302,7 @@ def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
 
         def varying(x):
             report = evaluate(x)
-            return dataclasses.replace(report, cost=report.cost.then(CostReport(sum(x), 0, 0)))
+            return dataclasses.replace(report, cost=sequential(report.cost, CostReport(sum(x), 0, 0)))
 
         procedure.evaluate = varying
         return out
@@ -327,6 +328,19 @@ def test_upper_bound_tight_on_all_catalog_graphs():
         result = elect_with_bound(topo, max(n, 2), all_branches=True)
         assert all(b.leader_count == 1 for b in result.branches)
         assert abs(result.total_probability() - 1.0) < 1e-9
+
+
+def test_bank_restoration_is_checked_at_the_residue_tolerance(monkeypatch):
+    # a bank restored only up to a phase of 1e-8 is far above RESIDUE_TOL
+    run_steps = election.run_steps
+
+    def off_by_a_phase(state, tape, backward=False):
+        state, cost = run_steps(state, tape, backward=backward)
+        return (qsim.scale(state, cmath.exp(1e-8j)) if backward else state), cost
+
+    monkeypatch.setattr(election, "run_steps", off_by_a_phase)
+    with pytest.raises(ExactnessError, match="phase error 1.000e-08"):
+        election.ExactlyOneProcedure(catalog("ring", 3)).evaluate((1, 0, 0))
 
 
 def test_upper_bound_argument_validation():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from anonqnet.errors import ExactnessError
 from anonqnet.ghz import cat_state, fourier_gate, ghz_share, phase1, phase2
-from anonqnet.qsim import (SparseState, apply_all_parties, fidelity, layout,
+from anonqnet.qsim import (SparseState, apply_all_parties, fidelity, gate, layout,
                            rename_register, tensor)
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import modular_sum_views
@@ -63,9 +63,9 @@ def test_cat_state_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fourier_on_cat_states(k, n):
     """Componentwise Fourier turns cat(k,t) into the zero-sum-shifted slice."""
-    gate = fourier_gate(k)
+    fourier = gate(fourier_gate(k))
     for t in range(k):
-        state = apply_all_parties(cat_state(k, t, n), "share", gate)
+        state = apply_all_parties(cat_state(k, t, n), "share", fourier)
         support = [y for y in itertools.product(range(k), repeat=n)
                    if (t + sum(y)) % k == 0]
         amp = 1 / math.sqrt(len(support))

@@ -184,6 +184,43 @@ def test_gather_scatter_rejects_non_unitary():
         gather_scatter_state(topo, 0, state, "q", np.ones((4, 4)))
 
 
+def test_gather_scatter_refuses_a_nan_transform():
+    topo = catalog("complete", 2)
+    state = init_state(layout(2, [("q", 2)]), 0)
+    transform = np.eye(4, dtype=complex)
+    transform[3, 3] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        gather_scatter_state(topo, 0, state, "q", transform)
+
+
+def test_gather_scatter_amplitudes_are_python_complex():
+    topo = catalog("path", 2)
+    state = init_state(layout(2, [("q", 2)]), 0)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    final, _cost = gather_scatter_state(topo, 0, state, "q", np.kron(h, h))
+    assert len(final) == 4
+    assert all(type(amp) is complex for amp in final.amps.values())
+
+
+def test_gather_scatter_qutrits_match_a_dense_reference():
+    # leader 1 holds identifier 1, so its qutrit is the most significant digit
+    rng = np.random.default_rng(7)
+    transform, _r = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    topo = catalog("complete", 2)
+    tree, _ = spanning_tree(topo, 1)
+    assert tree.preorder == (1, 0)
+    lay = layout(2, [("q", 3)])
+    state = SparseState(lay, {(0, 2): 0.6, (2, 1): -0.8j})
+    final, _cost = gather_scatter_state(topo, 1, state, "q", transform, tree=tree)
+    vec = np.zeros(9, dtype=complex)
+    for (a, b), amp in state.amps.items():
+        vec[3 * b + a] = amp
+    reference = transform @ vec
+    assert set(final.amps) == {(j % 3, j // 3) for j in range(9)}
+    for j in range(9):
+        assert abs(final.amps[(j % 3, j // 3)] - reference[j]) < 1e-12
+
+
 def test_unitary_completion():
     vec = np.array([1, 1j, -1, 0], dtype=complex) / math.sqrt(3)
     gate = unitary_from_first_column(vec)

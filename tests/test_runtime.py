@@ -172,7 +172,6 @@ def test_cost_composition():
     par = parallel(a, b)
     assert (par.rounds, par.qubits_sent) == (3, 16)
     assert par.per_round == (6, 8, 2)
-    assert (a.then(b), a.alongside(b)) == (seq, par)
     # detail is dropped, not faked, when one side lacks it
     c = CostReport(1, 5, 5, ())
     assert sequential(a, c).per_round == ()
@@ -186,7 +185,7 @@ def test_compositions_equal_pairwise_folds():
         for picked in itertools.product(costs, repeat=size):
             seq, par = CostReport.zero(), CostReport.zero()
             for c in picked:
-                seq, par = seq.then(c), par.alongside(c)
+                seq, par = sequential(seq, c), parallel(par, c)
             assert sequential(*picked) == seq
             assert parallel(*picked) == par
 

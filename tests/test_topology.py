@@ -54,8 +54,8 @@ def test_build_errors():
 
 def test_default_ports_sorted_by_neighbor():
     topo = build_graph(3, [(0, 1), (0, 2)])
-    assert topo.port_between(0, 1) == 1
-    assert topo.port_between(0, 2) == 2
+    assert topo.link(0, 1) == (1, 1)
+    assert topo.link(0, 2) == (2, 1)
 
 
 def _reference_is_automorphism(topo, perm):
@@ -130,7 +130,8 @@ def _check_links(topo):
     for v in range(topo.n):
         for p in range(1, topo.degree(v) + 1):
             u, q = topo.link(v, p)
-            assert topo.port_between(v, u) == p and topo.port_between(u, v) == q
+            edge = frozenset((u, v))
+            assert topo.ports[v][edge] == p and topo.ports[u][edge] == q
             assert topo.link(u, q) == (v, p)
         for missing in (0, topo.degree(v) + 1):
             with pytest.raises(ValueError):
@@ -160,7 +161,7 @@ def test_graph_file_round_trip():
 def test_graph_file_default_ports():
     text = "n 3\ne 0 1\ne 1 2\n"
     topo = load_graph(text)
-    assert topo.port_between(1, 0) == 1
+    assert topo.link(1, 1) == (0, 1)
 
 
 def test_graph_file_errors():
