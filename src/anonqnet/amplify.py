@@ -9,7 +9,9 @@ good probability a is known and at least 1/4.
 Flags are computed by distributed subroutines into per-party registers and
 inverted afterwards; the collective phase is collected as local kicks whose
 distribution over parties is the flag's kick policy (by default each of the n
-parties contributes 1/n of the angle).
+parties contributes 1/n of the angle).  The iterate uncomputes the chi flag
+before it computes the zero flag, so the two may share one register when
+their fiducials are equal.
 """
 from __future__ import annotations
 
@@ -114,8 +116,8 @@ def local_step(fn: Callable[[SparseState], SparseState]):
 
 def amplification_steps(
     prepare: Callable[[SparseState], SparseState],
-    chi_flag,
-    zero_flag,
+    chi,
+    zero,
     angles: PhasePair,
 ) -> list:
     """The iterate as a reversible step list (applied left to right).
@@ -124,17 +126,17 @@ def amplification_steps(
     """
     flip = local_step(prepare)
     return [
-        Step("flag_good", chi_flag.apply, chi_flag.invert),
+        Step("flag_good", chi.apply, chi.invert),
         Step("phase_good",
-             local_step(lambda s: chi_flag.kick(s, angles.theta)),
-             local_step(lambda s: chi_flag.kick(s, -angles.theta))),
-        Step("unflag_good", chi_flag.invert, chi_flag.apply),
+             local_step(lambda s: chi.kick(s, angles.theta)),
+             local_step(lambda s: chi.kick(s, -angles.theta))),
+        Step("unflag_good", chi.invert, chi.apply),
         Step("unprepare", flip, flip),
-        Step("flag_zero", zero_flag.apply, zero_flag.invert),
+        Step("flag_zero", zero.apply, zero.invert),
         Step("phase_zero",
-             local_step(lambda s: zero_flag.kick(s, angles.phi)),
-             local_step(lambda s: zero_flag.kick(s, -angles.phi))),
-        Step("unflag_zero", zero_flag.invert, zero_flag.apply),
+             local_step(lambda s: zero.kick(s, angles.phi)),
+             local_step(lambda s: zero.kick(s, -angles.phi))),
+        Step("unflag_zero", zero.invert, zero.apply),
         Step("prepare", flip, flip),
         Step("negate", local_step(lambda s: scale(s, -1)), local_step(lambda s: scale(s, -1))),
     ]
@@ -168,8 +170,8 @@ def flag_mass(state: SparseState, register: str, trigger: int) -> float:
 def exact_amplify(
     state: SparseState,
     prepare: Callable[[SparseState], SparseState],
-    chi_flag,
-    zero_flag,
+    chi,
+    zero,
     a: float,
     *,
     check_success: bool = True,
@@ -184,12 +186,12 @@ def exact_amplify(
     Cost is exactly two executions of each flag subroutine.
     """
     angles = phase_angles(a)
-    steps = amplification_steps(prepare, chi_flag, zero_flag, angles)
+    steps = amplification_steps(prepare, chi, zero, angles)
     # run the first flag, optionally audit the promised success probability,
     # then run the rest
     state, c0 = steps[0].forward(state)
     if check_success:
-        measured = flag_mass(state, chi_flag.register, chi_flag.trigger)
+        measured = flag_mass(state, chi.register, chi.trigger)
         if abs(measured - a) > PROBABILITY_EPS:
             raise ExactnessError(
                 f"good probability {measured!r} differs from promised {a!r}"

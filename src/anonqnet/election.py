@@ -126,9 +126,9 @@ class ExactlyOneProcedure:
         self.zeros = all_zeros_flooding(self.n_known)
         self.cons = consistency_from_all_zeros(self.zeros)
         self._tapes = {t: self._bank_tape(t) for t in self.guesses}
-        self._bank_layout = layout(topology.n, [("mark", 2), ("coin", 2), ("cons_flag", 2),
-                                                ("zero_flag", 2), ("verdict", 2)])
+        self._bank_layout = layout(topology.n, [("mark", 2), ("coin", 2), ("flag", 2)])
         self._memo: dict = {}
+        self._cost: Optional[CostReport] = None   # the first report's
 
     # -- per-guess bank ----------------------------------------------------
 
@@ -142,32 +142,32 @@ class ExactlyOneProcedure:
         # number of marked parties the collected phase is exact, which keeps
         # the procedure exact when the parties know only a bound on n
         marked = dict(divisor=guess, conditions=(("mark", MARKED),))
-        chi = SubroutineFlag(self.cons, topo, ("coin", "mark"), "cons_flag",
+        chi = SubroutineFlag(self.cons, topo, ("coin", "mark"), "flag",
                              trigger=INCONSISTENT, fiducial=CONSISTENT, **marked)
-        zero = SubroutineFlag(self.zeros, topo, ("coin",), "zero_flag",
+        zero = SubroutineFlag(self.zeros, topo, ("coin",), "flag",
                               trigger=TRUE, fiducial=TRUE, **marked)
         angles = phase_angles(guess_success_probability(guess))
 
-        verdict = SubroutineFlag(
-            self.cons, topo, ("coin", "mark"), "verdict",
-            trigger=INCONSISTENT, fiducial=CONSISTENT)
-
+        # chi, zero and the final verdict (chi once more, on the amplified
+        # coins) share the bank's one flag register; this is exact because the
+        # iterate returns each flag to its fiducial before the next one is
+        # computed, and every fiducial is 1 (CONSISTENT == TRUE)
         tape = [Step("spread", local_step(spread), local_step(spread))]
         tape += amplification_steps(spread, chi, zero, angles)
-        tape.append(Step("verdict", verdict.apply, verdict.invert))
+        tape.append(Step("final_flag", chi.apply, chi.invert))
         return tape
 
     def _run_bank(self, x: tuple, guess: int) -> BankReport:
         lay = self._bank_layout
         key = []
         for bit in x:
-            key.extend((MARKED if bit else UNMARKED, 0, CONSISTENT, TRUE, CONSISTENT))
+            key.extend((MARKED if bit else UNMARKED, 0, CONSISTENT))
         start = tuple(key)
         bank = SparseState(lay, {start: 1.0 + 0j})
         tape = self._tapes[guess]
         bank, fwd_cost = run_steps(bank, tape)
 
-        verdicts = lay.reader("verdict")
+        verdicts = lay.reader("flag")
         peak = {CONSISTENT: 0.0, INCONSISTENT: 0.0}
         for comp, amp in bank.amps.items():
             verdict = agreed(verdicts(comp), "consistency verdict")
@@ -196,12 +196,17 @@ class ExactlyOneProcedure:
     # -- whole procedure on one classical input ----------------------------
 
     def evaluate(self, x: tuple) -> InputReport:
-        """The memoized record of the procedure on one classical input."""
+        """The memoized record of the procedure on one classical input.
+
+        The procedure's communication does not depend on the input, so a new
+        report whose cost differs from the first one's raises
+        ``SimulationError``.
+        """
         report = self._memo.get(x)
         if report is not None:
             return report
-        zeros_out, zeros_cost, _ = run_cached(self.zeros, self.topology,
-                                              tuple(int(b) for b in x))
+        zeros_out, zeros_cost = run_cached(self.zeros, self.topology,
+                                           tuple(int(b) for b in x))
         s0 = agreed(zeros_out, "all-zeros flood")
         banks = tuple(self._run_bank(x, t) for t in self.guesses)
 
@@ -218,6 +223,10 @@ class ExactlyOneProcedure:
         # the flood is metered twice (computing the zeros flag and undoing
         # it); the banks already include their own inversion passes
         cost = sequential(zeros_cost, zeros_cost, parallel(*(b.cost for b in banks)))
+        if self._cost is None:
+            self._cost = cost
+        elif (cost.rounds, cost.qubits_sent) != (self._cost.rounds, self._cost.qubits_sent):
+            raise SimulationError("unique-one cost varied with the input")
         report = InputReport(
             value=FALSE if flips else TRUE,
             phase=math.prod((b.restored_amp for b in banks), start=1.0 + 0j),
@@ -230,8 +239,8 @@ class ExactlyOneProcedure:
               run_cache: Optional[dict] = None) -> tuple:
         """Coherently fold the weight-one predicate of x_reg into y_reg.
 
-        Returns ``(state, cost)``; the cost is that of one execution and is
-        identical for every component (the communication is oblivious).
+        Returns ``(state, cost)``; the cost is that of one execution, which
+        ``evaluate`` checks is the same for every input.
         ``run_cache`` is accepted and ignored: the subroutines memoize their
         own runs.
         """
@@ -239,7 +248,6 @@ class ExactlyOneProcedure:
         x_of = lay.reader(x_reg)
         y_slots = lay.slots(y_reg)
         reports = [self.evaluate(x_of(key)) for key in state.amps]
-        cost = _oblivious_cost(reports)
         amps = {}
         for (key, amp), report in zip(state.amps.items(), reports):
             nk = list(key)
@@ -247,20 +255,7 @@ class ExactlyOneProcedure:
                 for s in y_slots:
                     nk[s] ^= 1
             amps[tuple(nk)] = amp * report.phase
-        return SparseState(lay, amps), cost
-
-
-def _oblivious_cost(reports: list) -> CostReport:
-    """The cost of one run, which every report must share.
-
-    The unique-one test's communication does not depend on the input, so a
-    cost that does raises ``SimulationError``.
-    """
-    cost = reports[0].cost
-    for report in reports:
-        if (report.cost.rounds, report.cost.qubits_sent) != (cost.rounds, cost.qubits_sent):
-            raise SimulationError("unique-one cost varied with the input")
-    return cost
+        return SparseState(lay, amps), reports[0].cost
 
 
 def exactly_one_algorithm(topology: Topology, n_known: Optional[int] = None) -> ExactlyOneProcedure:
@@ -389,20 +384,21 @@ def _amplified_coins(procedure: ExactlyOneProcedure, guess: int,
     kick 1/guess of each angle per party.  Returns ``(state, cost)``.
     """
     topology = procedure.topology
-    lay = layout(topology.n, [("coin", 2), ("one_flag", 2), ("zero_flag", 2)])
-    state = init_state(lay, {"coin": 0, "one_flag": TRUE, "zero_flag": TRUE})
+    # one flag register for both flags, as in a guess bank
+    lay = layout(topology.n, [("coin", 2), ("flag", 2)])
+    state = init_state(lay, {"coin": 0, "flag": TRUE})
     rotation = gate(rotation_matrix(guess))
 
     def prepare(s):
         return apply_all_parties(s, "coin", rotation)
 
     def weight_one(s):
-        return procedure.apply(s, "coin", "one_flag")
+        return procedure.apply(s, "coin", "flag")
 
     # applying the unique-one procedure twice is the identity
-    chi = Flag(apply=weight_one, invert=weight_one, register="one_flag",
+    chi = Flag(apply=weight_one, invert=weight_one, register="flag",
                trigger=TRUE, divisor=guess)
-    zero = SubroutineFlag(procedure.zeros, topology, ("coin",), "zero_flag",
+    zero = SubroutineFlag(procedure.zeros, topology, ("coin",), "flag",
                           trigger=TRUE, fiducial=TRUE, divisor=guess)
     return exact_amplify(prepare(state), prepare, chi, zero,
                          a=success_probability(guess), check_success=check_success)
@@ -441,7 +437,7 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
         measured = branches(state, "coin")
         checks = [procedure.evaluate(br.outcome) for br in measured]
-        guess_costs.append(sequential(attempt_cost, _oblivious_cost(checks)))
+        guess_costs.append(sequential(attempt_cost, checks[0].cost))
         options.append([_GuessOption((guess, br.outcome), br.probability,
                                      check.value == TRUE, _leaders(br.outcome))
                          for br, check in zip(measured, checks)])

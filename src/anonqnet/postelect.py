@@ -225,12 +225,12 @@ def unitary_from_first_column(column: np.ndarray) -> np.ndarray:
 
 
 def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
-                         register: str, transform: np.ndarray,
-                         tree: Optional[SpanningTree] = None) -> tuple:
+                         register: str, transform: np.ndarray) -> tuple:
     """Route every party's qudit to the leader, transform, route back.
 
-    Ownership is tracked by relabeling rather than hop-by-hop state updates,
-    but every hop is metered: each qudit travels its tree distance twice.
+    The route is ``spanning_tree(topology, leader)``.  Ownership is tracked
+    by relabeling rather than hop-by-hop state updates, but every hop is
+    metered: each qudit travels its tree distance twice.
     ``transform`` acts on the gathered qudits ordered by identifier, and the
     i-th output qudit ends up at the party holding identifier i.  It must
     pass ``qsim.gate()``, or ``ValueError`` is raised.
@@ -240,8 +240,7 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
     if topology.n != n:
         raise ValueError("state and topology disagree on the party count")
     k = lay.dim(register)
-    if tree is None:
-        tree, _ = spanning_tree(topology, leader)
+    tree, _ = spanning_tree(topology, leader)
     dim = k ** n
     unitary = gate(transform)
     if unitary.dim != dim:

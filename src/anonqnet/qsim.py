@@ -8,8 +8,8 @@ algorithms avoid needless superposition.
 Every operation acts alike at every party, as the protocols do: one local
 gate per party, one local addition mod d of a register into another, and the
 measurement of one register at every party, enumerated branch by branch.
-Classical subroutines run once per basis component with the engine checking
-that their communication pattern never depends on the component.  A value
+Classical subroutines run once per distinct input, and ``run_cached`` checks
+that each run's communication pattern equals the first run's.  A value
 all parties must share, such as a flag or a measured sum, is read through
 ``agreed``, the one check that they do share it.
 """
@@ -376,8 +376,8 @@ def apply_coherent_subroutine(
     Each party's ``out_reg`` (which must sit at ``fiducial`` in every
     component) is overwritten with that party's output for the component's
     ``in_regs`` values; amplitudes are untouched.  The communication pattern
-    must be identical across components, and the returned cost is that of one
-    execution.
+    must not depend on the input (``run_cached`` checks it), and the returned
+    cost is that of one execution.
     """
     return _coherent(state, sub, topology, in_regs, out_reg, fiducial,
                      global_info, inverse=False)
@@ -421,7 +421,6 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
     # the out register's slots are the extended slice out_first::width
     out_first, width = lay.reg_index(out_reg), lay.width
     resting = (fiducial,) * lay.n_parties
-    pattern = None
     cost = None
     amps = {}
     for key, amp in state.amps.items():
@@ -429,14 +428,8 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
             inputs = read_one(key)
         else:
             inputs = tuple(zip(*[read(key) for read in in_readers]))
-        outputs, one_cost, one_pattern = run_cached(sub, topology, inputs, global_info)
-        # run_cached interns patterns per subroutine, so equal is identical
-        if one_pattern is not pattern:
-            if pattern is not None:
-                raise SimulationError(
-                    f"subroutine {sub.name} has an input-dependent communication pattern"
-                )
-            pattern, cost = one_pattern, one_cost
+        # run_cached refuses a differing pattern, so every run costs the same
+        outputs, cost = run_cached(sub, topology, inputs, global_info)
         if min(outputs) < 0 or max(outputs) >= out_dim:
             bad = next(sym for sym in outputs if not 0 <= sym < out_dim)
             raise SimulationError(

@@ -42,25 +42,27 @@ class ClassicalSubroutine:
 
 def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
                global_info=None):
-    """Run a subroutine, memoizing ``(outputs, cost, pattern)`` in ``sub.runs``.
+    """Run a subroutine, memoizing ``(outputs, cost)`` in ``sub.runs``.
 
-    The pattern is the ``(round, sender, receiver, symbols)`` part of each
-    message event; payloads are not kept, since coherent application only
-    needs the oblivious pattern for cross-component checks.  Patterns are
-    interned in ``sub.patterns``, so two runs of one subroutine have equal
-    patterns exactly when they return the same object.  Results depend
-    on the port numbering, so the key holds the topology's identity; each
-    entry keeps the topology alive, so its id is not reused while the entry
-    lives.
+    Coherent application needs a communication pattern (the ``(round, sender,
+    receiver, symbols)`` part of each message event) that does not depend on
+    the input, so a new run whose pattern differs from the first run's on the
+    same ``(topology, global_info)``, kept in ``sub.patterns``, raises
+    ``SimulationError``; equal patterns give equal costs.  Results depend on
+    the port numbering, so the keys hold the topology's identity; each
+    ``runs`` entry keeps the topology alive, so its id is not reused.
     """
     key = (id(topology), inputs, global_info)
     entry = sub.runs.get(key)
     if entry is None:
         outputs, cost, events = run_classical(topology, sub.program, inputs, global_info)
         pattern = tuple(ev[:4] for ev in events)
-        pattern = sub.patterns.setdefault(pattern, pattern)
         # setdefault keeps one entry per key if two threads miss together
-        entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost, pattern)))
+        if sub.patterns.setdefault((id(topology), global_info), pattern) != pattern:
+            raise SimulationError(
+                f"subroutine {sub.name} has an input-dependent communication pattern"
+            )
+        entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost)))
     return entry[1]
 
 

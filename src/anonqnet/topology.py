@@ -260,8 +260,14 @@ def load_graph(text: str) -> Topology:
         if len(fields) != _RECORD_FIELDS[tag]:
             raise ValueError(f"line {lineno}: record {tag!r} needs "
                              f"{_RECORD_FIELDS[tag]} fields, got {len(fields)}")
-        values = tuple(int(f) for f in fields)
+        try:
+            values = tuple(int(f) for f in fields)
+        except ValueError:
+            raise ValueError(f"line {lineno}: record {tag!r} needs integer fields, "
+                             f"got {' '.join(fields)!r}") from None
         if tag == "n":
+            if n is not None:
+                raise ValueError(f"line {lineno}: second 'n' record")
             (n,) = values
         elif tag == "e":
             edges.append(values)

@@ -291,25 +291,21 @@ def test_upper_bound_verifies_exactly_the_outcomes_evaluated_true():
 
 
 def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
-    # the amplification sees the true costs; only the verification of the
-    # measured coins sees a cost that grows with the coins' weight
-    amplified = election._amplified_coins
+    # every guess bank's cost grows with the weight of its input
+    run_bank = election.ExactlyOneProcedure._run_bank
 
-    def then_vary(procedure, guess, check_success):
-        procedure.__dict__.pop("evaluate", None)
-        out = amplified(procedure, guess, check_success)
-        evaluate = procedure.evaluate
+    def varying(self, x, guess):
+        report = run_bank(self, x, guess)
+        return dataclasses.replace(report, cost=sequential(report.cost, CostReport(sum(x), 0, 0)))
 
-        def varying(x):
-            report = evaluate(x)
-            return dataclasses.replace(report, cost=sequential(report.cost, CostReport(sum(x), 0, 0)))
-
-        procedure.evaluate = varying
-        return out
-
-    monkeypatch.setattr(election, "_amplified_coins", then_vary)
+    monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", varying)
     with pytest.raises(SimulationError, match="unique-one cost varied with the input"):
         elect_with_bound(catalog("ring", 3), 4, all_branches=True)
+    # two inputs evaluated one at a time are compared too
+    procedure = exactly_one_algorithm(catalog("ring", 3))
+    procedure.evaluate((0, 0, 0))
+    with pytest.raises(SimulationError, match="unique-one cost varied with the input"):
+        procedure.evaluate((1, 0, 0))
 
 
 def test_upper_bound_equals_exact_when_bound_is_tight_n2():

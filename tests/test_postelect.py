@@ -144,7 +144,7 @@ def test_gather_scatter_identity():
     amp = 1 / math.sqrt(2)
     state = SparseState(lay, {(0, 0, 0): amp, (1, 1, 1): amp})
     tree, _ = spanning_tree(topo, 0)
-    final, cost = gather_scatter_state(topo, 0, state, "q", np.eye(8), tree=tree)
+    final, cost = gather_scatter_state(topo, 0, state, "q", np.eye(8))
     assert fidelity(final, state) > 1 - 1e-12
     hops = sum(tree.depth(v) for v in range(3))
     assert cost.qubits_sent == 2 * hops
@@ -211,7 +211,7 @@ def test_gather_scatter_qutrits_match_a_dense_reference():
     assert tree.preorder == (1, 0)
     lay = layout(2, [("q", 3)])
     state = SparseState(lay, {(0, 2): 0.6, (2, 1): -0.8j})
-    final, _cost = gather_scatter_state(topo, 1, state, "q", transform, tree=tree)
+    final, _cost = gather_scatter_state(topo, 1, state, "q", transform)
     vec = np.zeros(9, dtype=complex)
     for (a, b), amp in state.amps.items():
         vec[3 * b + a] = amp

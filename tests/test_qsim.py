@@ -13,7 +13,7 @@ from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
                            rename_register, scale, tensor,
                            uncompute_subroutine)
 from anonqnet.runtime import PartyProgram
-from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding
+from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding, run_cached
 from anonqnet.topology import build_graph, catalog
 
 from conftest import all_bit_vectors
@@ -408,6 +408,28 @@ def test_coherent_rejects_input_dependent_message_size():
     # the same sizes on every input pass
     fixed = local_program(lambda x: 0, rounds=1, size=lambda x: 2)
     apply_coherent_subroutine(st, fixed, topo, "q", "out")
+
+
+def test_coherent_checks_each_new_run_against_the_first():
+    topo = catalog("complete", 2)
+    lay = layout(2, [("q", 2), ("out", 2)])
+    sub = local_program(lambda x: 0, rounds=1, size=lambda x: 1 + x)
+    # one component per call, so no single call sees two patterns
+    apply_coherent_subroutine(SparseState(lay, {(0, 0, 0, 0): 1.0}), sub, topo, "q", "out")
+    for _attempt in range(2):   # a refused run is not memoized
+        with pytest.raises(SimulationError, match="input-dependent communication pattern"):
+            apply_coherent_subroutine(SparseState(lay, {(1, 0, 1, 0): 1.0}),
+                                      sub, topo, "q", "out")
+    # an oblivious flood passes on every input; it keeps one first pattern
+    # per topology, and a fresh instance keeps its own
+    flood, ring, path = all_zeros_flooding(3), catalog("ring", 3), catalog("path", 3)
+    for x in all_bit_vectors(3):
+        run_cached(flood, ring, x)
+    run_cached(flood, path, (0, 0, 0))
+    assert len(flood.patterns) == 2 and len(set(flood.patterns.values())) == 2
+    fresh = all_zeros_flooding(3)
+    run_cached(fresh, ring, (1, 1, 1))
+    assert list(fresh.patterns.values()) == [flood.patterns[id(ring), None]]
 
 
 def test_coherent_rejects_output_outside_register():

@@ -215,12 +215,12 @@ def test_class_count_divides_party_count_guard():
 def test_run_memo_keys_on_topology_and_program():
     flood = all_zeros_flooding(3)
     path = catalog("path", 3)
-    _o, path_cost, _p = run_cached(flood, path, (0, 0, 0))
+    _o, path_cost = run_cached(flood, path, (0, 0, 0))
     assert path_cost.qubits_sent == 12
     # one instance on a second topology runs again instead of reusing path-3
-    _o, complete_cost, _p = run_cached(flood, catalog("complete", 3), (0, 0, 0))
+    _o, complete_cost = run_cached(flood, catalog("complete", 3), (0, 0, 0))
     assert complete_cost.qubits_sent == 18
-    _o, again, _p = run_cached(flood, path, (0, 0, 0))
+    _o, again = run_cached(flood, path, (0, 0, 0))
     assert again is path_cost
     # programs that share a name but not a finish keep separate memos
     prog = flood.program
@@ -232,15 +232,3 @@ def test_run_memo_keys_on_topology_and_program():
     assert other.name == flood.name
     assert run_cached(flood, path, (0, 0, 0))[0] == (1, 1, 1)
     assert run_cached(other, path, (0, 0, 0))[0] == (0, 0, 0)
-
-
-def test_equal_patterns_are_one_object():
-    flood = all_zeros_flooding(3)
-    ring = catalog("ring", 3)
-    runs = [run_cached(flood, ring, x) for x in all_bit_vectors(3)]
-    first = runs[0][2]
-    assert all(pattern is first for _o, _c, pattern in runs)
-    # a fresh subroutine interns its own copy, equal but not shared
-    copy = run_cached(all_zeros_flooding(3), ring, (0, 0, 0))[2]
-    assert copy == first and copy is not first
-    assert run_cached(flood, catalog("path", 3), (0, 0, 0))[2] != first

@@ -176,3 +176,8 @@ def test_graph_file_errors():
             load_graph(short)
     with pytest.raises(ValueError, match="line 2"):
         load_graph("n 2\ne 0 1 1\n")  # one field too many
+    for text, lineno in (("n 2\ne 0 x\n", 2), ("n 2\ne 0 1\np 0 0 1.5\n", 3), ("n two\n", 1)):
+        with pytest.raises(ValueError, match=f"line {lineno}: .*integer"):
+            load_graph(text)
+    with pytest.raises(ValueError, match="line 4: second 'n' record"):
+        load_graph("n 3\ne 0 1\ne 1 2\nn 4\n")
