@@ -228,9 +228,10 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
                          register: str, transform: np.ndarray) -> tuple:
     """Route every party's qudit to the leader, transform, route back.
 
-    The route is ``spanning_tree(topology, leader)``.  Ownership is tracked
-    by relabeling rather than hop-by-hop state updates, but every hop is
-    metered: each qudit travels its tree distance twice.
+    The route is ``spanning_tree(topology, leader)``, and the cost is that
+    tree's cost followed by the hops.  Ownership is tracked by relabeling
+    rather than hop-by-hop state updates, but every hop is metered: each
+    qudit travels its tree distance twice.
     ``transform`` acts on the gathered qudits ordered by identifier, and the
     i-th output qudit ends up at the party holding identifier i.  It must
     pass ``qsim.gate()``, or ``ValueError`` is raised.
@@ -240,7 +241,7 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
     if topology.n != n:
         raise ValueError("state and topology disagree on the party count")
     k = lay.dim(register)
-    tree, _ = spanning_tree(topology, leader)
+    tree, tree_cost = spanning_tree(topology, leader)
     dim = k ** n
     unitary = gate(transform)
     if unitary.dim != dim:
@@ -263,5 +264,5 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
 
     hops = sum(tree.depth(v) for v in range(n))
     qudit_bits = max(1, (k - 1).bit_length())
-    cost = CostReport(4 * max(n - 1, 0), 2 * hops, 2 * hops * qudit_bits, ())
-    return final, cost
+    hop_cost = CostReport(4 * max(n - 1, 0), 2 * hops, 2 * hops * qudit_bits, ())
+    return final, sequential(tree_cost, hop_cost)

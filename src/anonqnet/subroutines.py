@@ -162,64 +162,60 @@ class View:
     subtrees share storage; views from different tables are compared by
     serialization.  ``symbols`` is the length of the flat serialization (two
     symbols per node, one per edge), which is what transmitting the view is
-    metered as.
+    metered as.  ``depth`` is the height of the tree (0 for a leaf), and
+    ``shorter`` is the same view cut one level shorter, in the same table
+    (``None`` for a leaf), so truncating is following pointers.
     """
 
-    __slots__ = ("label", "degree", "children", "symbols")
+    __slots__ = ("label", "degree", "children", "symbols", "depth", "shorter")
 
-    def __init__(self, label, degree, children, symbols):
+    def __init__(self, label, degree, children, symbols, depth, shorter):
         self.label = label
         self.degree = degree
         self.children = children
         self.symbols = symbols
+        self.depth = depth
+        self.shorter = shorter
 
     def __repr__(self):
-        return f"View(label={self.label}, degree={self.degree}, depth={view_depth(self)})"
+        return f"View(label={self.label}, degree={self.degree}, depth={self.depth})"
 
 
 class ViewTable:
-    """Hash-consing table of views plus a memo of their truncations.
+    """Hash-consing table of views.
 
     Each modular-sum subroutine owns one, shared by all its parties and all
     its runs, so equal views stay one object across runs (the equivariance
     check compares message payloads by identity) and nothing outlives the
     subroutine.  Keys hold the child objects themselves (identity-hashed), so
-    entries keep their children alive and ids are never reused.
+    entries keep their children alive and ids are never reused.  A new node
+    also gets its one-level truncation from the table; in the view exchange
+    that is the party's own view from the round before, already present.
     """
 
-    __slots__ = ("_nodes", "_truncated")
+    __slots__ = ("_nodes",)
 
     def __init__(self):
         self._nodes: dict = {}
-        self._truncated: dict = {}
 
     def node(self, label: int, degree: int, children: tuple) -> View:
         key = (label, degree, children)
         hit = self._nodes.get(key)
         if hit is None:
-            symbols = 2 + sum(1 + c.symbols for _q, c in children)
+            depth, shorter, symbols = 0, None, 2
+            if children:
+                depth = 1 + children[0][1].depth
+                below = []
+                for q, c in children:
+                    if c.depth != depth - 1:
+                        raise ValueError("children of a view must have equal depths")
+                    symbols += 1 + c.symbols
+                    below.append((q, c.shorter))
+                shorter = self.node(label, degree, tuple(below) if depth > 1 else ())
             # setdefault keeps one node per key if two threads miss together
-            hit = self._nodes.setdefault(key, View(label, degree, children, symbols))
+            hit = self._nodes.setdefault(
+                key, View(label, degree, children, symbols, depth, shorter))
         return hit
-
-    def truncate(self, v: View, depth: int) -> View:
-        if depth <= 0 or not v.children:
-            return self.node(v.label, v.degree, ())
-        key = (v, depth)
-        hit = self._truncated.get(key)
-        if hit is None:
-            hit = self.node(
-                v.label, v.degree,
-                tuple((q, self.truncate(c, depth - 1)) for q, c in v.children),
-            )
-            self._truncated[key] = hit
-        return hit
-
-
-def view_depth(v: View) -> int:
-    if not v.children:
-        return 0
-    return 1 + max(view_depth(c) for _q, c in v.children)
 
 
 def serialize_view(v: View) -> tuple:
@@ -267,29 +263,26 @@ def view(topology: Topology, node: int, depth: int, inputs=None,
     return build(node, depth)
 
 
-def distinct_truncated_views(root: View, radius: int, table: ViewTable) -> list:
+def distinct_truncated_views(root: View, radius: int) -> list:
     """Distinct depth-``radius`` views rooted within ``radius`` steps of ``root``.
 
     In a connected n-party network every party sits within n-1 steps of the
     root, so with ``radius = n-1`` this enumerates every party's truncated
     view exactly once per equivalence class, in no particular order.  The
-    truncations are hash-consed in ``table``.
+    nodes j steps below the root are the ones of depth ``root.depth - j``,
+    so the walk goes one level at a time, visits each node once and cuts it
+    down to ``radius`` through ``View.shorter``.
     """
     found = {}
-    seen = set()
-    stack = [(root, radius)]
-    while stack:
-        node, left = stack.pop()
-        key = (id(node), left)
-        if key in seen:
-            continue
-        seen.add(key)
-        t = table.truncate(node, radius)
-        found[id(t)] = t
-        if left > 0:
-            for _q, child in node.children:
-                stack.append((child, left - 1))
-    return list(found.values())
+    level = {root: None}   # distinct nodes j steps below the root
+    for j in range(radius + 1):
+        for node in level:
+            while node.depth > radius:
+                node = node.shorter
+            found[node] = None
+        if j < radius:
+            level = dict.fromkeys(c for node in level for _q, c in node.children)
+    return list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +293,8 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
     """Every party computes the sum of all inputs mod k from its view.
 
     Parties exchange their full labeled views for ``depth`` rounds (``depth``
-    at least 2(n-1), with n passed as the global information).  A party then
+    at least 2(n-1), with n passed as the global information; a shallower
+    depth would miscount the classes, so ``init`` raises ``ValueError``).  A party then
     enumerates the distinct depth-(n-1) views occurring in the network inside
     its own tree; the c distinct classes all have the same cardinality n/c,
     so the total input sum is (n/c) times the sum over one representative per
@@ -317,6 +311,8 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
     def init(x, deg, n):
         if n is None:
             raise ValueError("modular sum needs the party count as global info")
+        if depth < 2 * (n - 1):
+            raise ValueError(f"view depth {depth} below 2(n-1) = {2 * (n - 1)}")
         if not (0 <= x < k):
             raise ValueError(f"input {x} outside 0..{k - 1}")
         return [n, x, deg, table.node(x, deg, ())]
@@ -332,7 +328,7 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
 
     def finish(state):
         n, _x, _deg, v = state
-        classes = distinct_truncated_views(v, n - 1, table)
+        classes = distinct_truncated_views(v, n - 1)
         c = len(classes)
         if n % c != 0:
             raise SimulationError(

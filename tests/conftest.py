@@ -1,5 +1,8 @@
 """Shared helpers: brute-force oracles and graph generators for tests."""
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import strategies as st
@@ -33,6 +36,28 @@ def election_runs(monkeypatch):
 
     monkeypatch.setattr(election, "_amplified_coins", counting)
     return calls
+
+
+def in_two_threads(fn):
+    """Results of ``fn()`` run by two threads released together.
+
+    The interpreter switches threads every 10 microseconds meanwhile, so the
+    two runs interleave finely enough to meet in a shared memo.
+    """
+    start = threading.Barrier(2)
+
+    def run():
+        start.wait(timeout=60)
+        return fn()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run) for _ in range(2)]
+            return [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # brute-force oracles: these never touch the simulator

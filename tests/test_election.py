@@ -15,8 +15,8 @@ from anonqnet.runtime import CostReport, run_classical, sequential
 from anonqnet.subroutines import FALSE, TRUE, all_zeros_flooding
 from anonqnet.topology import automorphisms, build_graph, catalog
 
-from conftest import (all_bit_vectors, catalog_cases, case_ids, oracle_weight_is_one,
-                      shuffled_ports)
+from conftest import (all_bit_vectors, catalog_cases, case_ids, in_two_threads,
+                      oracle_weight_is_one, shuffled_ports)
 
 
 def test_probability_formulas():
@@ -355,3 +355,11 @@ def test_result_json_shape():
     branch = payload["branches"][0]
     assert set(branch) >= {"outcomes", "probability", "leader_party", "statuses"}
     assert payload["cost"]["qubits_sent"] == result.cost.qubits_sent
+
+
+def test_two_threads_share_one_topology():
+    serial = elect(catalog("ring", 5), all_branches=True)
+    shared = catalog("ring", 5)
+    for result in in_two_threads(lambda: elect(shared, all_branches=True)):
+        assert result.branches == serial.branches
+        assert result.cost == serial.cost

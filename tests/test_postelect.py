@@ -143,11 +143,14 @@ def test_gather_scatter_identity():
     lay = layout(3, [("q", 2)])
     amp = 1 / math.sqrt(2)
     state = SparseState(lay, {(0, 0, 0): amp, (1, 1, 1): amp})
-    tree, _ = spanning_tree(topo, 0)
+    tree, tree_cost = spanning_tree(topo, 0)
     final, cost = gather_scatter_state(topo, 0, state, "q", np.eye(8))
     assert fidelity(final, state) > 1 - 1e-12
     hops = sum(tree.depth(v) for v in range(3))
-    assert cost.qubits_sent == 2 * hops
+    # the tree walk is metered too: 14 rounds and 16 qubits, then the hops
+    assert cost.rounds == tree_cost.rounds + 8
+    assert cost.qubits_sent == tree_cost.qubits_sent + 2 * hops
+    assert (cost.rounds, cost.qubits_sent) == (22, 22)
 
 
 def test_gather_scatter_swap_two_parties():

@@ -9,14 +9,15 @@ from anonqnet.runtime import PartyProgram, run_classical, verify_anonymity
 from anonqnet.subroutines import (ClassicalSubroutine, ViewTable,
                                   all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
-                                  run_cached, serialize_view, view, view_depth)
+                                  run_cached, serialize_view, view)
 from anonqnet.topology import automorphisms, build_graph, catalog
 
 from conftest import (all_bit_vectors, catalog_cases, case_ids,
-                      connected_graphs, oracle_all_zeros, oracle_consistency,
-                      oracle_modular_sum, shuffled_ports)
+                      connected_graphs, in_two_threads, oracle_all_zeros,
+                      oracle_consistency, oracle_modular_sum, shuffled_ports)
 
 CASES_4 = catalog_cases(2, 4)
+CASES_5 = catalog_cases(2, 5)
 
 
 def test_flooding_trivial_cases():
@@ -154,7 +155,7 @@ def test_view_k2_alternates():
     topo = catalog("complete", 2)
     v = view(topo, 0, 2, inputs=[3, 4])
     assert serialize_view(v) == (3, 1, 1, 4, 1, 1, 3, 1)
-    assert view_depth(v) == 2
+    assert v.depth == 2
 
 
 def test_view_labels_break_symmetry():
@@ -168,10 +169,67 @@ def test_distinct_truncated_views_counts_classes():
     topo = catalog("ring", 4)
     table = ViewTable()
     root = view(topo, 0, 6, inputs=[1, 0, 1, 0], table=table)
-    classes = distinct_truncated_views(root, 3, table)
+    classes = distinct_truncated_views(root, 3)
     assert len(classes) == 2  # opposite nodes are indistinguishable
     root = view(topo, 0, 6, inputs=[1, 0, 0, 0], table=table)
-    assert len(distinct_truncated_views(root, 3, table)) == 4
+    assert len(distinct_truncated_views(root, 3)) == 4
+
+
+def _check_truncations(topo, inputs):
+    """``shorter`` and ``depth`` against views built level by level, and the
+    class count against serializations built each in a fresh table."""
+    n = topo.n
+    table = ViewTable()
+    for p in range(n):
+        for d in range(1, 2 * (n - 1) + 1):
+            v = view(topo, p, d, inputs, table=table)
+            assert v.depth == d
+            assert v.shorter is view(topo, p, d - 1, inputs, table=table)
+    reference = {serialize_view(view(topo, p, n - 1, inputs)) for p in range(n)}
+    for p in range(n):
+        classes = distinct_truncated_views(view(topo, p, 2 * (n - 1), inputs, table=table), n - 1)
+        assert len(classes) == len(reference)
+        assert {serialize_view(w) for w in classes} == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(connected_graphs(max_n=5), shuffled_ports(max_n=5)), st.data())
+def test_truncation_pointers_match_a_reference_on_random_graphs(topo, data):
+    inputs = data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                min_size=topo.n, max_size=topo.n))
+    _check_truncations(topo, inputs)
+
+
+@pytest.mark.parametrize("name,n,topo", CASES_5, ids=case_ids(CASES_5))
+def test_truncation_pointers_match_a_reference_on_catalog_graphs(name, n, topo):
+    for inputs in ([0] * n, [1] + [0] * (n - 1), [p % 2 for p in range(n)]):
+        _check_truncations(topo, inputs)
+
+
+def test_view_children_of_unequal_depths_raise():
+    table = ViewTable()
+    leaf = table.node(0, 1, ())
+    stem = table.node(0, 1, ((1, leaf),))
+    with pytest.raises(ValueError, match="equal depths"):
+        table.node(0, 2, ((1, leaf), (1, stem)))
+
+
+def test_too_shallow_view_depth_is_refused():
+    # depth 9 < 2(n-1) = 10 miscounts the view classes: for this input the
+    # parties would output 1 or 2 where the sum is 0 mod 3, and nothing raised
+    sub = modular_sum_views(3, 9)
+    with pytest.raises(ValueError, match="below 2"):
+        run_classical(catalog("ring", 6), sub.program, [0, 1, 0, 1, 0, 1], global_info=6)
+
+
+def test_two_threads_share_one_modular_sum():
+    topo = catalog("ring", 4)
+    inputs = all_bit_vectors(4)
+    serial = [run_cached(modular_sum_views(2, 6), topo, x, global_info=4) for x in inputs]
+    shared = modular_sum_views(2, 6)
+    for outputs in in_two_threads(
+            lambda: [run_cached(shared, topo, x, global_info=4) for x in inputs]):
+        assert outputs == serial
 
 
 def _payload_views(events):
