@@ -352,7 +352,8 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
     """Exact leader election when every party knows the true party count.
 
     Enumerates every measurement branch; exactly one party measures 1 in each
-    of them.  With ``all_branches`` false a branch is additionally sampled
+    of them, and a branch with any other leader count, however light, raises
+    ``ExactnessError``.  With ``all_branches`` false a branch is additionally sampled
     with seeded randomness and exposed as ``result.sampled``.
 
     The branches and the cost depend only on the topology, so the election is
@@ -368,8 +369,13 @@ def elect(topology: Topology, *, seed: Optional[int] = None,
                                        check_success=True)
         out = []
         for br in branches(state, "coin"):
+            leaders = _leaders(br.outcome)
+            if len(leaders) != 1:
+                raise ExactnessError(
+                    f"election branch {br.outcome} of probability {br.probability!r} "
+                    f"has {len(leaders)} leaders")
             out.append(ElectionBranch(outcomes=br.outcome, probability=br.probability,
-                                      leaders=_leaders(br.outcome)))
+                                      leaders=leaders))
         memo = topology.memo.setdefault("elect", (tuple(out), cost))
     out, cost = memo
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)

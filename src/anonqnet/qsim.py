@@ -35,7 +35,6 @@ NORM_DRIFT_EPS = 1e-12   # renormalize when pruning shifted the norm this much
 NORM_EPS = 1e-10         # hard invariant on every produced state
 UNITARY_EPS = 1e-12
 FACTOR_EPS = 1e-9        # residual allowed where dropped registers must factor out
-MIN_BRANCH_PROBABILITY = 1e-12   # lighter measurement branches are dropped
 
 
 @dataclass(frozen=True)
@@ -472,9 +471,8 @@ class MeasurementBranch:
 def branches(state: SparseState, register: str) -> list:
     """All branches of measuring ``register`` at every party, exactly enumerated.
 
-    Branches come in lexicographic order of their outcomes.  Probabilities
-    over the full enumeration sum to one; branches lighter than
-    ``MIN_BRANCH_PROBABILITY`` are dropped.
+    Branches come in lexicographic order of their outcomes, one for every
+    outcome the state holds, however light; their probabilities sum to one.
     """
     outcome_of = state.layout.reader(register)
     grouped: dict = {}
@@ -484,9 +482,8 @@ def branches(state: SparseState, register: str) -> list:
     for outcome in sorted(grouped):
         sub = grouped[outcome]
         prob = sum(abs(v) ** 2 for v in sub.values())
-        if prob >= MIN_BRANCH_PROBABILITY:
-            out.append(MeasurementBranch(outcome, prob,
-                                         SparseState(state.layout, sub, normalize=True)))
+        out.append(MeasurementBranch(outcome, prob,
+                                     SparseState(state.layout, sub, normalize=True)))
     return out
 
 

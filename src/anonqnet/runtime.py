@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import SimulationError
 from .topology import Topology, is_automorphism
@@ -45,8 +45,7 @@ class PartyProgram:
         return max(1, (self.symbol_dim - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class SizedMessage:
+class SizedMessage(NamedTuple):
     """A structured message whose transmitted size is declared explicitly.
 
     ``symbols`` must equal the length the payload would have in a flat symbol
@@ -127,6 +126,11 @@ def parallel(*costs: CostReport) -> CostReport:
     )
 
 
+def _alphabet_error(sender: int, s, symbol_dim: int, port: int) -> SimulationError:
+    return SimulationError(
+        f"party {sender} sent symbol {s} outside alphabet 0..{symbol_dim - 1} on port {port}")
+
+
 def _normalize(msg, symbol_dim: int, sender: int, port: int) -> tuple:
     """Return ``(payload, size)`` of one outgoing message, checking it."""
     if isinstance(msg, SizedMessage):
@@ -138,9 +142,7 @@ def _normalize(msg, symbol_dim: int, sender: int, port: int) -> tuple:
     msg = tuple(msg)
     for s in msg:
         if not (0 <= s < symbol_dim):
-            raise SimulationError(
-                f"party {sender} sent symbol {s} outside alphabet 0..{symbol_dim - 1} on port {port}"
-            )
+            raise _alphabet_error(sender, s, symbol_dim, port)
     return msg, len(msg)
 
 
@@ -163,22 +165,39 @@ def run_classical(
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs, got {len(inputs)}")
     states = [program.init(inputs[v], topology.degree(v), global_info) for v in range(n)]
+    send, recv, dim = program.send, program.recv, program.symbol_dim
+    links = topology.links   # read once; a missing port raises as in Topology.link
     events = []
     per_round = []
     for r in range(program.rounds):
-        inboxes = [dict() for _ in range(n)]
+        inboxes = [{} for _ in range(n)]
         symbols_this_round = 0
         for v in range(n):
-            outbox = program.send(states[v], r) or {}
+            outbox = send(states[v], r) or {}
+            out_links = links[v]
             for port in sorted(outbox):
-                payload, size = _normalize(outbox[port], program.symbol_dim, v, port)
-                u, q = topology.link(v, port)
+                # the two common shapes are checked inline, the rest in _normalize
+                msg = outbox[port]
+                kind = type(msg)
+                if kind is SizedMessage and msg.symbols >= 0:
+                    payload, size = msg
+                elif kind is tuple:
+                    for s in msg:
+                        if not (0 <= s < dim):
+                            raise _alphabet_error(v, s, dim, port)
+                    payload, size = msg, len(msg)
+                else:
+                    payload, size = _normalize(msg, dim, v, port)
+                hop = out_links.get(port)
+                if hop is None:
+                    raise ValueError(f"node {v} has no port {port}")
+                u, q = hop
                 inboxes[u][q] = payload
                 symbols_this_round += size
                 events.append((r + 1, v, u, size, payload))
         per_round.append(symbols_this_round)
         for v in range(n):
-            states[v] = program.recv(states[v], inboxes[v], r)
+            states[v] = recv(states[v], inboxes[v], r)
     outputs = [program.finish(states[v]) for v in range(n)]
     total = sum(per_round)
     cost = CostReport(program.rounds, total, total * program.bits_per_symbol, tuple(per_round))

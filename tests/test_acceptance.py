@@ -58,7 +58,9 @@ def test_criterion_04_cost_identities():
 
 def test_criterion_05_scaling_table():
     checks = report("05 scaling table", "scaling", [
-        "rings 3..6: rounds/n bounded", "rings 3..6: qubits/(m n^2) bounded"])
+        "rings 3..6: rounds/n bounded", "rings 3..6: qubits/(m n^2) bounded",
+        "mod-2 sum, rings and complete 3..6: qubits <= 8 m n^4",
+        "ghz k=2, rings and complete 3..6: rounds = 2(n-1)"])
     for check in checks:
         print(f"  {check.name}: {check.detail}")
 

@@ -339,6 +339,26 @@ def test_bank_restoration_is_checked_at_the_residue_tolerance(monkeypatch):
         election.ExactlyOneProcedure(catalog("ring", 3)).evaluate((1, 0, 0))
 
 
+def test_a_light_branch_with_two_leaders_is_an_error(monkeypatch):
+    # a two-leader component of probability 1e-13 among the amplified coins
+    # becomes a branch of its own, which elect refuses
+    amplified_coins = election._amplified_coins
+
+    def with_two_leaders(*args, **kwargs):
+        state, cost = amplified_coins(*args, **kwargs)
+        key = list(next(iter(state.amps)))
+        coins = state.layout.slots("coin")
+        for party, slot in enumerate(coins):
+            key[slot] = 1 if party < 2 else 0
+        amps = dict(state.amps)
+        amps[tuple(key)] = math.sqrt(1e-13)
+        return qsim.SparseState(state.layout, amps), cost
+
+    monkeypatch.setattr(election, "_amplified_coins", with_two_leaders)
+    with pytest.raises(ExactnessError, match="has 2 leaders"):
+        elect(catalog("ring", 4), all_branches=True)
+
+
 def test_upper_bound_argument_validation():
     topo = catalog("ring", 3)
     with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from anonqnet.errors import SimulationError
-from anonqnet.runtime import (CostReport, PartyProgram, parallel, run_classical,
-                              sequential, verify_anonymity)
+from anonqnet.runtime import (CostReport, PartyProgram, SizedMessage, parallel,
+                              run_classical, sequential, verify_anonymity)
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                                   modular_sum_views)
 from anonqnet.topology import catalog
@@ -70,7 +70,7 @@ def test_bad_port_rejected():
                         send=lambda s, r: {s + 1: (0,)},  # one past the last port
                         recv=lambda s, i, r: s,
                         finish=lambda s: s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node 0 has no port 2"):
         run_classical(topo, prog, [0, 0, 0])
 
 
@@ -83,6 +83,37 @@ def test_symbol_out_of_alphabet_rejected():
                         finish=lambda s: s)
     with pytest.raises(SimulationError):
         run_classical(topo, prog, [0, 0])
+
+
+def one_message_program(message, symbol_dim=4):
+    return PartyProgram(rounds=1, symbol_dim=symbol_dim,
+                        init=lambda x, d, g: x,
+                        send=lambda s, r: {1: message},
+                        recv=lambda s, inbox, r: inbox[1],
+                        finish=lambda s: s)
+
+
+@pytest.mark.parametrize("message,payload,size", [
+    ((3, 0), (3, 0), 2), ([1, 2, 3], (1, 2, 3), 3), (2, (2,), 1), ((), (), 0),
+    (SizedMessage("anything", 5), "anything", 5)])
+def test_message_shapes(message, payload, size):
+    out, cost, events = run_classical(catalog("complete", 2), one_message_program(message),
+                                      [0, 0])
+    assert out == [payload, payload]
+    assert cost.qubits_sent == 2 * size
+    assert [ev[3:] for ev in events] == [(size, payload)] * 2
+
+
+@pytest.mark.parametrize("message", [(4,), [0, -1], 9])
+def test_every_message_shape_checks_its_alphabet(message):
+    with pytest.raises(SimulationError, match="outside alphabet 0..3 on port 1"):
+        run_classical(catalog("complete", 2), one_message_program(message), [0, 0])
+
+
+def test_negative_declared_size_rejected():
+    with pytest.raises(SimulationError, match="negative message size"):
+        run_classical(catalog("complete", 2), one_message_program(SizedMessage((), -1)),
+                      [0, 0])
 
 
 def test_anonymity_constant_inputs():

@@ -146,7 +146,7 @@ def test_view_depth_zero():
 
 def test_views_of_symmetric_ring_coincide():
     topo = catalog("ring", 4)
-    table = ViewTable()
+    table = ViewTable(topo.n)
     views = [view(topo, p, 3, inputs=[1, 1, 1, 1], table=table) for p in range(4)]
     assert len({id(v) for v in views}) == 1  # interning makes equality identity
 
@@ -160,14 +160,14 @@ def test_view_k2_alternates():
 
 def test_view_labels_break_symmetry():
     topo = catalog("ring", 4)
-    table = ViewTable()
+    table = ViewTable(topo.n)
     views = [view(topo, p, 3, inputs=[1, 0, 0, 0], table=table) for p in range(4)]
     assert len({id(v) for v in views}) == 4
 
 
 def test_distinct_truncated_views_counts_classes():
     topo = catalog("ring", 4)
-    table = ViewTable()
+    table = ViewTable(topo.n)
     root = view(topo, 0, 6, inputs=[1, 0, 1, 0], table=table)
     classes = distinct_truncated_views(root, 3)
     assert len(classes) == 2  # opposite nodes are indistinguishable
@@ -179,7 +179,7 @@ def _check_truncations(topo, inputs):
     """``shorter`` and ``depth`` against views built level by level, and the
     class count against serializations built each in a fresh table."""
     n = topo.n
-    table = ViewTable()
+    table = ViewTable(n)
     for p in range(n):
         for d in range(1, 2 * (n - 1) + 1):
             v = view(topo, p, d, inputs, table=table)
@@ -207,7 +207,7 @@ def test_truncation_pointers_match_a_reference_on_catalog_graphs(name, n, topo):
 
 
 def test_view_children_of_unequal_depths_raise():
-    table = ViewTable()
+    table = ViewTable(3)
     leaf = table.node(0, 1, ())
     stem = table.node(0, 1, ((1, leaf),))
     with pytest.raises(ValueError, match="equal depths"):
