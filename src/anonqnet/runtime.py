@@ -126,26 +126,6 @@ def parallel(*costs: CostReport) -> CostReport:
     )
 
 
-def _alphabet_error(sender: int, s, symbol_dim: int, port: int) -> SimulationError:
-    return SimulationError(
-        f"party {sender} sent symbol {s} outside alphabet 0..{symbol_dim - 1} on port {port}")
-
-
-def _normalize(msg, symbol_dim: int, sender: int, port: int) -> tuple:
-    """Return ``(payload, size)`` of one outgoing message, checking it."""
-    if isinstance(msg, SizedMessage):
-        if msg.symbols < 0:
-            raise SimulationError(f"party {sender} declared a negative message size")
-        return msg.payload, msg.symbols
-    if isinstance(msg, int):
-        msg = (msg,)
-    msg = tuple(msg)
-    for s in msg:
-        if not (0 <= s < symbol_dim):
-            raise _alphabet_error(sender, s, symbol_dim, port)
-    return msg, len(msg)
-
-
 def run_classical(
     topology: Topology,
     program: PartyProgram,
@@ -165,8 +145,7 @@ def run_classical(
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs, got {len(inputs)}")
     states = [program.init(inputs[v], topology.degree(v), global_info) for v in range(n)]
-    send, recv, dim = program.send, program.recv, program.symbol_dim
-    links = topology.links   # read once; a missing port raises as in Topology.link
+    send, recv, link, dim = program.send, program.recv, topology.link, program.symbol_dim
     events = []
     per_round = []
     for r in range(program.rounds):
@@ -174,24 +153,21 @@ def run_classical(
         symbols_this_round = 0
         for v in range(n):
             outbox = send(states[v], r) or {}
-            out_links = links[v]
             for port in sorted(outbox):
-                # the two common shapes are checked inline, the rest in _normalize
                 msg = outbox[port]
-                kind = type(msg)
-                if kind is SizedMessage and msg.symbols >= 0:
+                if type(msg) is SizedMessage:
                     payload, size = msg
-                elif kind is tuple:
-                    for s in msg:
-                        if not (0 <= s < dim):
-                            raise _alphabet_error(v, s, dim, port)
-                    payload, size = msg, len(msg)
+                    if size < 0:
+                        raise SimulationError(f"party {v} declared a negative message size")
                 else:
-                    payload, size = _normalize(msg, dim, v, port)
-                hop = out_links.get(port)
-                if hop is None:
-                    raise ValueError(f"node {v} has no port {port}")
-                u, q = hop
+                    payload = (msg,) if isinstance(msg, int) else tuple(msg)
+                    for s in payload:
+                        if not (0 <= s < dim):
+                            raise SimulationError(
+                                f"party {v} sent symbol {s} outside alphabet "
+                                f"0..{dim - 1} on port {port}")
+                    size = len(payload)
+                u, q = link(v, port)
                 inboxes[u][q] = payload
                 symbols_this_round += size
                 events.append((r + 1, v, u, size, payload))

@@ -53,8 +53,8 @@ class Topology:
         return tuple(tuple(sorted(s)) for s in nbrs)
 
     @cached_property
-    def links(self) -> tuple:
-        """``links[v][port]`` is ``(neighbor, port at neighbor)``; ``link`` checks the port."""
+    def _links(self) -> tuple:
+        # _links[v][port] = (neighbor, port at neighbor)
         table = [dict() for _ in range(self.n)]
         for e in self.edges:
             u, v = e
@@ -68,7 +68,7 @@ class Topology:
     def link(self, v: int, port: int) -> tuple:
         """Return ``(neighbor, port at neighbor)`` across ``port`` of node ``v``."""
         try:
-            return self.links[v][port]
+            return self._links[v][port]
         except KeyError:
             raise ValueError(f"node {v} has no port {port}") from None
 
