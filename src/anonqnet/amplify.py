@@ -80,8 +80,7 @@ class Flag:
 
 def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
                    in_regs: Sequence[str], out_reg: str, trigger: int,
-                   fiducial: int, global_info=None,
-                   *, divisor: Optional[int] = None, conditions=()) -> Flag:
+                   fiducial: int, *, divisor: Optional[int] = None, conditions=()) -> Flag:
     """The flag a classical subroutine computes when run coherently.
 
     ``divisor`` defaults to the party count, so every party contributes an
@@ -89,10 +88,9 @@ def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
     """
     in_regs = (in_regs,) if isinstance(in_regs, str) else tuple(in_regs)
     args = (sub, topology, in_regs, out_reg)
-    opts = dict(fiducial=fiducial, global_info=global_info)
     return Flag(
-        apply=lambda s: apply_coherent_subroutine(s, *args, **opts),
-        invert=lambda s: uncompute_subroutine(s, *args, **opts),
+        apply=lambda s: apply_coherent_subroutine(s, *args, fiducial=fiducial),
+        invert=lambda s: uncompute_subroutine(s, *args, fiducial=fiducial),
         register=out_reg, trigger=trigger,
         divisor=topology.n if divisor is None else divisor,
         conditions=tuple(conditions))

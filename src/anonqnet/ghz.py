@@ -61,8 +61,7 @@ class AttemptBranch:
 
 def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     """Run one attempt up to its measurement; enumerate all its branches."""
-    n = topology.n
-    lay = layout(n, [("share", k), ("sum", k)])
+    lay = layout(topology.n, [("share", k), ("sum", k)])
     state = init_state(lay, 0)
     fourier = fourier_gate(k)
     forward, dagger = gate(fourier), gate(fourier.conj().T)
@@ -70,8 +69,7 @@ def _attempt(topology: Topology, k: int, fk, audit: list) -> tuple:
     state = apply_all_parties(state, "share", forward)
     audit.append(f"sum_mod_{k}_blackbox")
     state, cost = apply_coherent_subroutine(
-        state, fk, topology, ("share",), "sum",
-        fiducial=0, global_info=n)
+        state, fk, topology, ("share",), "sum", fiducial=0)
     audit.append("measure")
     audit.append(f"fourier_dag[{k}]")
     out = []
@@ -94,7 +92,7 @@ def phase1(topology: Topology, k: int, *, audit: Optional[list] = None) -> tuple
     """
     if audit is None:
         audit = []
-    fk = modular_sum_views(k, 2 * (topology.n - 1))
+    fk = modular_sum_views(k, topology.n)
     branches_0, cost_0 = _attempt(topology, k, fk, audit)
     return [branches_0] * k, parallel(*[cost_0] * k)
 

@@ -51,6 +51,8 @@ def spanning_tree(topology: Topology, leader: int) -> tuple:
     visit order.  Rounds stay linear in n, traffic linear in m.
     """
     n = topology.n
+    if not 0 <= leader < n:
+        raise ValueError(f"leader {leader} outside 0..{n - 1}")
     parent = [None] * n
     order = []
     visited = [False] * n

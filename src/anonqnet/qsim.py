@@ -368,7 +368,6 @@ def apply_coherent_subroutine(
     out_reg: str,
     *,
     fiducial: int = 0,
-    global_info=None,
 ) -> tuple:
     """Run a classical subroutine on every basis component of ``state``.
 
@@ -378,8 +377,7 @@ def apply_coherent_subroutine(
     must not depend on the input (``run_cached`` checks it), and the returned
     cost is that of one execution.
     """
-    return _coherent(state, sub, topology, in_regs, out_reg, fiducial,
-                     global_info, inverse=False)
+    return _coherent(state, sub, topology, in_regs, out_reg, fiducial, inverse=False)
 
 
 def uncompute_subroutine(
@@ -390,7 +388,6 @@ def uncompute_subroutine(
     out_reg: str,
     *,
     fiducial: int = 0,
-    global_info=None,
 ) -> tuple:
     """Invert a previous coherent application, restoring ``out_reg``.
 
@@ -398,12 +395,10 @@ def uncompute_subroutine(
     match, and resets the register to ``fiducial``; the inverse pass is
     metered exactly like the forward pass.
     """
-    return _coherent(state, sub, topology, in_regs, out_reg, fiducial,
-                     global_info, inverse=True)
+    return _coherent(state, sub, topology, in_regs, out_reg, fiducial, inverse=True)
 
 
-def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
-              inverse):
+def _coherent(state, sub, topology, in_regs, out_reg, fiducial, inverse):
     lay = state.layout
     if topology.n != lay.n_parties:
         raise ValueError("topology and layout disagree on the party count")
@@ -428,7 +423,7 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, global_info,
         else:
             inputs = tuple(zip(*[read(key) for read in in_readers]))
         # run_cached refuses a differing pattern, so every run costs the same
-        outputs, cost = run_cached(sub, topology, inputs, global_info)
+        outputs, cost = run_cached(sub, topology, inputs)
         if min(outputs) < 0 or max(outputs) >= out_dim:
             bad = next(sym for sym in outputs if not 0 <= sym < out_dim)
             raise SimulationError(

@@ -1,7 +1,8 @@
 """Synchronous anonymous execution of classical distributed programs.
 
 Every party runs identical code; a party's hooks see only its local input,
-its degree, shared global information, and whatever arrives on its ports.
+its degree, and whatever arrives on its ports; what every party knows in
+advance, such as the party count, is built into the program.
 The engine meters communication exactly: one unit per transmitted symbol per
 link per direction per round, with d-level symbols charged ceil(log2 d) bits.
 A run yields the parties' outputs, its cost, and one plain
@@ -14,14 +15,14 @@ from itertools import chain, zip_longest
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import SimulationError
-from .topology import Topology, is_automorphism
+from .topology import Topology, is_automorphism, relabel
 
 
 @dataclass(frozen=True)
 class PartyProgram:
     """One synchronous distributed program, identical at every party.
 
-    ``init(local_input, degree, global_info)`` builds the local state.
+    ``init(local_input, degree)`` builds the local state.
     Each round the engine calls ``send(state, r)`` for a ``{port: message}``
     outbox, delivers all messages, then calls ``recv(state, inbox, r)``.
     After exactly ``rounds`` rounds, ``finish(state)`` yields the output.
@@ -34,7 +35,7 @@ class PartyProgram:
 
     rounds: int
     symbol_dim: int
-    init: Callable[[Any, int, Any], Any]
+    init: Callable[[Any, int], Any]
     send: Callable[[Any, int], dict]
     recv: Callable[[Any, dict, int], Any]
     finish: Callable[[Any], Any]
@@ -130,7 +131,6 @@ def run_classical(
     topology: Topology,
     program: PartyProgram,
     inputs: Sequence[Any],
-    global_info: Any = None,
 ) -> tuple:
     """Run ``program`` at every party for exactly ``program.rounds`` rounds.
 
@@ -144,7 +144,7 @@ def run_classical(
     n = topology.n
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs, got {len(inputs)}")
-    states = [program.init(inputs[v], topology.degree(v), global_info) for v in range(n)]
+    states = [program.init(inputs[v], topology.degree(v)) for v in range(n)]
     send, recv, link, dim = program.send, program.recv, topology.link, program.symbol_dim
     events = []
     per_round = []
@@ -185,7 +185,6 @@ def verify_anonymity(
     program: PartyProgram,
     inputs: Sequence[Any],
     aut: Sequence[int],
-    global_info: Any = None,
 ) -> bool:
     """Check equivariance of a run under a port-preserving automorphism.
 
@@ -194,17 +193,10 @@ def verify_anonymity(
     """
     if not is_automorphism(topology, aut):
         raise ValueError("permutation is not a port-preserving automorphism")
-    n = topology.n
-    moved = [None] * n
-    for v in range(n):
-        moved[aut[v]] = inputs[v]
-    out1, cost1, events1 = run_classical(topology, program, inputs, global_info)
-    out2, cost2, events2 = run_classical(topology, program, moved, global_info)
-    if cost1 != cost2:
+    out1, cost1, events1 = run_classical(topology, program, inputs)
+    out2, cost2, events2 = run_classical(topology, program, relabel(inputs, aut))
+    if cost1 != cost2 or relabel(out1, aut) != out2:
         return False
-    for v in range(n):
-        if out2[aut[v]] != out1[v]:
-            return False
     # a simple graph has one edge per (sender, receiver) pair, so sorting
     # never reaches the payloads: they are only compared for equality
     moved_events = sorted((r, aut[s], aut[t], size, payload)

@@ -40,25 +40,24 @@ class ClassicalSubroutine:
         return self.program.name
 
 
-def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple,
-               global_info=None):
+def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple):
     """Run a subroutine, memoizing ``(outputs, cost)`` in ``sub.runs``.
 
     Coherent application needs a communication pattern (the ``(round, sender,
     receiver, symbols)`` part of each message event) that does not depend on
     the input, so a new run whose pattern differs from the first run's on the
-    same ``(topology, global_info)``, kept in ``sub.patterns``, raises
-    ``SimulationError``; equal patterns give equal costs.  Results depend on
-    the port numbering, so the keys hold the topology's identity; each
-    ``runs`` entry keeps the topology alive, so its id is not reused.
+    same topology, kept in ``sub.patterns``, raises ``SimulationError``;
+    equal patterns give equal costs.  Results depend on the port numbering,
+    so the keys hold the topology's identity; each ``runs`` entry keeps the
+    topology alive, so its id is not reused.
     """
-    key = (id(topology), inputs, global_info)
+    key = (id(topology), inputs)
     entry = sub.runs.get(key)
     if entry is None:
-        outputs, cost, events = run_classical(topology, sub.program, inputs, global_info)
+        outputs, cost, events = run_classical(topology, sub.program, inputs)
         pattern = tuple(ev[:4] for ev in events)
         # setdefault keeps one entry per key if two threads miss together
-        if sub.patterns.setdefault((id(topology), global_info), pattern) != pattern:
+        if sub.patterns.setdefault(id(topology), pattern) != pattern:
             raise SimulationError(
                 f"subroutine {sub.name} has an input-dependent communication pattern"
             )
@@ -81,7 +80,7 @@ def all_zeros_flooding(delta: int) -> ClassicalSubroutine:
     if delta < 0:
         raise ValueError("round bound must be nonnegative")
 
-    def init(x, deg, _g):
+    def init(x, deg):
         return [1 if x else 0, deg]
 
     def send(state, _r):
@@ -120,7 +119,7 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
     """
     delta = zeros.program.rounds
 
-    def init(rz, deg, _g):
+    def init(rz, deg):
         r, marked = rz
         a = r if marked else 0
         b = (1 - r) if marked else 0
@@ -209,8 +208,8 @@ def view_size(widths: tuple, n: int) -> int:
 class ViewTable:
     """Hash-consing table of the views exchanged among ``n`` parties.
 
-    Each modular-sum subroutine owns one per party count, shared by all its
-    parties and all its runs, so equal views stay one object across runs (the
+    Each modular-sum subroutine owns one, shared by all its parties and all
+    its runs, so equal views stay one object across runs (the
     equivariance check compares message payloads by identity) and nothing
     outlives the subroutine.  Keys hold the child objects themselves
     (identity-hashed), so entries keep their children alive and ids are never
@@ -351,51 +350,44 @@ def distinct_truncated_views(root: View, radius: int) -> list:
 # sum of inputs modulo k, via view exchange
 
 
-def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
-    """Every party computes the sum of all inputs mod k from its view.
+def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
+    """Every one of ``n`` parties computes the sum of all inputs mod k from its view.
 
-    Parties exchange their labeled views for ``depth`` rounds (``depth`` at
-    least 2(n-1), with n passed as the global information; a shallower depth
-    would miscount the classes, so ``init`` raises ``ValueError``).  A party
-    then enumerates the distinct depth-(n-1) views occurring in the network
-    inside its own tree; the c distinct classes all have the same cardinality
-    n/c, so the total input sum is (n/c) times the sum over one
-    representative per class.  A message is the sender's entry port plus its
-    view, serialized or folded (:func:`view_size`), so its size depends on
-    n, the round and the topology but never on the input labels.
+    Parties exchange their labeled views for 2(n-1) rounds.  A party then
+    enumerates the distinct depth-(n-1) views occurring in the network inside
+    its own tree; views of depth n-1 already decide the view classes (Norris,
+    Discrete Appl. Math. 56(1), 1995), and the c distinct classes all have
+    the same cardinality n/c, so the total input sum is (n/c) times the sum
+    over one representative per class.  A message is the sender's entry port
+    plus its view, serialized or folded (:func:`view_size`), so its size
+    depends on n, the round and the topology but never on the input labels.
     """
     if k < 2:
         raise ValueError("modulus must be at least 2")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if n < 1:
+        raise ValueError("party count must be at least 1")
 
-    # one table per party count, shared by every party and every run; see ViewTable
-    tables: dict = {}
+    # shared by every party and every run; see ViewTable
+    table = ViewTable(n)
 
-    def init(x, deg, n):
-        if n is None:
-            raise ValueError("modular sum needs the party count as global info")
-        if depth < 2 * (n - 1):
-            raise ValueError(f"view depth {depth} below 2(n-1) = {2 * (n - 1)}")
+    def init(x, deg):
         if not (0 <= x < k):
             raise ValueError(f"input {x} outside 0..{k - 1}")
-        table = tables.get(n) or tables.setdefault(n, ViewTable(n))
-        return [table, x, deg, table.node(x, deg, ())]
+        return [x, deg, table.node(x, deg, ())]
 
     def send(state, _r):
-        _table, _x, deg, v = state
+        _x, deg, v = state
         size = 1 + v.shape.size
         return {p: SizedMessage((p, v), size) for p in range(1, deg + 1)}
 
     def recv(state, inbox, _r):
-        table, x, deg, _v = state
+        x, deg, _v = state
         # each payload is the (entry port, view) pair of one child
         children = tuple(map(inbox.__getitem__, range(1, deg + 1)))
-        return [table, x, deg, table.node(x, deg, children)]
+        return [x, deg, table.node(x, deg, children)]
 
     def finish(state):
-        table, _x, _deg, v = state
-        n = table.n
+        _x, _deg, v = state
         classes = distinct_truncated_views(v, n - 1)
         c = len(classes)
         if n % c != 0:
@@ -406,11 +398,10 @@ def modular_sum_views(k: int, depth: int) -> ClassicalSubroutine:
         return total % k
 
     # transmitted symbols are labels (< k) plus ports, degrees and child
-    # indices, which stay below the party count; depth >= 2(n-1) caps that
-    # count at depth//2 + 1
+    # indices, which stay below the party count
     program = PartyProgram(
-        rounds=depth, symbol_dim=max(k, depth // 2 + 1),
+        rounds=2 * (n - 1), symbol_dim=max(k, n),
         init=init, send=send, recv=recv, finish=finish,
-        name=f"modular_sum[{k},{depth}]",
+        name=f"modular_sum[{k},{n}]",
     )
     return ClassicalSubroutine(program)

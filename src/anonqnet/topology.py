@@ -166,6 +166,14 @@ def is_automorphism(topo: Topology, perm: Sequence[int]) -> bool:
     return True
 
 
+def relabel(values: Sequence, aut: Sequence[int]) -> list:
+    """Per-party ``values`` moved along ``aut``: party ``aut[v]`` gets ``values[v]``."""
+    moved = [None] * len(values)
+    for v, value in enumerate(values):
+        moved[aut[v]] = value
+    return moved
+
+
 def automorphisms(topo: Topology) -> list:
     """All port-preserving automorphisms, by brute force (n <= 8)."""
     if topo.n > 8:

@@ -28,7 +28,7 @@ from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
 from .runtime import run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                           modular_sum_views)
-from .topology import automorphisms, catalog
+from .topology import automorphisms, catalog, relabel
 
 
 @dataclass
@@ -187,9 +187,13 @@ def suite_costs() -> list:
 VIEW_SUM_CONSTANT = 8
 
 
-def suite_scaling(max_ring: int = 6) -> list:
+#: the largest ring and complete graph the scaling suite runs
+MAX_RING = 6
+
+
+def suite_scaling() -> list:
     rows = []
-    for n in range(3, max_ring + 1):
+    for n in range(3, MAX_RING + 1):
         topo = catalog("ring", n)
         result = elect(topo, all_branches=True)
         rows.append((n, result.cost.rounds / n,
@@ -197,22 +201,21 @@ def suite_scaling(max_ring: int = 6) -> list:
     round_ratio = max(r for _n, r, _q in rows)
     qubit_ratio = max(q for _n, _r, q in rows)
     sums, ghz_rounds = [], []
-    for name, n, topo in _catalog_cases(3, max_ring, ("ring", "complete")):
-        _out, cost, _events = run_classical(topo, modular_sum_views(2, 2 * (n - 1)).program,
-                                            [0] * n, global_info=n)
+    for name, n, topo in _catalog_cases(3, MAX_RING, ("ring", "complete")):
+        _out, cost, _events = run_classical(topo, modular_sum_views(2, n).program, [0] * n)
         sums.append((f"{name}-{n}", cost.qubits_sent / (topo.m * n ** 4)))
         ghz_rounds.append((f"{name}-{n}", ghz_share(topo, 2, all_branches=True).cost.rounds,
                            2 * (n - 1)))
     return [
-        Check(f"rings 3..{max_ring}: rounds/n bounded", round_ratio <= 30,
+        Check(f"rings 3..{MAX_RING}: rounds/n bounded", round_ratio <= 30,
               f"ratios {[(n, round(r, 2)) for n, r, _q in rows]}"),
-        Check(f"rings 3..{max_ring}: qubits/(m n^2) bounded", qubit_ratio <= 70,
+        Check(f"rings 3..{MAX_RING}: qubits/(m n^2) bounded", qubit_ratio <= 70,
               f"ratios {[(n, round(q, 2)) for n, _r, q in rows]}"),
-        Check(f"mod-2 sum, rings and complete 3..{max_ring}: "
+        Check(f"mod-2 sum, rings and complete 3..{MAX_RING}: "
               f"qubits <= {VIEW_SUM_CONSTANT} m n^4",
               all(ratio <= VIEW_SUM_CONSTANT for _g, ratio in sums),
               f"qubits/(m n^4) {[(g, round(ratio, 2)) for g, ratio in sums]}"),
-        Check(f"ghz k=2, rings and complete 3..{max_ring}: rounds = 2(n-1)",
+        Check(f"ghz k=2, rings and complete 3..{MAX_RING}: rounds = 2(n-1)",
               all(got == want for _g, got, want in ghz_rounds),
               f"(graph, rounds, 2(n-1)) {ghz_rounds}"),
     ]
@@ -303,10 +306,8 @@ def _branch_distribution(result) -> dict:
 def _permuted_distribution(dist: dict, perm) -> dict:
     out = {}
     for outcome, p in dist.items():
-        moved = [None] * len(outcome)
-        for v, sym in enumerate(outcome):
-            moved[perm[v]] = sym
-        out[tuple(moved)] = out.get(tuple(moved), 0.0) + p
+        moved = tuple(relabel(outcome, perm))
+        out[moved] = out.get(moved, 0.0) + p
     return out
 
 
@@ -336,10 +337,7 @@ def suite_anonymity() -> list:
         h1_ok = True
         for aut in auts:
             for x in itertools.product(range(2), repeat=n):
-                moved = [None] * n
-                for v in range(n):
-                    moved[aut[v]] = x[v]
-                at_x, at_moved = proc.evaluate(tuple(x)), proc.evaluate(tuple(moved))
+                at_x, at_moved = proc.evaluate(x), proc.evaluate(tuple(relabel(x, aut)))
                 h1_ok &= (at_x.value == at_moved.value
                           and at_x.cost.qubits_sent == at_moved.cost.qubits_sent)
         checks.append(Check(f"{name}-{n}: unique-one outputs and costs equivariant", h1_ok))
@@ -350,9 +348,9 @@ def suite_anonymity() -> list:
         # ghz communication happens only in the modular-sum subroutine; its
         # message events must map onto each other exactly under every
         # automorphism
-        sub = modular_sum_views(2, 2 * (n - 1))
+        sub = modular_sum_views(2, n)
         ghz_ok = all(
-            verify_anonymity(topo, sub.program, list(x), aut, global_info=n)
+            verify_anonymity(topo, sub.program, list(x), aut)
             for aut in auts
             for x in itertools.product(range(2), repeat=n)
         )
@@ -450,10 +448,10 @@ def suite_oracles() -> list:
                             f"failures {bad[:3]}"))
     for name, n, topo in _catalog_cases(2, 5):
         for k in (2, 3, 5):
-            sub = modular_sum_views(k, 2 * (n - 1))
+            sub = modular_sum_views(k, n)
             bad = []
             for x in itertools.product(range(k), repeat=n):
-                out, _c, _t = run_classical(topo, sub.program, list(x), global_info=n)
+                out, _c, _t = run_classical(topo, sub.program, list(x))
                 if any(o != sum(x) % k for o in out):
                     bad.append(x)
             checks.append(Check(f"{name}-{n}: modular sum (k={k}) matches enumeration",

@@ -86,7 +86,7 @@ def test_domain_errors():
 
 def weight_one_subroutine(n: int) -> ClassicalSubroutine:
     """Exact Hamming-weight-one test from the modular-sum machinery."""
-    base = modular_sum_views(n + 1, 2 * (n - 1))
+    base = modular_sum_views(n + 1, n)
     prog = base.program
     wrapped = PartyProgram(
         rounds=prog.rounds, symbol_dim=prog.symbol_dim,
@@ -131,7 +131,7 @@ def test_exact_amplify_matches_dense_reference(name, n):
         return apply_all_parties(s, "coin", coin_gate)
 
     chi = SubroutineFlag(weight_one_subroutine(n), topo, ("coin",), "good",
-                         trigger=1, fiducial=1, global_info=n)
+                         trigger=1, fiducial=1)
     zero = SubroutineFlag(all_zeros_flooding(n), topo, ("coin",), "zero",
                           trigger=1, fiducial=1)
     reference, a = dense_reference(n)
@@ -163,15 +163,14 @@ def test_exact_amplify_cost_is_twice_each_flag():
 
     chi_sub = weight_one_subroutine(n)
     zero_sub = all_zeros_flooding(n)
-    chi = SubroutineFlag(chi_sub, topo, ("coin",), "good", trigger=1, fiducial=1,
-                         global_info=n)
+    chi = SubroutineFlag(chi_sub, topo, ("coin",), "good", trigger=1, fiducial=1)
     zero = SubroutineFlag(zero_sub, topo, ("coin",), "zero", trigger=1, fiducial=1)
     _, a = dense_reference(n)
     state = prepare(state)
     _state, cost = exact_amplify(state, prepare, chi, zero, a)
 
     from anonqnet.runtime import run_classical
-    _o, chi_cost, _t = run_classical(topo, chi_sub.program, [0] * n, global_info=n)
+    _o, chi_cost, _t = run_classical(topo, chi_sub.program, [0] * n)
     _o, zero_cost, _t = run_classical(topo, zero_sub.program, [0] * n)
     assert cost.qubits_sent == 2 * chi_cost.qubits_sent + 2 * zero_cost.qubits_sent
     assert cost.rounds == 2 * chi_cost.rounds + 2 * zero_cost.rounds
@@ -188,7 +187,7 @@ def test_success_probability_mismatch_detected():
         return apply_all_parties(s, "coin", coin_gate)
 
     chi = SubroutineFlag(weight_one_subroutine(n), topo, ("coin",), "good",
-                         trigger=1, fiducial=1, global_info=n)
+                         trigger=1, fiducial=1)
     zero = SubroutineFlag(all_zeros_flooding(n), topo, ("coin",), "zero",
                           trigger=1, fiducial=1)
     state = prepare(state)

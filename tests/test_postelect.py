@@ -46,6 +46,16 @@ def test_ids_are_a_bijection_everywhere():
             assert tree.ids[leader] == 1
 
 
+@pytest.mark.parametrize("leader", [-1, 3])
+def test_leader_outside_the_parties_is_refused(leader):
+    topo = catalog("path", 3)
+    state = init_state(layout(3, [("q", 2)]), 0)
+    with pytest.raises(ValueError, match=r"leader .* outside 0\.\.2"):
+        spanning_tree(topo, leader)
+    with pytest.raises(ValueError, match=r"leader .* outside 0\.\.2"):
+        gather_scatter_state(topo, leader, state, "q", np.eye(8))
+
+
 @pytest.mark.parametrize("name,n,topo", catalog_cases(2, 6),
                          ids=case_ids(catalog_cases(2, 6)))
 def test_recognized_graph_matches_ground_truth(name, n, topo):

@@ -302,7 +302,7 @@ def local_program(fn, *, rounds=0, size=None):
 
     return ClassicalSubroutine(PartyProgram(
         rounds=rounds, symbol_dim=2,
-        init=lambda x, _deg, _g: x, send=send, recv=lambda x, _inbox, _r: x,
+        init=lambda x, _deg: x, send=send, recv=lambda x, _inbox, _r: x,
         finish=fn, name="local"))
 
 
@@ -429,7 +429,7 @@ def test_coherent_checks_each_new_run_against_the_first():
     assert len(flood.patterns) == 2 and len(set(flood.patterns.values())) == 2
     fresh = all_zeros_flooding(3)
     run_cached(fresh, ring, (1, 1, 1))
-    assert list(fresh.patterns.values()) == [flood.patterns[id(ring), None]]
+    assert list(fresh.patterns.values()) == [flood.patterns[id(ring)]]
 
 
 def test_coherent_rejects_output_outside_register():

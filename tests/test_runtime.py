@@ -15,7 +15,7 @@ from conftest import all_bit_vectors
 def echo_program(rounds=1):
     return PartyProgram(
         rounds=rounds, symbol_dim=2,
-        init=lambda x, deg, g: (x, deg),
+        init=lambda x, deg: (x, deg),
         send=lambda s, r: {p: (s[0],) for p in range(1, s[1] + 1)},
         recv=lambda s, inbox, r: s,
         finish=lambda s: s[0],
@@ -44,7 +44,7 @@ def test_flooding_cost_is_two_m_delta():
 def test_zero_round_program():
     topo = catalog("ring", 4)
     prog = PartyProgram(rounds=0, symbol_dim=2,
-                        init=lambda x, d, g: x,
+                        init=lambda x, d: x,
                         send=lambda s, r: {},
                         recv=lambda s, i, r: s,
                         finish=lambda s: s)
@@ -66,7 +66,7 @@ def test_determinism():
 def test_bad_port_rejected():
     topo = catalog("path", 3)
     prog = PartyProgram(rounds=1, symbol_dim=2,
-                        init=lambda x, d, g: d,
+                        init=lambda x, d: d,
                         send=lambda s, r: {s + 1: (0,)},  # one past the last port
                         recv=lambda s, i, r: s,
                         finish=lambda s: s)
@@ -77,7 +77,7 @@ def test_bad_port_rejected():
 def test_symbol_out_of_alphabet_rejected():
     topo = catalog("complete", 2)
     prog = PartyProgram(rounds=1, symbol_dim=2,
-                        init=lambda x, d, g: x,
+                        init=lambda x, d: x,
                         send=lambda s, r: {1: (7,)},
                         recv=lambda s, i, r: s,
                         finish=lambda s: s)
@@ -87,7 +87,7 @@ def test_symbol_out_of_alphabet_rejected():
 
 def one_message_program(message, symbol_dim=4):
     return PartyProgram(rounds=1, symbol_dim=symbol_dim,
-                        init=lambda x, d, g: x,
+                        init=lambda x, d: x,
                         send=lambda s, r: {1: message},
                         recv=lambda s, inbox, r: inbox[1],
                         finish=lambda s: s)
@@ -134,7 +134,7 @@ def test_anonymity_detects_payload_asymmetry():
     # costs and message pattern are symmetric but the payloads are not
     counter = itertools.count()
     prog = PartyProgram(rounds=1, symbol_dim=4,
-                        init=lambda x, d, g: (next(counter) % 4, d),
+                        init=lambda x, d: (next(counter) % 4, d),
                         send=lambda s, r: {p: (s[0],) for p in range(1, s[1] + 1)},
                         recv=lambda s, i, r: s,
                         finish=lambda s: 0)
@@ -159,7 +159,7 @@ def test_oblivious_patterns(name, n):
     topo = catalog(name, n)
     zeros = all_zeros_flooding(n)
     cons = consistency_from_all_zeros(zeros)
-    sums = modular_sum_views(2, 2 * (n - 1))
+    sums = modular_sum_views(2, n)
     patterns = {
         pattern(run_classical(topo, zeros.program, list(x))[2])
         for x in all_bit_vectors(n)
@@ -171,7 +171,7 @@ def test_oblivious_patterns(name, n):
     }
     assert len(patterns) == 1
     patterns = {
-        pattern(run_classical(topo, sums.program, list(x), global_info=n)[2])
+        pattern(run_classical(topo, sums.program, list(x))[2])
         for x in all_bit_vectors(n)
     }
     assert len(patterns) == 1
@@ -184,12 +184,11 @@ def test_equivariance_all_catalog_graphs():
     for _name, n, topo in catalog_cases(2, 4):
         zeros = all_zeros_flooding(n)
         cons = consistency_from_all_zeros(zeros)
-        sums = modular_sum_views(2, 2 * (n - 1))
+        sums = modular_sum_views(2, n)
         for aut in automorphisms(topo):
             for x in all_bit_vectors(n):
                 assert verify_anonymity(topo, zeros.program, list(x), aut)
-                assert verify_anonymity(topo, sums.program, list(x), aut,
-                                        global_info=n)
+                assert verify_anonymity(topo, sums.program, list(x), aut)
             for rz in itertools.product(((0, 1), (1, 1)), repeat=n):
                 assert verify_anonymity(topo, cons.program, list(rz), aut)
 

@@ -80,23 +80,23 @@ def test_consistency_cost_exactly_doubles_flooding():
 
 
 def test_modular_sum_examples():
-    out, _c, _t = run_classical(catalog("ring", 3), modular_sum_views(3, 4).program,
-                                [1, 2, 0], global_info=3)
+    out, _c, _t = run_classical(catalog("ring", 3), modular_sum_views(3, 3).program,
+                                [1, 2, 0])
     assert out == [0, 0, 0]
-    out, _c, _t = run_classical(catalog("ring", 4), modular_sum_views(2, 6).program,
-                                [1, 1, 0, 0], global_info=4)
+    out, _c, _t = run_classical(catalog("ring", 4), modular_sum_views(2, 4).program,
+                                [1, 1, 0, 0])
     assert out == [0, 0, 0, 0]
-    out, _c, _t = run_classical(catalog("complete", 4), modular_sum_views(5, 6).program,
-                                [4, 4, 4, 4], global_info=4)
+    out, _c, _t = run_classical(catalog("complete", 4), modular_sum_views(5, 4).program,
+                                [4, 4, 4, 4])
     assert out == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
 def test_modular_sum_matches_oracle(k, name, n, topo):
-    sub = modular_sum_views(k, 2 * (n - 1))
+    sub = modular_sum_views(k, n)
     for x in itertools.product(range(k), repeat=n):
-        out, _c, _t = run_classical(topo, sub.program, list(x), global_info=n)
+        out, _c, _t = run_classical(topo, sub.program, list(x))
         assert out == [oracle_modular_sum(x, k)] * n
 
 
@@ -105,8 +105,8 @@ def test_modular_sum_matches_oracle(k, name, n, topo):
 def test_modular_sum_random_graphs(topo, k, data):
     x = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
                            min_size=topo.n, max_size=topo.n))
-    sub = modular_sum_views(k, 2 * (topo.n - 1))
-    out, _c, _t = run_classical(topo, sub.program, x, global_info=topo.n)
+    sub = modular_sum_views(k, topo.n)
+    out, _c, _t = run_classical(topo, sub.program, x)
     assert out == [sum(x) % k] * topo.n
 
 
@@ -118,8 +118,8 @@ def test_random_port_numberings(topo, k, data):
                            min_size=n, max_size=n))
     marks = data.draw(st.lists(st.integers(min_value=0, max_value=1),
                                min_size=n, max_size=n))
-    sums = modular_sum_views(k, 2 * (n - 1))
-    out, _c, _t = run_classical(topo, sums.program, x, global_info=n)
+    sums = modular_sum_views(k, n)
+    out, _c, _t = run_classical(topo, sums.program, x)
     assert out == [oracle_modular_sum(x, k)] * n
     bits = [s % 2 for s in x]
     zeros = all_zeros_flooding(n)
@@ -127,15 +127,20 @@ def test_random_port_numberings(topo, k, data):
     for aut in automorphisms(topo):
         assert verify_anonymity(topo, zeros.program, bits, aut)
         assert verify_anonymity(topo, cons.program, list(zip(bits, marks)), aut)
-        assert verify_anonymity(topo, sums.program, x, aut, global_info=n)
+        assert verify_anonymity(topo, sums.program, x, aut)
 
 
 def test_modular_sum_single_party():
     topo = build_graph(1, [])
-    sub = modular_sum_views(3, 0)
-    out, cost, _t = run_classical(topo, sub.program, [2], global_info=1)
+    sub = modular_sum_views(3, 1)
+    out, cost, _t = run_classical(topo, sub.program, [2])
     assert out == [2]
     assert cost.rounds == 0 and cost.qubits_sent == 0
+
+
+def test_modular_sum_needs_a_party():
+    with pytest.raises(ValueError, match="party count"):
+        modular_sum_views(2, 0)
 
 
 def test_view_depth_zero():
@@ -214,21 +219,13 @@ def test_view_children_of_unequal_depths_raise():
         table.node(0, 2, ((1, leaf), (1, stem)))
 
 
-def test_too_shallow_view_depth_is_refused():
-    # depth 9 < 2(n-1) = 10 miscounts the view classes: for this input the
-    # parties would output 1 or 2 where the sum is 0 mod 3, and nothing raised
-    sub = modular_sum_views(3, 9)
-    with pytest.raises(ValueError, match="below 2"):
-        run_classical(catalog("ring", 6), sub.program, [0, 1, 0, 1, 0, 1], global_info=6)
-
-
 def test_two_threads_share_one_modular_sum():
     topo = catalog("ring", 4)
     inputs = all_bit_vectors(4)
-    serial = [run_cached(modular_sum_views(2, 6), topo, x, global_info=4) for x in inputs]
-    shared = modular_sum_views(2, 6)
+    serial = [run_cached(modular_sum_views(2, 4), topo, x) for x in inputs]
+    shared = modular_sum_views(2, 4)
     for outputs in in_two_threads(
-            lambda: [run_cached(shared, topo, x, global_info=4) for x in inputs]):
+            lambda: [run_cached(shared, topo, x) for x in inputs]):
         assert outputs == serial
 
 
@@ -239,35 +236,35 @@ def _payload_views(events):
 def test_view_tables_are_per_subroutine():
     topo = catalog("ring", 4)
     x = [1, 0, 0, 1]
-    one, two = modular_sum_views(2, 6), modular_sum_views(2, 6)
-    _o, _c, events_one = run_classical(topo, one.program, x, global_info=4)
-    _o, _c, events_two = run_classical(topo, two.program, x, global_info=4)
+    one, two = modular_sum_views(2, 4), modular_sum_views(2, 4)
+    _o, _c, events_one = run_classical(topo, one.program, x)
+    _o, _c, events_two = run_classical(topo, two.program, x)
     views_one, views_two = _payload_views(events_one), _payload_views(events_two)
     assert views_one and views_two
     assert not {id(v) for v in views_one} & {id(v) for v in views_two}
     # a second run of one subroutine reuses its table: equal views are one
     # object, which is what lets verify_anonymity compare payloads
-    _o, _c, events_again = run_classical(topo, one.program, x, global_info=4)
+    _o, _c, events_again = run_classical(topo, one.program, x)
     assert [id(v) for v in _payload_views(events_again)] == [id(v) for v in views_one]
 
 
 def test_view_message_sizes_are_label_independent():
     topo = catalog("star", 4)
-    sub = modular_sum_views(2, 6)
+    sub = modular_sum_views(2, 4)
     sizes = set()
     for x in all_bit_vectors(4):
-        _o, cost, _t = run_classical(topo, sub.program, list(x), global_info=4)
+        _o, cost, _t = run_classical(topo, sub.program, list(x))
         sizes.add(cost.qubits_sent)
     assert len(sizes) == 1
 
 
 def test_class_count_divides_party_count_guard():
     # a graph whose view classes cannot fail the divisibility check still
-    # exercises the code path; craft failure via a wrong global count
+    # exercises the code path; craft failure via a sum built for 3 parties
     topo = catalog("ring", 4)
-    sub = modular_sum_views(2, 6)
+    sub = modular_sum_views(2, 3)
     with pytest.raises(SimulationError):
-        run_classical(topo, sub.program, [1, 0, 0, 0], global_info=3)
+        run_classical(topo, sub.program, [1, 0, 0, 0])
 
 
 def test_run_memo_keys_on_topology_and_program():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from anonqnet.topology import (automorphisms, build_graph, catalog, dump_graph,
-                               is_automorphism, load_graph)
+                               is_automorphism, load_graph, relabel)
 
 from conftest import catalog_cases, connected_graphs, shuffled_ports
 
@@ -101,6 +101,11 @@ def test_automorphism_size_guard():
     assert not is_automorphism(topo, (0, 2, 1, 3))
     with pytest.raises(ValueError):
         automorphisms(catalog("ring", 9))
+
+
+def test_relabel_moves_each_value_to_the_image_party():
+    # party aut[v] receives the value party v held: the ring-3 rotation
+    assert relabel(["a", "b", "c"], (1, 2, 0)) == ["c", "a", "b"]
 
 
 @settings(max_examples=40, deadline=None)

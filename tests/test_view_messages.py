@@ -117,8 +117,8 @@ def check_messages(topo, k, inputs):
     Returns the run's pattern and how many messages went folded.
     """
     n = topo.n
-    _out, _cost, events = run_classical(topo, modular_sum_views(k, 2 * (n - 1)).program,
-                                        list(inputs), global_info=n)
+    _out, _cost, events = run_classical(topo, modular_sum_views(k, n).program,
+                                        list(inputs))
     table, memo = ViewTable(n), {}
     prev = {}
     folded_count = 0
@@ -148,9 +148,9 @@ def test_messages_round_trip_on_catalog_graphs(name, n, topo):
     ((_pattern, folded),) = patterns
     # folding pays from n = 4 on (paths: n = 5), never on three parties
     assert (folded > 0) == (n >= (5 if name == "path" else 4))
-    sub = modular_sum_views(3, 2 * (n - 1))
+    sub = modular_sum_views(3, n)
     for x in label_vectors:
-        run_cached(sub, topo, tuple(x), global_info=n)
+        run_cached(sub, topo, tuple(x))
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,9 +160,9 @@ def test_messages_round_trip_on_random_graphs(topo, data):
     labels = st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)
     one, two = data.draw(labels), data.draw(labels)
     assert check_messages(topo, 3, one) == check_messages(topo, 3, two)
-    sub = modular_sum_views(3, 2 * (n - 1))
-    run_cached(sub, topo, tuple(one), global_info=n)
-    run_cached(sub, topo, tuple(two), global_info=n)
+    sub = modular_sum_views(3, n)
+    run_cached(sub, topo, tuple(one))
+    run_cached(sub, topo, tuple(two))
 
 
 def test_fold_view_lists_each_distinct_node_once():
@@ -191,8 +191,10 @@ def test_fold_view_refuses_a_party_count_too_small():
 
 def test_ghz_metered_qubits():
     # k=2 on rings n=3..6 and on complete-5; the tree metering gave 936,
-    # 5,760, 30,120, 146,592 and 3,494,880
-    got = [ghz_share(catalog("ring", n), 2, all_branches=True).cost.qubits_sent
-           for n in (3, 4, 5, 6)]
-    assert got == [936, 5_184, 19_040, 54_816]
-    assert ghz_share(catalog("complete", 5), 2, all_branches=True).cost.qubits_sent == 53_440
+    # 5,760, 30,120, 146,592 and 3,494,880 qubits.  Symbols take
+    # ceil(log2 max(k, n)) bits: 2 for n = 3, 4 and 3 for n = 5, 6
+    costs = [ghz_share(catalog("ring", n), 2, all_branches=True).cost for n in (3, 4, 5, 6)]
+    assert [c.qubits_sent for c in costs] == [936, 5_184, 19_040, 54_816]
+    assert [c.bits_sent for c in costs] == [1_872, 10_368, 57_120, 164_448]
+    cost = ghz_share(catalog("complete", 5), 2, all_branches=True).cost
+    assert (cost.qubits_sent, cost.bits_sent) == (53_440, 160_320)
