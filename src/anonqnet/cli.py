@@ -53,15 +53,9 @@ def _load_topology(args) -> Topology:
         return load_graph_file(args.graph)
     if args.catalog:
         if args.n is None:
-            raise SystemExit2("--catalog needs --n")
+            raise ValueError("--catalog needs --n")
         return catalog(args.catalog, args.n)
-    raise SystemExit2("supply --graph FILE or --catalog NAME --n N")
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        sys.stderr.write(f"error: {message}\n")
-        super().__init__(2)
+    raise ValueError("supply --graph FILE or --catalog NAME --n N")
 
 
 def _add_graph_args(parser, multi_n: bool = False) -> None:
@@ -120,12 +114,12 @@ def cmd_cost_table(args) -> int:
         graphs = [("file", load_graph_file(args.graph))]
     else:
         if not (args.catalog and sizes):
-            raise SystemExit2("cost-table needs --catalog NAME --n N [N ...] or --graph FILE")
+            raise ValueError("cost-table needs --catalog NAME --n N [N ...] or --graph FILE")
         graphs = [(f"{args.catalog}-{n}", catalog(args.catalog, n)) for n in sizes]
     for label, topo in graphs:
         n = topo.n
         if n < 2:
-            raise SystemExit2(f"cost-table needs at least two parties; {label} has {n}")
+            raise ValueError(f"cost-table needs at least two parties; {label} has {n}")
         costs = cost_breakdown(topo)
         row = {"graph": label, "n": n, "m": topo.m}
         for part, cost in costs.items():
@@ -205,8 +199,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SystemExit2:
-        raise
     except SimulationError as exc:
         # an invariant broke mid-run: report it as JSON, not as a traceback
         _emit({"error": type(exc).__name__, "message": str(exc)}, None)

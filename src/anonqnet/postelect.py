@@ -26,73 +26,53 @@ class SpanningTree:
     parent: tuple          # parent[v]; None at the root
     preorder: tuple        # nodes in visit order
     ids: tuple             # ids[v] in 1..n, leader gets 1
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
-    def depth(self, v: int) -> int:
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def height(self) -> int:
-        return max(self.depth(v) for v in range(self.n))
+    depths: tuple          # depths[v]: tree edges from the root to v
+    height: int            # max(depths)
 
 
 def spanning_tree(topology: Topology, leader: int) -> tuple:
     """Depth-first tree from the leader, children visited in port order.
 
-    The token walks each tree edge twice; on first arrival at a node, one
-    notify/acknowledge exchange with its neighbors tells the walk which ports
-    still lead to unvisited parties.  A second walk hands out identifiers in
+    The token crosses each tree edge twice, 2(n - 1) moves in all; on first
+    arrival at a node, one notify/acknowledge exchange with its neighbors
+    tells the walk which ports still lead to unvisited parties (Awerbuch,
+    Inf. Process. Lett. 20(3), 1985).  A second walk hands out identifiers in
     visit order.  Rounds stay linear in n, traffic linear in m.
     """
     n = topology.n
     if not 0 <= leader < n:
         raise ValueError(f"leader {leader} outside 0..{n - 1}")
     parent = [None] * n
-    order = []
-    visited = [False] * n
-    # iterative DFS, expanding ports in ascending order
-    def visit(v):
-        visited[v] = True
-        order.append(v)
-    visit(leader)
+    depths = [None] * n    # None until the walk first reaches the node
+    depths[leader] = 0
+    order = [leader]
+    # iterative, so that a long path does not reach the recursion limit
     path = [leader]
-    token_moves = 0
     while path:
         v = path[-1]
-        advanced = False
         for port in range(1, topology.degree(v) + 1):
             u, _q = topology.link(v, port)
-            if not visited[u]:
+            if depths[u] is None:
                 parent[u] = v
-                visit(u)
+                depths[u] = depths[v] + 1
+                order.append(u)
                 path.append(u)
-                token_moves += 1
-                advanced = True
                 break
-        if not advanced:
+        else:
             path.pop()
-            if path:
-                token_moves += 1
     ids = [0] * n
     for i, v in enumerate(order, start=1):
         ids[v] = i
-    tree = SpanningTree(root=leader, parent=tuple(parent),
-                        preorder=tuple(order), ids=tuple(ids))
+    tree = SpanningTree(root=leader, parent=tuple(parent), preorder=tuple(order),
+                        ids=tuple(ids), depths=tuple(depths), height=max(depths))
 
     # pass 1: token walk (1 bit per move) plus one notify/ack round pair per
     # node; pass 2: the identifier walk carries a counter up to n
+    moves = 2 * (n - 1)
     notify = 2 * sum(topology.degree(v) for v in range(n))
-    walk_rounds = token_moves
-    pass1 = CostReport(walk_rounds + 2 * n, token_moves + notify,
-                       token_moves + notify, ())
+    pass1 = CostReport(moves + 2 * n, moves + notify, moves + notify, ())
     id_bits = max(1, n.bit_length())
-    pass2 = CostReport(token_moves, token_moves, token_moves * id_bits, ())
+    pass2 = CostReport(moves, moves, moves * id_bits, ())
     return tree, sequential(pass1, pass2)
 
 
@@ -111,10 +91,9 @@ def recognize_graph(topology: Topology, tree: SpanningTree) -> tuple:
         adj[tree.ids[v] - 1, tree.ids[u] - 1] = 1
     id_bits = max(1, n.bit_length())
     id_swap = CostReport(1, 2 * topology.m, 2 * topology.m * id_bits, ())
-    height = tree.height()
     matrix_symbols = (n - 1) * n * n
-    gather = CostReport(height, matrix_symbols, matrix_symbols, ())
-    broadcast = CostReport(height, matrix_symbols, matrix_symbols, ())
+    gather = CostReport(tree.height, matrix_symbols, matrix_symbols, ())
+    broadcast = CostReport(tree.height, matrix_symbols, matrix_symbols, ())
     return adj, sequential(id_swap, gather, broadcast)
 
 
@@ -203,10 +182,9 @@ def compute_function(topology: Topology, inputs: Sequence[int],
     for v in range(n):
         labels[tree.ids[v] - 1] = inputs[v]
     value = fn(adj, labels)
-    height = tree.height()
-    label_symbols = sum(tree.depth(v) for v in range(n))
-    gather = CostReport(height, label_symbols, label_symbols, ())
-    broadcast = CostReport(height, n - 1, n - 1, ())
+    label_symbols = sum(tree.depths)
+    gather = CostReport(tree.height, label_symbols, label_symbols, ())
+    broadcast = CostReport(tree.height, n - 1, n - 1, ())
     cost = sequential(election.cost, tree_cost, rec_cost, gather, broadcast)
     return FunctionRun(values=(value,) * n, leader=leader, tree=tree,
                        adjacency=adj, cost=cost)
@@ -264,7 +242,7 @@ def gather_scatter_state(topology: Topology, leader: int, state: SparseState,
             amps[nk] = amps.get(nk, 0j) + coeff * amp
     final = SparseState(lay, amps)
 
-    hops = sum(tree.depth(v) for v in range(n))
+    hops = sum(tree.depths)
     qudit_bits = max(1, (k - 1).bit_length())
     hop_cost = CostReport(4 * max(n - 1, 0), 2 * hops, 2 * hops * qudit_bits, ())
     return final, sequential(tree_cost, hop_cost)

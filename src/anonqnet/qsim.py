@@ -31,7 +31,6 @@ from .subroutines import ClassicalSubroutine, run_cached
 from .topology import Topology
 
 PRUNE_EPS = 1e-14        # amplitudes below this are floating-point dust
-NORM_DRIFT_EPS = 1e-12   # renormalize when pruning shifted the norm this much
 NORM_EPS = 1e-10         # hard invariant on every produced state
 UNITARY_EPS = 1e-12
 FACTOR_EPS = 1e-9        # residual allowed where dropped registers must factor out
@@ -114,9 +113,6 @@ class SparseState:
             amps = {k: v * scale for k, v in amps.items()}
         elif abs(norm2 - 1.0) > NORM_EPS:
             raise SimulationError(f"state norm drifted to {norm2!r}")
-        elif abs(norm2 - 1.0) > NORM_DRIFT_EPS:
-            scale = 1.0 / math.sqrt(norm2)
-            amps = {k: v * scale for k, v in amps.items()}
         self.layout = layout
         self.amps = amps
 
@@ -516,16 +512,11 @@ def fidelity(state: SparseState, reference: SparseState) -> float:
     if state.layout != reference.layout:
         raise ValueError("layout mismatch")
     overlap = 0j
-    small, big = state.amps, reference.amps
-    if len(big) < len(small):
-        small, big = big, small
-        conj_small = False
-    else:
-        conj_small = True
-    for key, amp in small.items():
-        other = big.get(key)
+    ref = reference.amps
+    for key, amp in state.amps.items():
+        other = ref.get(key)
         if other is not None:
-            overlap += (other.conjugate() * amp) if conj_small else (amp.conjugate() * other)
+            overlap += other.conjugate() * amp
     return abs(overlap) ** 2
 
 

@@ -72,12 +72,6 @@ class Topology:
         except KeyError:
             raise ValueError(f"node {v} has no port {port}") from None
 
-    def diameter(self) -> int:
-        dist = 0
-        for s in range(self.n):
-            dist = max(dist, max(self._bfs(s)))
-        return dist
-
     def _bfs(self, source: int):
         dist = [-1] * self.n
         dist[source] = 0

@@ -56,6 +56,18 @@ def test_ghz_emits_state_and_cost(capsys):
     assert fidelity(state, cat_state(2, 0, 3)) > 1 - 1e-9
 
 
+def test_ghz_sampled_branch(capsys):
+    code, out = run_cli(capsys, "ghz", "--k", "2", "--catalog", "ring",
+                        "--n", "3", "--seed", "1")
+    assert code == 0
+    payload = json.loads(out)
+    index = payload["sampled_index"]
+    assert 0 <= index < len(payload["branches"])
+    state = load_state(payload["branches"][index]["state"])
+    from anonqnet.ghz import cat_state
+    assert fidelity(state, cat_state(2, 0, 3)) > 1 - 1e-9
+
+
 def test_compute_majority(capsys):
     code, out = run_cli(capsys, "compute", "--catalog", "ring", "--n", "5",
                         "--fn", "majority", "--inputs", "1,1,1,0,0", "--seed", "1")
@@ -111,21 +123,34 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_missing_graph_spec_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["elect"])
-    assert err.value.code == 2
+def test_missing_graph_spec_is_usage_error(capsys):
+    code = main(["elect"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: supply --graph FILE or --catalog NAME --n N\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["elect", "--catalog", "ring"], "--catalog needs --n"),
+    (["cost-table"], "cost-table needs --catalog NAME --n N [N ...] or --graph FILE"),
+])
+def test_incomplete_graph_spec_is_usage_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cost_table_on_one_party_graph_is_usage_error(tmp_path, capsys):
     path = tmp_path / "one.txt"
     path.write_text("n 1\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as err:
-        main(["cost-table", "--graph", str(path)])
+    code = main(["cost-table", "--graph", str(path)])
     captured = capsys.readouterr()
-    assert err.value.code == 2
+    assert code == 2
     assert captured.out == ""
-    assert "two parties" in captured.err
+    assert captured.err == "error: cost-table needs at least two parties; file has 1\n"
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -308,6 +308,31 @@ def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
         procedure.evaluate((1, 0, 0))
 
 
+def test_a_bank_that_leaves_its_verdict_open_is_an_error(monkeypatch):
+    # a weight-one input whose banks keep some inconsistent amplitude but are
+    # not purely inconsistent either: the procedure cannot decide
+    run_bank = election.ExactlyOneProcedure._run_bank
+
+    def undecided(self, x, guess):
+        return dataclasses.replace(run_bank(self, x, guess), max_inconsistent_amp=1e-6)
+
+    monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", undecided)
+    with pytest.raises(ExactnessError, match="outcome undetermined .* 1.000e-06"):
+        exactly_one_algorithm(catalog("ring", 3)).evaluate((1, 0, 0))
+
+
+def test_upper_bound_refuses_a_branch_no_guess_verifies(monkeypatch):
+    # the verification rejects every outcome, so no guess supplies a leader
+    evaluate = election.ExactlyOneProcedure.evaluate
+
+    def rejecting(self, x):
+        return dataclasses.replace(evaluate(self, x), value=FALSE)
+
+    monkeypatch.setattr(election.ExactlyOneProcedure, "evaluate", rejecting)
+    with pytest.raises(ExactnessError, match="no guess verified a unique leader"):
+        elect_with_bound(catalog("ring", 3), 3, all_branches=True)
+
+
 def test_upper_bound_equals_exact_when_bound_is_tight_n2():
     topo = catalog("complete", 2)
     bounded = elect_with_bound(topo, 2, all_branches=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from anonqnet.postelect import (BUILTIN_FUNCTIONS, all_equal, compute_function,
                                 gather_scatter_state, labeled_cycle_exists,
@@ -11,7 +12,7 @@ from anonqnet.ghz import cat_state
 from anonqnet.qsim import SparseState, fidelity, init_state, layout
 from anonqnet.topology import catalog
 
-from conftest import all_bit_vectors, catalog_cases, case_ids
+from conftest import all_bit_vectors, catalog_cases, case_ids, shuffled_ports
 
 
 def test_star_tree_from_center():
@@ -44,6 +45,20 @@ def test_ids_are_a_bijection_everywhere():
             tree, _ = spanning_tree(topo, leader)
             assert sorted(tree.ids) == list(range(1, n + 1))
             assert tree.ids[leader] == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_ports(max_n=7))
+def test_random_port_trees_record_depths_and_cost(topo):
+    n, m = topo.n, topo.m
+    for leader in range(n):
+        tree, cost = spanning_tree(topo, leader)
+        assert tree.depths[leader] == 0
+        for v in range(n):
+            if v != leader:
+                assert tree.depths[v] == tree.depths[tree.parent[v]] + 1
+        assert tree.height == max(tree.depths)
+        assert (cost.rounds, cost.qubits_sent) == (6 * n - 4, 4 * (n - 1) + 4 * m)
 
 
 @pytest.mark.parametrize("leader", [-1, 3])
@@ -156,7 +171,7 @@ def test_gather_scatter_identity():
     tree, tree_cost = spanning_tree(topo, 0)
     final, cost = gather_scatter_state(topo, 0, state, "q", np.eye(8))
     assert fidelity(final, state) > 1 - 1e-12
-    hops = sum(tree.depth(v) for v in range(3))
+    hops = sum(tree.depths)
     # the tree walk is metered too: 14 rounds and 16 qubits, then the hops
     assert cost.rounds == tree_cost.rounds + 8
     assert cost.qubits_sent == tree_cost.qubits_sent + 2 * hops

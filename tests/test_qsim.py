@@ -353,6 +353,23 @@ def test_controlled_gate_acts_only_where_marked():
     assert all(abs(out.amps[k] - amp) < 1e-15 for k in out.amps)
 
 
+def test_controlled_gate_on_a_superposed_control_matches_a_dense_reference():
+    # each party's mark is in superposition, so at every party some
+    # components pass through unchanged and others get the gate
+    lay = layout(2, [("mark", 2), ("q", 2)])
+    st = SparseState(lay, {(0, 0, 1, 1): 0.6, (1, 0, 0, 1): 0.48j,
+                           (1, 1, 1, 0): -0.64}, normalize=True)
+    out = apply_all_parties(st, "q", gate(H), control=("mark", 1))
+    controlled_h = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), H]])
+    vec = np.zeros(16, dtype=complex)
+    for (m0, q0, m1, q1), amp in st.amps.items():
+        vec[8 * m0 + 4 * q0 + 2 * m1 + q1] = amp
+    reference = np.kron(controlled_h, controlled_h) @ vec
+    for index in range(16):
+        key = tuple(int(b) for b in format(index, "04b"))
+        assert abs(out.amplitude(key) - reference[index]) < 1e-12
+
+
 def test_phase_kick_two_conditions_matches_brute_force_count():
     lay = layout(3, [("m", 2), ("f", 3)])
     st = SparseState(lay, {key: 1.0 for key in np.ndindex(*(2, 3) * 3)}, normalize=True)

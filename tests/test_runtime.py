@@ -141,6 +141,17 @@ def test_anonymity_detects_payload_asymmetry():
     assert not verify_anonymity(catalog("ring", 4), prog, [0, 0, 0, 0], (1, 2, 3, 0))
 
 
+def test_anonymity_detects_output_asymmetry():
+    # no messages at all, but every party outputs the index a shared counter
+    # hands it, so the second run's outputs differ from the first's
+    counter = itertools.count()
+    prog = PartyProgram(rounds=0, symbol_dim=2,
+                        init=lambda x, d: next(counter),
+                        send=lambda s, r: {}, recv=lambda s, i, r: s,
+                        finish=lambda s: s)
+    assert not verify_anonymity(catalog("ring", 4), prog, [0, 0, 0, 0], (1, 2, 3, 0))
+
+
 def test_anonymity_rejects_non_automorphism():
     topo = catalog("ring", 4)
     sub = all_zeros_flooding(4)
