@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import SimulationError
 from .topology import Topology, is_automorphism, relabel
@@ -31,6 +31,9 @@ class PartyProgram:
     :class:`SizedMessage` values carrying an explicit symbol count.  For the
     program to be usable coherently its (port, size) pattern per round must
     not depend on the inputs; the quantum layer enforces this.
+
+    ``parties``, when set, is the party count the program was built for; the
+    engine refuses to run it on a network of another size.
     """
 
     rounds: int
@@ -40,6 +43,7 @@ class PartyProgram:
     recv: Callable[[Any, dict, int], Any]
     finish: Callable[[Any], Any]
     name: str = "program"
+    parties: Optional[int] = None
 
     @property
     def bits_per_symbol(self) -> int:
@@ -142,6 +146,8 @@ def run_classical(
     round, so information travels one hop per round.
     """
     n = topology.n
+    if program.parties is not None and program.parties != n:
+        raise ValueError(f"{program.name} was built for {program.parties} parties, not {n}")
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs, got {len(inputs)}")
     states = [program.init(inputs[v], topology.degree(v)) for v in range(n)]

@@ -9,7 +9,8 @@ Output encoding is integer symbols: predicates return 1 for "yes"
 
 Each subroutine instance memoizes its own runs per topology object and
 input vector (:func:`run_cached`); the memo lives as long as the instance
-and is never shared with another.
+and is never shared with another.  A consistency test is answered from the
+runs of its all-zeros flood, through the flood's own memo.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import SimulationError
-from .runtime import PartyProgram, SizedMessage, run_classical
+from .runtime import PartyProgram, SizedMessage, parallel, run_classical
 from .topology import Topology
 
 TRUE, FALSE = 1, 0
@@ -28,12 +29,14 @@ class ClassicalSubroutine:
     """A party program plus the memo of its runs.
 
     ``runs`` and ``patterns`` belong to this instance and live as long as it
-    does; see :func:`run_cached`.
+    does; see :func:`run_cached`.  ``zeros`` is set on a consistency test
+    only: the all-zeros flood whose cached runs answer it.
     """
 
     program: PartyProgram
     runs: dict = field(default_factory=dict, compare=False, repr=False)
     patterns: dict = field(default_factory=dict, compare=False, repr=False)
+    zeros: Optional["ClassicalSubroutine"] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -50,17 +53,30 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple):
     equal patterns give equal costs.  Results depend on the port numbering,
     so the keys hold the topology's identity; each ``runs`` entry keeps the
     topology alive, so its id is not reused.
+
+    A consistency test (``sub.zeros`` set) is answered from its two flood
+    runs, each cached and pattern-checked by the flood itself: a party
+    reports consistent where either flood reports all-zeros, at the cost of
+    both floods in parallel, which is what its own program computes and
+    meters.
     """
     key = (id(topology), inputs)
     entry = sub.runs.get(key)
     if entry is None:
-        outputs, cost, events = run_classical(topology, sub.program, inputs)
-        pattern = tuple(ev[:4] for ev in events)
-        # setdefault keeps one entry per key if two threads miss together
-        if sub.patterns.setdefault(id(topology), pattern) != pattern:
-            raise SimulationError(
-                f"subroutine {sub.name} has an input-dependent communication pattern"
-            )
+        if sub.zeros is not None:
+            a, b = zip(*map(_flood_inputs, inputs))
+            out_a, cost_a = run_cached(sub.zeros, topology, a)
+            out_b, cost_b = run_cached(sub.zeros, topology, b)
+            outputs = [TRUE if TRUE in pair else FALSE for pair in zip(out_a, out_b)]
+            cost = parallel(cost_a, cost_b)
+        else:
+            outputs, cost, events = run_classical(topology, sub.program, inputs)
+            pattern = tuple(ev[:4] for ev in events)
+            # setdefault keeps one entry per key if two threads miss together
+            if sub.patterns.setdefault(id(topology), pattern) != pattern:
+                raise SimulationError(
+                    f"subroutine {sub.name} has an input-dependent communication pattern"
+                )
         entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost)))
     return entry[1]
 
@@ -108,6 +124,16 @@ def all_zeros_flooding(delta: int) -> ClassicalSubroutine:
 # consistency of the marked parties, from two parallel all-zeros runs
 
 
+def _flood_inputs(rz) -> tuple:
+    """One party's bits for the two floods of a consistency test.
+
+    ``(r, marked)`` becomes ``(r, 1 - r)`` on a marked party and ``(0, 0)``
+    elsewhere.
+    """
+    r, marked = rz
+    return (r, 1 - r) if marked else (0, 0)
+
+
 def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutine:
     """All marked parties hold the same bit?  Two all-zeros floods in parallel.
 
@@ -116,13 +142,14 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
     and decides "no marked party holds 0".  The input is consistent over the
     marked set iff A or B holds; an empty marked set is vacuously consistent.
     Cost is exactly twice the flooding cost in the same number of rounds.
+
+    The returned subroutine keeps ``zeros``, so :func:`run_cached` answers it
+    from the flood's runs; its pair-message program serves direct runs.
     """
     delta = zeros.program.rounds
 
     def init(rz, deg):
-        r, marked = rz
-        a = r if marked else 0
-        b = (1 - r) if marked else 0
+        a, b = _flood_inputs(rz)
         return [a, b, deg]
 
     def send(state, _r):
@@ -145,7 +172,7 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
         init=init, send=send, recv=recv, finish=finish,
         name=f"consistency[{delta}]",
     )
-    return ClassicalSubroutine(program)
+    return ClassicalSubroutine(program, zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +429,6 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
     program = PartyProgram(
         rounds=2 * (n - 1), symbol_dim=max(k, n),
         init=init, send=send, recv=recv, finish=finish,
-        name=f"modular_sum[{k},{n}]",
+        name=f"modular_sum[{k},{n}]", parties=n,
     )
     return ClassicalSubroutine(program)

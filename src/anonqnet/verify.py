@@ -25,7 +25,7 @@ from .postelect import (BUILTIN_FUNCTIONS, compute_function,
                         unitary_from_first_column)
 from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
                    layout)
-from .runtime import run_classical, verify_anonymity
+from .runtime import parallel, run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                           modular_sum_views)
 from .topology import automorphisms, catalog, relabel
@@ -165,7 +165,8 @@ def suite_costs() -> list:
         costs = cost_breakdown(topo)
         h0, cs, h1, qle = costs["h0"], costs["cs"], costs["h1"], costs["qle"]
         flood_ok = (h0.qubits_sent == 2 * topo.m * n and h0.rounds == n)
-        cs_ok = (cs.qubits_sent == 2 * h0.qubits_sent and cs.rounds == h0.rounds)
+        # rounds, qubits, bits and per-round detail: two floods side by side
+        cs_ok = cs == parallel(h0, h0)
         qle_ok = (qle.qubits_sent == 2 * h0.qubits_sent + 2 * h1.qubits_sent
                   and qle.rounds == 2 * h0.rounds + 2 * h1.rounds)
         checks.append(Check(f"{name}-{n}: flooding sends exactly 2mn", flood_ok,

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from anonqnet import election, qsim
+from anonqnet import election, qsim, subroutines
 from anonqnet.election import (elect, elect_with_bound,
                                exactly_one_algorithm, guess_success_probability,
                                rotation_matrix, success_probability,
@@ -408,3 +408,19 @@ def test_two_threads_share_one_topology():
     for result in in_two_threads(lambda: elect(shared, all_branches=True)):
         assert result.branches == serial.branches
         assert result.cost == serial.cost
+
+
+def test_an_election_runs_the_engine_only_for_floods(monkeypatch):
+    # consistency runs are answered from the flood's cached runs, so ring-5
+    # makes one engine run per bit vector: 32, where running the consistency
+    # program for each distinct (coin, mark) vector would add 3^5 more
+    programs = []
+    real = subroutines.run_classical
+
+    def counting(topology, program, inputs):
+        programs.append(program.name)
+        return real(topology, program, inputs)
+
+    monkeypatch.setattr(subroutines, "run_classical", counting)
+    elect(catalog("ring", 5), all_branches=True)
+    assert programs == ["all_zeros_flooding[5]"] * 32
