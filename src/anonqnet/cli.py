@@ -48,7 +48,13 @@ def _emit(payload, path) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_conflicting_graph_args(args) -> None:
+    if args.graph and (args.catalog or args.n is not None):
+        raise ValueError("--graph cannot be combined with --catalog or --n")
+
+
 def _load_topology(args) -> Topology:
+    _refuse_conflicting_graph_args(args)
     if args.graph:
         return load_graph_file(args.graph)
     if args.catalog:
@@ -108,6 +114,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_cost_table(args) -> int:
+    _refuse_conflicting_graph_args(args)
     rows = []
     sizes = args.n or []
     if args.graph:

@@ -29,7 +29,7 @@ from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
 from .errors import ExactnessError, SimulationError
 from .qsim import (SparseState, agreed, apply_all_parties, branches, gate,
                    init_state, joint_branches, layout, sample_index)
-from .runtime import CostReport, parallel, run_classical, sequential
+from .runtime import CostReport, parallel, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
                           consistency_from_all_zeros, run_cached)
 from .topology import Topology
@@ -478,8 +478,7 @@ def cost_breakdown(topology: Topology) -> dict:
     """
     n = topology.n
     zeros = all_zeros_flooding(n)
-    _out, h0, _events = run_classical(topology, zeros.program, [0] * n)
-    _out, cs, _events = run_classical(topology, consistency_from_all_zeros(zeros).program,
-                                      [(0, 1)] * n)
+    _out, h0 = run_cached(zeros, topology, (0,) * n)
+    _out, cs = run_cached(consistency_from_all_zeros(zeros), topology, ((0, 1),) * n)
     h1 = exactly_one_algorithm(topology).evaluate((0,) * n).cost
     return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

@@ -29,17 +29,19 @@ class ClassicalSubroutine:
     """A party program plus the memo of its runs.
 
     ``runs`` and ``patterns`` belong to this instance and live as long as it
-    does; see :func:`run_cached`.  ``zeros`` is set on a consistency test
-    only: the all-zeros flood whose cached runs answer it.
+    does; see :func:`run_cached`.  A consistency test has no program of its
+    own: ``zeros`` is the all-zeros flood whose cached runs answer it.
     """
 
-    program: PartyProgram
+    program: Optional[PartyProgram] = None
     runs: dict = field(default_factory=dict, compare=False, repr=False)
     patterns: dict = field(default_factory=dict, compare=False, repr=False)
     zeros: Optional["ClassicalSubroutine"] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
+        if self.zeros is not None:
+            return f"consistency[{self.zeros.program.rounds}]"
         return self.program.name
 
 
@@ -57,8 +59,7 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple):
     A consistency test (``sub.zeros`` set) is answered from its two flood
     runs, each cached and pattern-checked by the flood itself: a party
     reports consistent where either flood reports all-zeros, at the cost of
-    both floods in parallel, which is what its own program computes and
-    meters.
+    both floods in parallel.  This is the only way a consistency test runs.
     """
     key = (id(topology), inputs)
     entry = sub.runs.get(key)
@@ -143,36 +144,10 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
     marked set iff A or B holds; an empty marked set is vacuously consistent.
     Cost is exactly twice the flooding cost in the same number of rounds.
 
-    The returned subroutine keeps ``zeros``, so :func:`run_cached` answers it
-    from the flood's runs; its pair-message program serves direct runs.
+    The returned subroutine has no program of its own: :func:`run_cached`
+    answers it from the runs of ``zeros``.
     """
-    delta = zeros.program.rounds
-
-    def init(rz, deg):
-        a, b = _flood_inputs(rz)
-        return [a, b, deg]
-
-    def send(state, _r):
-        a, b, deg = state
-        return {p: (a, b) for p in range(1, deg + 1)}
-
-    def recv(state, inbox, _r):
-        a, b, deg = state
-        for msg in inbox.values():
-            a |= msg[0]
-            b |= msg[1]
-        return [a, b, deg]
-
-    def finish(state):
-        a, b, _deg = state
-        return TRUE if (a == 0 or b == 0) else FALSE
-
-    program = PartyProgram(
-        rounds=delta, symbol_dim=2,
-        init=init, send=send, recv=recv, finish=finish,
-        name=f"consistency[{delta}]",
-    )
-    return ClassicalSubroutine(program, zeros=zeros)
+    return ClassicalSubroutine(zeros=zeros)
 
 
 # ---------------------------------------------------------------------------

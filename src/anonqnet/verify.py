@@ -27,7 +27,7 @@ from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
                    layout)
 from .runtime import parallel, run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                          modular_sum_views)
+                          modular_sum_views, run_cached)
 from .topology import automorphisms, catalog, relabel
 
 
@@ -330,8 +330,12 @@ def suite_anonymity() -> list:
         for aut in auts:
             for x in itertools.product(range(2), repeat=n):
                 flood_ok &= verify_anonymity(topo, zeros.program, list(x), aut)
+            # a consistency run's messages are two flood runs, checked above;
+            # its outputs and cost must move along with its inputs
             for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-                flood_ok &= verify_anonymity(topo, cons.program, list(rz), aut)
+                out, cost = run_cached(cons, topo, rz)
+                flood_ok &= (run_cached(cons, topo, tuple(relabel(rz, aut)))
+                             == (tuple(relabel(out, aut)), cost))
         checks.append(Check(f"{name}-{n}: flooding and consistency traces equivariant",
                             flood_ok))
         proc = exactly_one_algorithm(topo)
@@ -440,7 +444,7 @@ def suite_oracles() -> list:
         cons = consistency_from_all_zeros(zeros)
         bad = []
         for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-            out, _c, _t = run_classical(topo, cons.program, list(rz))
+            out, _c = run_cached(cons, topo, rz)
             marked = [r for r, z in rz if z == 1]
             expect = 1 if (not marked or len(set(marked)) == 1) else 0
             if any(o != expect for o in out):

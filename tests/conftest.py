@@ -8,7 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from anonqnet import election
-from anonqnet.topology import build_graph, catalog
+from anonqnet.subroutines import run_cached
+from anonqnet.topology import build_graph, catalog, relabel
 
 
 def catalog_cases(n_min, n_max, names=("ring", "path", "complete", "star")):
@@ -58,6 +59,12 @@ def in_two_threads(fn):
             return [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+
+
+def cached_run_equivariant(sub, topo, inputs, aut):
+    """``run_cached`` outputs move along ``aut`` with the inputs; costs stay."""
+    out, cost = run_cached(sub, topo, tuple(inputs))
+    return run_cached(sub, topo, tuple(relabel(inputs, aut))) == (tuple(relabel(out, aut)), cost)
 
 
 # brute-force oracles: these never touch the simulator

@@ -131,12 +131,23 @@ def test_missing_graph_spec_is_usage_error(capsys):
     assert captured.err == "error: supply --graph FILE or --catalog NAME --n N\n"
 
 
+CONFLICT = "--graph cannot be combined with --catalog or --n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["elect", "--catalog", "ring"], "--catalog needs --n"),
     (["cost-table"], "cost-table needs --catalog NAME --n N [N ...] or --graph FILE"),
+    (["elect", "--graph", "GRAPH", "--catalog", "ring", "--n", "5"], CONFLICT),
+    (["elect", "--graph", "GRAPH", "--n", "7"], CONFLICT),
+    (["ghz", "--graph", "GRAPH", "--catalog", "ring", "--k", "2"], CONFLICT),
+    (["cost-table", "--graph", "GRAPH", "--catalog", "ring", "--n", "4", "5"], CONFLICT),
+    (["cost-table", "--graph", "GRAPH", "--n", "4"], CONFLICT),
 ])
-def test_incomplete_graph_spec_is_usage_error(capsys, argv, message):
-    code = main(argv)
+def test_incomplete_graph_spec_is_usage_error(tmp_path, capsys, argv, message):
+    # GRAPH stands for a valid file: the 3-party path
+    graph = tmp_path / "p3.txt"
+    graph.write_text(dump_graph(catalog("path", 3)), encoding="utf-8")
+    code = main([str(graph) if arg == "GRAPH" else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

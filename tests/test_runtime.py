@@ -6,7 +6,7 @@ from anonqnet.errors import SimulationError
 from anonqnet.runtime import (CostReport, PartyProgram, SizedMessage, parallel,
                               run_classical, sequential, verify_anonymity)
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                                  modular_sum_views)
+                                  modular_sum_views, run_cached)
 from anonqnet.topology import catalog
 
 from conftest import all_bit_vectors
@@ -176,11 +176,14 @@ def test_oblivious_patterns(name, n):
         for x in all_bit_vectors(n)
     }
     assert len(patterns) == 1
-    patterns = {
-        pattern(run_classical(topo, cons.program, list(rz))[2])
+    # a consistency run is two flood runs, each checked against the flood's
+    # one pattern; it records no pattern of its own
+    costs = {
+        run_cached(cons, topo, rz)[1]
         for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n)
     }
-    assert len(patterns) == 1
+    assert len(costs) == 1
+    assert set(zeros.patterns.values()) == patterns and not cons.patterns
     patterns = {
         pattern(run_classical(topo, sums.program, list(x))[2])
         for x in all_bit_vectors(n)
@@ -190,7 +193,7 @@ def test_oblivious_patterns(name, n):
 
 def test_equivariance_all_catalog_graphs():
     """Every automorphism of every catalog graph fixes every subroutine run."""
-    from conftest import catalog_cases
+    from conftest import cached_run_equivariant, catalog_cases
     from anonqnet.topology import automorphisms
     for _name, n, topo in catalog_cases(2, 4):
         zeros = all_zeros_flooding(n)
@@ -201,7 +204,7 @@ def test_equivariance_all_catalog_graphs():
                 assert verify_anonymity(topo, zeros.program, list(x), aut)
                 assert verify_anonymity(topo, sums.program, list(x), aut)
             for rz in itertools.product(((0, 1), (1, 1)), repeat=n):
-                assert verify_anonymity(topo, cons.program, list(rz), aut)
+                assert cached_run_equivariant(cons, topo, rz, aut)
 
 
 def test_cost_composition():

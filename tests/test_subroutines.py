@@ -5,16 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonqnet.errors import SimulationError
-from anonqnet.runtime import PartyProgram, run_classical, verify_anonymity
+from anonqnet.runtime import PartyProgram, parallel, run_classical, verify_anonymity
 from anonqnet.subroutines import (ClassicalSubroutine, ViewTable,
                                   all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
                                   run_cached, serialize_view, view)
 from anonqnet.topology import automorphisms, build_graph, catalog
 
-from conftest import (all_bit_vectors, catalog_cases, case_ids,
-                      connected_graphs, in_two_threads, oracle_all_zeros,
-                      oracle_consistency, oracle_modular_sum, shuffled_ports)
+from conftest import (all_bit_vectors, cached_run_equivariant, catalog_cases,
+                      case_ids, connected_graphs, in_two_threads,
+                      oracle_all_zeros, oracle_consistency, oracle_modular_sum,
+                      shuffled_ports)
 
 CASES_4 = catalog_cases(2, 4)
 CASES_5 = catalog_cases(2, 5)
@@ -52,21 +53,22 @@ def test_flooding_matches_oracle(name, n, topo):
 def test_consistency_examples():
     topo = catalog("ring", 3)
     sub = consistency_from_all_zeros(all_zeros_flooding(3))
-    out, _c, _t = run_classical(topo, sub.program, [(1, 1), (1, 1), (1, 1)])
-    assert out == [1, 1, 1]
-    out, _c, _t = run_classical(topo, sub.program, [(1, 1), (0, 1), (1, 1)])
-    assert out == [0, 0, 0]
+    out, _c = run_cached(sub, topo, ((1, 1), (1, 1), (1, 1)))
+    assert out == (1, 1, 1)
+    out, _c = run_cached(sub, topo, ((1, 1), (0, 1), (1, 1)))
+    assert out == (0, 0, 0)
     # nobody marked: vacuously consistent whatever the bits
-    out, _c, _t = run_classical(topo, sub.program, [(1, 0), (0, 0), (1, 0)])
-    assert out == [1, 1, 1]
+    out, _c = run_cached(sub, topo, ((1, 0), (0, 0), (1, 0)))
+    assert out == (1, 1, 1)
+    assert sub.name == "consistency[3]" and sub.program is None
 
 
 @pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
 def test_consistency_matches_oracle(name, n, topo):
     sub = consistency_from_all_zeros(all_zeros_flooding(n))
     for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-        out, _c, _t = run_classical(topo, sub.program, list(rz))
-        assert out == [oracle_consistency(rz)] * n
+        out, _c = run_cached(sub, topo, rz)
+        assert out == (oracle_consistency(rz),) * n
 
 
 def test_consistency_cost_exactly_doubles_flooding():
@@ -74,26 +76,30 @@ def test_consistency_cost_exactly_doubles_flooding():
         zeros = all_zeros_flooding(n)
         cons = consistency_from_all_zeros(zeros)
         _o, zc, _t = run_classical(topo, zeros.program, [0] * n)
-        _o, cc, _t = run_classical(topo, cons.program, [(0, 1)] * n)
+        _o, cc = run_cached(cons, topo, ((0, 1),) * n)
         assert cc.rounds == zc.rounds
         assert cc.qubits_sent == 2 * zc.qubits_sent
+        assert cc.bits_sent == 2 * zc.bits_sent
+        assert cc.per_round == tuple(2 * q for q in zc.per_round)
 
 
 MARKED_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def assert_derived_consistency_matches_program(cons, topo, rz):
-    out, cost, _events = run_classical(topo, cons.program, list(rz))
+def assert_answered_by_flood_runs(cons, topo, rz):
+    n = topo.n
+    _o, h0, _events = run_classical(topo, cons.zeros.program, [0] * n)
     # equal CostReports carry equal rounds, qubits, bits and per_round
-    assert run_cached(cons, topo, rz) == (tuple(out), cost)
+    assert run_cached(cons, topo, rz) == ((oracle_consistency(rz),) * n, parallel(h0, h0))
 
 
 @pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
 def test_derived_consistency_matches_its_program(name, n, topo):
+    """The consistency test's program is two floods run side by side."""
     cons = consistency_from_all_zeros(all_zeros_flooding(n))
     for rz in itertools.product(MARKED_PAIRS, repeat=n):
-        assert_derived_consistency_matches_program(cons, topo, rz)
-    # each half is a flood run: 2^n of them, and no run of the pair program
+        assert_answered_by_flood_runs(cons, topo, rz)
+    # each half is a flood run: 2^n of them, and no engine run of its own
     assert len(cons.zeros.runs) == 2 ** n
     assert not cons.patterns
 
@@ -104,7 +110,7 @@ def test_derived_consistency_matches_its_program_on_random_ports(topo, data):
     cons = consistency_from_all_zeros(all_zeros_flooding(topo.n))
     inputs = st.tuples(*[st.sampled_from(MARKED_PAIRS)] * topo.n)
     for _ in range(6):
-        assert_derived_consistency_matches_program(cons, topo, data.draw(inputs))
+        assert_answered_by_flood_runs(cons, topo, data.draw(inputs))
 
 
 def test_derived_consistency_keeps_the_flood_pattern_check():
@@ -169,9 +175,11 @@ def test_random_port_numberings(topo, k, data):
     bits = [s % 2 for s in x]
     zeros = all_zeros_flooding(n)
     cons = consistency_from_all_zeros(zeros)
+    rz = tuple(zip(bits, marks))
+    assert run_cached(cons, topo, rz)[0] == (oracle_consistency(rz),) * n
     for aut in automorphisms(topo):
         assert verify_anonymity(topo, zeros.program, bits, aut)
-        assert verify_anonymity(topo, cons.program, list(zip(bits, marks)), aut)
+        assert cached_run_equivariant(cons, topo, rz, aut)
         assert verify_anonymity(topo, sums.program, x, aut)
 
 
