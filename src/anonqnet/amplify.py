@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import ExactnessError
-from .qsim import (SparseState, agreed, apply_coherent_subroutine,
+from .qsim import (Lanes, SparseState, agreed, apply_coherent_subroutine,
                    phase_kick_where, scale, uncompute_subroutine)
 from .runtime import CostReport, sequential
 from .subroutines import ClassicalSubroutine
@@ -64,23 +64,27 @@ class Flag:
     ``conditions`` contributes ``1/divisor`` of the angle.  With no extra
     conditions and ``divisor`` the party count the register must agree across
     parties, which it does for the global predicates used here.
+
+    For states of ``qsim.Lanes`` amplitudes, ``divisor`` and the kicked angle
+    may be ``Lanes`` too; ``kick`` then divides lane by lane.
     """
 
     apply: Callable[[SparseState], tuple]
     invert: Callable[[SparseState], tuple]
     register: str
     trigger: int
-    divisor: int
+    divisor: Union[int, Lanes]
     conditions: tuple = ()
 
-    def kick(self, state: SparseState, total_angle: float) -> SparseState:
+    def kick(self, state: SparseState, total_angle) -> SparseState:
         return phase_kick_where(state, self.conditions + ((self.register, self.trigger),),
                                 total_angle / self.divisor)
 
 
 def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
                    in_regs: Sequence[str], out_reg: str, trigger: int,
-                   fiducial: int, *, divisor: Optional[int] = None, conditions=()) -> Flag:
+                   fiducial: int, *, divisor: Optional[Union[int, Lanes]] = None,
+                   conditions=()) -> Flag:
     """The flag a classical subroutine computes when run coherently.
 
     ``divisor`` defaults to the party count, so every party contributes an
@@ -121,6 +125,7 @@ def amplification_steps(
     """The iterate as a reversible step list (applied left to right).
 
     ``prepare`` must be its own inverse: the "unprepare" step applies it too.
+    ``angles`` may hold a ``Lanes`` of angles, one per lane of the state.
     """
     flip = local_step(prepare)
     return [

@@ -11,9 +11,11 @@ handles weight 0, and for every guess t of the weight a bank of registers
 runs one amplification that, precisely when t matches the true weight (and
 the weight is at least 2), leaves only inconsistent coin strings, which a
 consistency check then reports.  Banks touch disjoint registers and stay
-unentangled for a basis input, so the engine evolves each bank as its own
-small sparse state; exactness is asserted numerically per bank and any
-residue raises instead of being rounded away.
+unentangled for a basis input, and every bank runs the same steps on the same
+basis keys; only its kick angle and divisor depend on its guess.  So the
+engine evolves the banks of one input as lanes of one small sparse state,
+each lane its own normalized bank state; exactness is asserted numerically
+per bank and any residue raises instead of being rounded away.
 """
 from __future__ import annotations
 
@@ -24,10 +26,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .amplify import (Flag, Step, SubroutineFlag, amplification_steps,
+from .amplify import (Flag, PhasePair, Step, SubroutineFlag, amplification_steps,
                       exact_amplify, local_step, phase_angles, run_steps)
 from .errors import ExactnessError, SimulationError
-from .qsim import (SparseState, agreed, apply_all_parties, branches, gate,
+from .qsim import (Lanes, SparseState, agreed, apply_all_parties, branches, gate,
                    init_state, joint_branches, layout, sample_index)
 from .runtime import CostReport, parallel, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
@@ -125,14 +127,15 @@ class ExactlyOneProcedure:
         self.guesses = tuple(range(2, self.n_known + 1))
         self.zeros = all_zeros_flooding(self.n_known)
         self.cons = consistency_from_all_zeros(self.zeros)
-        self._tapes = {t: self._bank_tape(t) for t in self.guesses}
+        self._tape = self._bank_tape()
         self._bank_layout = layout(topology.n, [("mark", 2), ("coin", 2), ("flag", 2)])
         self._memo: dict = {}
         self._cost: Optional[CostReport] = None   # the first report's
 
-    # -- per-guess bank ----------------------------------------------------
+    # -- the guess banks -----------------------------------------------------
 
-    def _bank_tape(self, guess: int) -> list:
+    def _bank_tape(self) -> list:
+        """One tape for every guess bank, each guess a lane of the state."""
         topo = self.topology
 
         def spread(s):
@@ -141,12 +144,14 @@ class ExactlyOneProcedure:
         # only marked parties kick, 1/guess each: when the guess equals the
         # number of marked parties the collected phase is exact, which keeps
         # the procedure exact when the parties know only a bound on n
-        marked = dict(divisor=guess, conditions=(("mark", MARKED),))
+        marked = dict(divisor=Lanes(self.guesses), conditions=(("mark", MARKED),))
         chi = SubroutineFlag(self.cons, topo, ("coin", "mark"), "flag",
                              trigger=INCONSISTENT, fiducial=CONSISTENT, **marked)
         zero = SubroutineFlag(self.zeros, topo, ("coin",), "flag",
                               trigger=TRUE, fiducial=TRUE, **marked)
-        angles = phase_angles(guess_success_probability(guess))
+        pairs = [phase_angles(guess_success_probability(t)) for t in self.guesses]
+        angles = PhasePair(theta=Lanes(p.theta for p in pairs),
+                           phi=Lanes(p.phi for p in pairs), a=Lanes(p.a for p in pairs))
 
         # chi, zero and the final verdict (chi once more, on the amplified
         # coins) share the bank's one flag register; this is exact because the
@@ -157,41 +162,48 @@ class ExactlyOneProcedure:
         tape.append(Step("final_flag", chi.apply, chi.invert))
         return tape
 
-    def _run_bank(self, x: tuple, guess: int) -> BankReport:
+    def _run_bank(self, x: tuple) -> tuple:
+        """One ``BankReport`` per guess, every guess run as a lane of one state."""
         lay = self._bank_layout
         key = []
         for bit in x:
             key.extend((MARKED if bit else UNMARKED, 0, CONSISTENT))
         start = tuple(key)
-        bank = SparseState(lay, {start: 1.0 + 0j})
-        tape = self._tapes[guess]
-        bank, fwd_cost = run_steps(bank, tape)
+        width = len(self.guesses)
+        bank = SparseState(lay, {start: Lanes((1.0 + 0j,) * width)})
+        bank, fwd_cost = run_steps(bank, self._tape)
 
         verdicts = lay.reader("flag")
-        peak = {CONSISTENT: 0.0, INCONSISTENT: 0.0}
-        for comp, amp in bank.amps.items():
+        peaks = {CONSISTENT: [0.0] * width, INCONSISTENT: [0.0] * width}
+        for comp, amps in bank.amps.items():
             verdict = agreed(verdicts(comp), "consistency verdict")
-            peak[verdict] = max(peak[verdict], abs(amp))
+            peaks[verdict] = list(map(max, peaks[verdict], map(abs, amps)))
 
-        bank, bwd_cost = run_steps(bank, tape, backward=True)
-        fid_amp = bank.amplitude(start)
-        residual = bank.norm_squared() - abs(fid_amp) ** 2
-        phase_err = abs(fid_amp - 1.0)
-        # written so that a NaN fails too
-        if not (residual <= RESIDUE_TOL and phase_err <= RESIDUE_TOL):
-            raise ExactnessError(
-                f"guess bank t={guess} failed to disentangle "
-                f"(residual {residual:.3e}, phase error {phase_err:.3e})"
-            )
-        return BankReport(
-            guess=guess,
-            max_consistent_amp=peak[CONSISTENT],
-            max_inconsistent_amp=peak[INCONSISTENT],
-            inversion_residual=residual,
-            inversion_phase_error=phase_err,
-            restored_amp=fid_amp,
-            cost=sequential(fwd_cost, bwd_cost),
-        )
+        bank, bwd_cost = run_steps(bank, self._tape, backward=True)
+        cost = sequential(fwd_cost, bwd_cost)
+        restored = bank.amps.get(start, (0j,) * width)
+        reports = []
+        lanes = zip(self.guesses, peaks[CONSISTENT], peaks[INCONSISTENT],
+                    bank.norm_squared(), restored)
+        for guess, max_consistent, max_inconsistent, norm2, fid_amp in lanes:
+            residual = norm2 - abs(fid_amp) ** 2
+            phase_err = abs(fid_amp - 1.0)
+            # written so that a NaN fails too
+            if not (residual <= RESIDUE_TOL and phase_err <= RESIDUE_TOL):
+                raise ExactnessError(
+                    f"guess bank t={guess} failed to disentangle "
+                    f"(residual {residual:.3e}, phase error {phase_err:.3e})"
+                )
+            reports.append(BankReport(
+                guess=guess,
+                max_consistent_amp=max_consistent,
+                max_inconsistent_amp=max_inconsistent,
+                inversion_residual=residual,
+                inversion_phase_error=phase_err,
+                restored_amp=fid_amp,
+                cost=cost,
+            ))
+        return tuple(reports)
 
     # -- whole procedure on one classical input ----------------------------
 
@@ -208,7 +220,7 @@ class ExactlyOneProcedure:
         zeros_out, zeros_cost = run_cached(self.zeros, self.topology,
                                            tuple(int(b) for b in x))
         s0 = agreed(zeros_out, "all-zeros flood")
-        banks = tuple(self._run_bank(x, t) for t in self.guesses)
+        banks = self._run_bank(x) if self.guesses else ()
 
         flips = s0 == TRUE or any(b.purely_inconsistent for b in banks)
         if not flips:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -95,32 +96,107 @@ def layout(n_parties: int, regs: Iterable) -> RegisterLayout:
     return RegisterLayout(n_parties, tuple((str(n), int(d)) for n, d in regs))
 
 
+def _lanewise(op):
+    """``op`` lane by lane, as a method and as its reflection.
+
+    The reflection only ever sees a scalar on its left: a ``Lanes`` there
+    takes the forward method.
+    """
+    def forward(self, other):
+        if isinstance(other, Lanes):
+            if len(other) != len(self):
+                raise ValueError("lane counts differ")
+            return Lanes(map(op, self, other))
+        return Lanes(map(op, self, repeat(other)))
+
+    def reflected(self, other):
+        return Lanes(map(op, repeat(other), self))
+
+    return forward, reflected
+
+
+class Lanes(tuple):
+    """One value per lane: several states that share every basis key.
+
+    Lanes evolve side by side through the same operations, each as its own
+    normalized state.  ``+``, ``*``, ``/`` and ``-`` act lane by lane, against
+    another ``Lanes`` of the same width or against one scalar for every lane,
+    with the operands in the order written, so each lane's arithmetic is the
+    scalar arithmetic of a state run alone.
+    """
+
+    __slots__ = ()
+
+    __add__, __radd__ = _lanewise(operator.add)
+    __mul__, __rmul__ = _lanewise(operator.mul)
+    __truediv__ = _lanewise(operator.truediv)[0]
+
+    def __neg__(self):
+        return Lanes(map(operator.neg, self))
+
+
+def _norm_squared(amps: dict):
+    """The squared norm of ``amps``, or a ``Lanes`` of one per lane."""
+    if isinstance(next(iter(amps.values()), None), Lanes):
+        return Lanes(sum(abs(v) ** 2 for v in lane) for lane in zip(*amps.values()))
+    return sum(abs(v) ** 2 for v in amps.values())
+
+
+def _prune(amps: dict) -> dict:
+    """``amps`` without floating-point dust.
+
+    A scalar amplitude that is dust drops its key.  A ``Lanes`` amplitude
+    sets each dust lane to an exact ``0j`` and drops its key only when every
+    lane is dust.  Written so that a NaN is kept and fails the norm check.
+    """
+    if not isinstance(next(iter(amps.values()), None), Lanes):
+        return {k: v for k, v in amps.items() if not abs(v) <= PRUNE_EPS}
+    out = {}
+    for k, v in amps.items():
+        # min() keeps a NaN only when it comes first, and then fails this test
+        # itself, so a dust lane never slips through beside a NaN
+        if not min(map(abs, v), default=0.0) > PRUNE_EPS:
+            v = Lanes(0j if abs(a) <= PRUNE_EPS else a for a in v)
+            if not any(v):
+                continue
+        out[k] = v
+    return out
+
+
 class SparseState:
-    """A normalized joint state: {basis tuple: complex amplitude}."""
+    """A normalized joint state: {basis tuple: complex amplitude}.
+
+    Amplitudes are Python ``complex`` numbers, or ``Lanes`` of them for
+    several states evolved side by side on one support; each lane's norm is
+    checked on its own.
+    """
 
     __slots__ = ("layout", "amps")
 
     def __init__(self, layout: RegisterLayout, amps: dict, *, normalize: bool = False):
-        # written so that a NaN amplitude is kept and fails the norm check
-        amps = {k: v for k, v in amps.items() if not abs(v) <= PRUNE_EPS}
+        amps = _prune(amps)
         if not amps:
             raise SimulationError("state has no support left")
-        norm2 = sum(abs(v) ** 2 for v in amps.values())
-        if not math.isfinite(norm2):
-            raise SimulationError(f"state norm is {norm2!r}")
+        norm2 = _norm_squared(amps)
+        lanes = isinstance(norm2, Lanes)
+        for lane_norm2 in norm2 if lanes else (norm2,):
+            if not math.isfinite(lane_norm2):
+                raise SimulationError(f"state norm is {lane_norm2!r}")
+            if not normalize and abs(lane_norm2 - 1.0) > NORM_EPS:
+                raise SimulationError(f"state norm drifted to {lane_norm2!r}")
         if normalize:
-            scale = 1.0 / math.sqrt(norm2)
+            scale = (Lanes(1.0 / math.sqrt(x) for x in norm2) if lanes
+                     else 1.0 / math.sqrt(norm2))
             amps = {k: v * scale for k, v in amps.items()}
-        elif abs(norm2 - 1.0) > NORM_EPS:
-            raise SimulationError(f"state norm drifted to {norm2!r}")
         self.layout = layout
         self.amps = amps
 
     def __len__(self) -> int:
         return len(self.amps)
 
-    def norm_squared(self) -> float:
-        return sum(abs(v) ** 2 for v in self.amps.values())
+    def norm_squared(self):
+        """The squared norm, or a ``Lanes`` of one per lane."""
+        return _norm_squared(self.amps)
 
     def amplitude(self, key: tuple) -> complex:
         return self.amps.get(tuple(key), 0j)
@@ -142,9 +218,17 @@ def agreed(symbols: Sequence, what: str):
 
 
 def init_state(lay: RegisterLayout, fiducial: Union[dict, int] = 0) -> SparseState:
-    """Point state with every register at its fiducial symbol."""
+    """Point state with every register at its fiducial symbol.
+
+    ``fiducial`` is one symbol for every register or a dict from register
+    name to symbol, 0 where omitted; a name that is no register raises
+    ``ValueError``.
+    """
     if isinstance(fiducial, int):
         fiducial = {name: fiducial for name, _dim in lay.regs}
+    unknown = [name for name in fiducial if name not in lay._index]
+    if unknown:
+        raise ValueError(f"no register named {unknown[0]!r}")
     key = []
     for _party in range(lay.n_parties):
         for name, dim in lay.regs:
@@ -271,7 +355,8 @@ def apply_all_parties(
     ``control=(name, symbol)`` restricts the action at each party to the
     components where that party's control register holds ``symbol``; a
     party whose control holds it in no component is skipped.  A symbol
-    outside the control register's range raises ``ValueError``.
+    outside the control register's range, or a control on ``register``
+    itself, which is not unitary, raises ``ValueError``.
     """
     lay = state.layout
     dim = lay.dim(register)
@@ -282,6 +367,8 @@ def apply_all_parties(
     if control is not None:
         ctrl_name, ctrl_sym = control
         _check_symbol(lay, ctrl_name, ctrl_sym)
+        if ctrl_name == register:
+            raise ValueError(f"register {register!r} cannot control a gate on itself")
         ctrl_slots = lay.slots(ctrl_name)
     amps = state.amps
     for party, slot in enumerate(lay.slots(register)):
@@ -302,11 +389,12 @@ def apply_all_parties(
     return SparseState(lay, amps)
 
 
-def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> SparseState:
+def phase_kick_where(state: SparseState, conditions, phase_per_party) -> SparseState:
     """Phase per party whose registers satisfy all (register, symbol) pairs.
 
     Every party satisfies an empty condition list.  A symbol outside its
-    register's range raises ``ValueError``.
+    register's range raises ``ValueError``.  For a state of ``Lanes``
+    amplitudes ``phase_per_party`` may be a ``Lanes`` of one phase per lane.
     """
     lay = state.layout
     conditions = tuple(conditions)
@@ -317,7 +405,12 @@ def phase_kick_where(state: SparseState, conditions, phase_per_party: float) -> 
     # zip pairs up each party's condition symbols, one tuple per party
     readers = [lay.reader(reg) for reg, _sym in conditions]
     wanted = tuple(sym for _reg, sym in conditions)
-    kicks = [cmath.exp(1j * phase_per_party * count) for count in range(lay.n_parties + 1)]
+    counts = range(lay.n_parties + 1)
+    if isinstance(phase_per_party, Lanes):
+        kicks = [Lanes(cmath.exp(1j * phase * count) for phase in phase_per_party)
+                 for count in counts]
+    else:
+        kicks = [cmath.exp(1j * phase_per_party * count) for count in counts]
     amps = {}
     for key, amp in state.amps.items():
         count = (list(zip(*[read(key) for read in readers])).count(wanted)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from anonqnet import election, qsim, subroutines
-from anonqnet.election import (elect, elect_with_bound,
+from anonqnet.election import (cost_breakdown, elect, elect_with_bound,
                                exactly_one_algorithm, guess_success_probability,
                                rotation_matrix, success_probability,
                                unique_one_state)
@@ -179,6 +179,9 @@ def test_single_party_network():
     assert elect_with_bound(topo, 3, all_branches=True).sampled_index is None
     # the exact bound is the true party count
     assert elect_with_bound(topo, 1).branches[0].leaders == (0,)
+    # no guess, so no bank: the all-zeros flood alone decides
+    assert exactly_one_algorithm(topo).evaluate((0,)).banks == ()
+    assert cost_breakdown(topo)["qle"].qubits_sent == 0
 
 
 def test_elect_simulates_once_per_topology(election_runs):
@@ -294,9 +297,9 @@ def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
     # every guess bank's cost grows with the weight of its input
     run_bank = election.ExactlyOneProcedure._run_bank
 
-    def varying(self, x, guess):
-        report = run_bank(self, x, guess)
-        return dataclasses.replace(report, cost=sequential(report.cost, CostReport(sum(x), 0, 0)))
+    def varying(self, x):
+        return tuple(dataclasses.replace(r, cost=sequential(r.cost, CostReport(sum(x), 0, 0)))
+                     for r in run_bank(self, x))
 
     monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", varying)
     with pytest.raises(SimulationError, match="unique-one cost varied with the input"):
@@ -313,8 +316,9 @@ def test_a_bank_that_leaves_its_verdict_open_is_an_error(monkeypatch):
     # not purely inconsistent either: the procedure cannot decide
     run_bank = election.ExactlyOneProcedure._run_bank
 
-    def undecided(self, x, guess):
-        return dataclasses.replace(run_bank(self, x, guess), max_inconsistent_amp=1e-6)
+    def undecided(self, x):
+        return tuple(dataclasses.replace(r, max_inconsistent_amp=1e-6)
+                     for r in run_bank(self, x))
 
     monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", undecided)
     with pytest.raises(ExactnessError, match="outcome undetermined .* 1.000e-06"):

@@ -6,7 +6,7 @@ import pytest
 from anonqnet import qsim
 from anonqnet.election import elect
 from anonqnet.errors import ExactnessError, SimulationError
-from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
+from anonqnet.qsim import (Gate, Lanes, SparseState, agreed, apply_all_parties,
                            apply_coherent_subroutine, binary_op_all_parties,
                            branches, drop_registers, dump_state, fidelity, gate,
                            init_state, layout, load_state, phase_kick_where,
@@ -28,6 +28,8 @@ def test_init_state_examples():
     assert st.amps == {(0, 2): 1.0 + 0j}
     with pytest.raises(ValueError):
         init_state(layout(1, [("a", 2)]), 5)
+    with pytest.raises(ValueError, match="no register named 'coinn'"):
+        init_state(layout(2, [("coin", 2), ("mark", 2)]), {"coinn": 1})
     scalar = init_state(layout(3, []), 0)
     assert scalar.amps == {(): 1.0 + 0j}
 
@@ -245,6 +247,47 @@ def test_sparse_state_refuses_nan_and_infinite_amplitudes():
                 SparseState(lay, amps, normalize=normalize)
 
 
+def test_lanes_are_pruned_and_normed_lane_by_lane():
+    lay = layout(1, [("q", 2)])
+    amp = 1 / math.sqrt(2)
+    # a dust lane becomes an exact 0j; a key goes only when every lane is dust
+    st = SparseState(lay, {(0,): Lanes((amp, 1.0)), (1,): Lanes((amp, 1e-15)),
+                           (2,): Lanes((1e-15, -1e-16))})
+    assert st.amps == {(0,): (amp, 1.0), (1,): (amp, 0j)}
+    assert st.norm_squared() == (amp * amp + amp * amp, 1.0)
+    # each lane's norm is checked on its own, a NaN in one lane included
+    for amps, match in (({(0,): Lanes((amp, 1.0)), (1,): Lanes((amp, 0.5))}, "drifted to 1.25"),
+                        ({(0,): Lanes((1.0, math.nan))}, "norm is nan"),
+                        ({(0,): Lanes((1.0, 1e-15))}, "drifted to 0.0")):
+        with pytest.raises(SimulationError, match=match):
+            SparseState(lay, amps)
+    st = SparseState(lay, {(0,): Lanes((1.0, 3.0)), (1,): Lanes((1.0, 4j))}, normalize=True)
+    assert all(abs(st.amps[k][i] - want) < 1e-15
+               for k, lanes in (((0,), (amp, 0.6)), ((1,), (amp, 0.8j)))
+               for i, want in enumerate(lanes))
+    with pytest.raises(ValueError, match="lane counts differ"):
+        Lanes((1, 2)) + Lanes((1,))
+
+
+def test_lanes_evolve_exactly_as_states_run_alone():
+    lay = layout(2, [("m", 2), ("q", 2)])
+    alone = [{(0, 0, 1, 1): 0.6, (1, 0, 0, 1): 0.48j, (1, 1, 1, 0): -0.64},
+             {(0, 0, 1, 1): -0.8j, (1, 0, 0, 1): 0.36, (1, 1, 1, 0): 0.48}]
+    phases = (0.37, -1.1)
+
+    def evolve(state, phase):
+        state = apply_all_parties(state, "q", gate(H), control=("m", 1))
+        state = phase_kick_where(state, (("q", 1),), phase)
+        return scale(apply_all_parties(state, "m", gate(H)), -1)
+
+    runs = [evolve(SparseState(lay, amps), phase) for amps, phase in zip(alone, phases)]
+    lanes = evolve(SparseState(lay, {k: Lanes(a[k] for a in alone) for k in alone[0]}),
+                   Lanes(phases))
+    assert set(lanes.amps) == set(runs[0].amps) | set(runs[1].amps)
+    for key, amps in lanes.amps.items():
+        assert amps == tuple(run.amplitude(key) for run in runs)
+
+
 def test_tensor_and_rename():
     a = SparseState(layout(2, [("x", 2)]), {(0, 1): 1.0})
     b = SparseState(layout(2, [("y", 2)]), {(1, 0): 1.0})
@@ -321,9 +364,11 @@ def test_layout_tables():
 
 def test_control_symbol_out_of_range_raises():
     st = init_state(layout(2, [("m", 2), ("q", 2)]), 0)
-    for bad in (7, 2, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_all_parties(st, "q", gate(H), control=("m", bad))
+    # a register controlling a gate on itself is no unitary either
+    for control, match in ((("m", 7), "out of range"), (("m", 2), "out of range"),
+                           (("m", -1), "out of range"), (("q", 1), "control a gate on itself")):
+        with pytest.raises(ValueError, match=match):
+            apply_all_parties(st, "q", gate(H), control=control)
 
 
 def test_phase_kick_condition_out_of_range_raises():
