@@ -2,20 +2,24 @@
 
 All commands emit JSON (floats printed with 17 significant digits so runs
 are reproducible byte for byte) and use the exit-code contract 0 = success,
-1 = verification or invariant failure, 2 = usage error.
+1 = verification or invariant failure, 2 = usage error.  This module alone
+writes that format: the library returns plain records, and the functions
+below turn them into JSON.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .election import cost_breakdown, elect, elect_with_bound
 from .errors import SimulationError
 from .ghz import ghz_share
 from .postelect import BUILTIN_FUNCTIONS, compute_function
+from .qsim import RegisterLayout, SparseState
 from .topology import CATALOG_NAMES, Topology, catalog, load_graph_file
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 
 def _fmt(value) -> str:
@@ -46,6 +50,69 @@ def _emit(payload, path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _basis_separator(regs) -> str:
+    # one digit per symbol while every register fits one, else commas
+    return "" if all(dim <= 10 for _name, dim in regs) else ","
+
+
+def dump_state(state: SparseState) -> dict:
+    """JSON-ready dict with the layout and sorted amplitude entries."""
+    lay = state.layout
+    sep = _basis_separator(lay.regs)
+    return {
+        "n_parties": lay.n_parties,
+        "registers": [[name, dim] for name, dim in lay.regs],
+        "amplitudes": [
+            {"basis": sep.join(str(s) for s in key), "re": float(amp.real),
+             "im": float(amp.imag)}
+            for key, amp in sorted(state.amps.items())],
+    }
+
+
+def load_state(payload: dict) -> SparseState:
+    """The inverse of ``dump_state``."""
+    lay = RegisterLayout(payload["n_parties"], tuple((n, d) for n, d in payload["registers"]))
+    sep = _basis_separator(lay.regs)
+    amps = {}
+    for entry in payload["amplitudes"]:
+        text = entry["basis"]
+        key = tuple(int(c) for c in (text.split(sep) if sep else text))
+        amps[key] = complex(entry["re"], entry["im"])
+    return SparseState(lay, amps)
+
+
+def _result(result, head: dict, rows: list) -> dict:
+    """``head``, the branch rows and, for a sampled run, the sampled index."""
+    payload = {**head, "branches": rows}
+    if result.sampled_index is not None:
+        payload["sampled_index"] = result.sampled_index
+    return payload
+
+
+def _election_row(branch) -> dict:
+    row = {
+        "outcomes": branch.outcomes,
+        "probability": branch.probability,
+        "leader_party": branch.leaders[0] if branch.leader_count == 1 else None,
+        "leaders": branch.leaders,
+        "statuses": ["eligible" if bit == 1 else "ineligible" for bit in branch.outcomes],
+    }
+    if branch.winner_guess is not None:
+        row["winner_guess"] = branch.winner_guess
+    return row
+
+
+def _ghz_row(branch) -> dict:
+    return {
+        "attempt_outcomes": branch.attempt_outcomes,
+        "probability": branch.probability,
+        "source_attempt": branch.source_attempt,
+        "pair": branch.pair,
+        "distill_outcome": branch.distill_outcome,
+        "state": dump_state(branch.state),
+    }
 
 
 def _refuse_conflicting_graph_args(args) -> None:
@@ -81,7 +148,8 @@ def cmd_elect(args) -> int:
                                   all_branches=args.all_branches)
     else:
         result = elect(topo, seed=args.seed, all_branches=args.all_branches)
-    payload = result.to_json()
+    payload = _result(result, {"n": result.n, "cost": asdict(result.cost)},
+                      [_election_row(b) for b in result.branches])
     bad = [b for b in result.branches if b.leader_count != 1]
     payload["unique_leader_in_every_branch"] = not bad
     _emit(payload, args.out)
@@ -91,7 +159,9 @@ def cmd_elect(args) -> int:
 def cmd_ghz(args) -> int:
     topo = _load_topology(args)
     result = ghz_share(topo, args.k, seed=args.seed, all_branches=args.all_branches)
-    _emit(result.to_json(), args.out)
+    head = {"k": result.k, "n": result.n, "cost": asdict(result.cost),
+            "gates_used": result.gates_used}
+    _emit(_result(result, head, [_ghz_row(b) for b in result.branches]), args.out)
     return 0
 
 
@@ -104,10 +174,10 @@ def cmd_compute(args) -> int:
         "function": args.fn,
         "inputs": inputs,
         "value": run.value,
-        "values": list(run.values),
+        "values": run.values,
         "leader": run.leader,
-        "ids": list(run.tree.ids),
-        "cost": run.cost.to_json(),
+        "ids": run.tree.ids,
+        "cost": asdict(run.cost),
     }
     _emit(payload, args.out)
     return 0
@@ -154,9 +224,16 @@ def cmd_cost_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suites(args.suite)
-    _emit(report, args.out)
-    return 0 if report["passed"] else 1
+    if args.suite != "all" and args.suite not in SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or 'all'")
+    suites = {}
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        checks = SUITES[name]()
+        suites[name] = {"passed": all(c.passed for c in checks),
+                        "checks": [asdict(c) for c in checks]}
+    passed = all(s["passed"] for s in suites.values())
+    _emit({"suites": suites, "passed": passed}, args.out)
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

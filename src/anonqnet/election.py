@@ -212,11 +212,14 @@ class ExactlyOneProcedure:
 
         The procedure's communication does not depend on the input, so a new
         report whose cost differs from the first one's raises
-        ``SimulationError``.
+        ``SimulationError``.  An entry other than 0 or 1 raises ``ValueError``.
         """
         report = self._memo.get(x)
         if report is not None:
             return report
+        for bit in x:
+            if bit not in (0, 1):
+                raise ValueError(f"input entry {bit} is not a bit")
         zeros_out, zeros_cost = run_cached(self.zeros, self.topology,
                                            tuple(int(b) for b in x))
         s0 = agreed(zeros_out, "all-zeros flood")
@@ -303,9 +306,6 @@ class ElectionBranch:
     def leader_count(self) -> int:
         return len(self.leaders)
 
-    def statuses(self) -> tuple:
-        return tuple("eligible" if bit == 1 else "ineligible" for bit in self.outcomes)
-
 
 @dataclass
 class ElectionResult:
@@ -322,26 +322,6 @@ class ElectionResult:
 
     def total_probability(self) -> float:
         return sum(b.probability for b in self.branches)
-
-    def to_json(self) -> dict:
-        payload = {
-            "n": self.n,
-            "cost": self.cost.to_json(),
-            "branches": [
-                {
-                    "outcomes": list(b.outcomes),
-                    "probability": b.probability,
-                    "leader_party": b.leaders[0] if b.leader_count == 1 else None,
-                    "leaders": list(b.leaders),
-                    "statuses": list(b.statuses()),
-                    **({"winner_guess": b.winner_guess} if b.winner_guess is not None else {}),
-                }
-                for b in self.branches
-            ],
-        }
-        if self.sampled_index is not None:
-            payload["sampled_index"] = self.sampled_index
-        return payload
 
 
 def _leaders(outcome: tuple) -> tuple:

@@ -128,17 +128,6 @@ class GhzBranch:
     pair: Optional[tuple] = None         # (l, m) used for distillation
     distill_outcome: Optional[int] = None
 
-    def to_json(self) -> dict:
-        from .qsim import dump_state
-        return {
-            "attempt_outcomes": list(self.attempt_outcomes),
-            "probability": self.probability,
-            "source_attempt": self.source_attempt,
-            "pair": list(self.pair) if self.pair else None,
-            "distill_outcome": self.distill_outcome,
-            "state": dump_state(self.state),
-        }
-
 
 @dataclass
 class GhzShareResult:
@@ -157,18 +146,6 @@ class GhzShareResult:
 
     def total_probability(self) -> float:
         return sum(b.probability for b in self.branches)
-
-    def to_json(self) -> dict:
-        payload = {
-            "k": self.k,
-            "n": self.n,
-            "cost": self.cost.to_json(),
-            "gates_used": list(self.gates_used),
-            "branches": [b.to_json() for b in self.branches],
-        }
-        if self.sampled_index is not None:
-            payload["sampled_index"] = self.sampled_index
-        return payload
 
 
 def _first_equal_pair(outcomes) -> tuple:

@@ -611,37 +611,3 @@ def fidelity(state: SparseState, reference: SparseState) -> float:
         if other is not None:
             overlap += other.conjugate() * amp
     return abs(overlap) ** 2
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def dump_state(state: SparseState) -> dict:
-    """JSON-ready dict with the layout and sorted amplitude entries."""
-    lay = state.layout
-    sep = "" if all(dim <= 10 for _n, dim in lay.regs) else ","
-    entries = []
-    for key, amp in sorted(state.amps.items()):
-        entries.append({
-            "basis": sep.join(str(s) for s in key),
-            "re": float(amp.real),
-            "im": float(amp.imag),
-        })
-    return {
-        "n_parties": lay.n_parties,
-        "registers": [[name, dim] for name, dim in lay.regs],
-        "amplitudes": entries,
-    }
-
-
-def load_state(payload: dict) -> SparseState:
-    lay = RegisterLayout(payload["n_parties"], tuple((n, d) for n, d in payload["registers"]))
-    sep = "" if all(dim <= 10 for _n, dim in lay.regs) else ","
-    amps = {}
-    for entry in payload["amplitudes"]:
-        text = entry["basis"]
-        key = tuple(int(c) for c in (text if sep == "" else text.split(sep)))
-        amps[key] = complex(entry["re"], entry["im"])
-    return SparseState(lay, amps)
-

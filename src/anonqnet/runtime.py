@@ -89,14 +89,6 @@ class CostReport:
     def zero() -> "CostReport":
         return CostReport(0, 0, 0, ())
 
-    def to_json(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "qubits_sent": self.qubits_sent,
-            "bits_sent": self.bits_sent,
-            "per_round": list(self.per_round),
-        }
-
 
 def sequential(*costs: CostReport) -> CostReport:
     """Sequential composition of ``costs``: rounds and traffic add.

@@ -40,9 +40,6 @@ class Check:
     def __post_init__(self):
         self.passed = bool(self.passed)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 def _catalog_cases(n_min: int, n_max: int, names=("ring", "path", "complete", "star")):
     for name in names:
@@ -486,23 +483,3 @@ SUITES = {
     "postelect": suite_postelect,
     "oracles": suite_oracles,
 }
-
-
-def run_suites(names) -> dict:
-    """Run the named suites ("all" for everything); returns a JSON-ready report."""
-    if names == "all" or names == ["all"]:
-        names = list(SUITES)
-    elif isinstance(names, str):
-        names = [names]
-    report = {"suites": {}, "passed": True}
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        checks = SUITES[name]()
-        ok = all(c.passed for c in checks)
-        report["suites"][name] = {
-            "passed": ok,
-            "checks": [c.to_json() for c in checks],
-        }
-        report["passed"] &= ok
-    return report

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from anonqnet.cli import main
-from anonqnet.qsim import fidelity, load_state
+from anonqnet.cli import load_state, main
+from anonqnet.election import elect
+from anonqnet.qsim import fidelity
 from anonqnet.topology import catalog, dump_graph
 
 
@@ -32,6 +33,18 @@ def test_elect_seeded_sampling(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["sampled_index"] in (0, 1)
+
+
+def test_result_json_shape(capsys):
+    result = elect(catalog("ring", 3), seed=1)
+    code, out = run_cli(capsys, "elect", "--catalog", "ring", "--n", "3", "--seed", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 3
+    assert "sampled_index" in payload
+    branch = payload["branches"][0]
+    assert set(branch) >= {"outcomes", "probability", "leader_party", "statuses"}
+    assert payload["cost"]["qubits_sent"] == result.cost.qubits_sent
 
 
 def test_elect_with_graph_file_and_bound(tmp_path, capsys):
@@ -115,6 +128,30 @@ def test_verify_single_suite(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _out = run_cli(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+
+
+def test_verify_runs_every_suite_in_order(tmp_path, capsys, monkeypatch):
+    import anonqnet.cli
+    from anonqnet.verify import Check
+
+    monkeypatch.setattr(anonqnet.cli, "SUITES", {
+        "good": lambda: [Check("holds", True)],
+        "bad": lambda: [Check("holds", True), Check("breaks", False, "why")],
+    })
+    path = tmp_path / "report.json"
+    code, out = run_cli(capsys, "verify", "--out", str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert list(payload["suites"]) == ["good", "bad"]
+    assert payload["suites"]["good"] == {
+        "passed": True, "checks": [{"name": "holds", "passed": True, "detail": ""}]}
+    assert payload["suites"]["bad"]["passed"] is False
+    assert payload["suites"]["bad"]["checks"][1] == {
+        "name": "breaks", "passed": False, "detail": "why"}
+    assert payload["passed"] is False
+    code, out = run_cli(capsys, "verify", "--suite", "good")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_usage_error_exit_code():

@@ -396,16 +396,6 @@ def test_upper_bound_argument_validation():
         elect_with_bound(topo, 2)  # below the true count
 
 
-def test_result_json_shape():
-    result = elect(catalog("ring", 3), seed=1)
-    payload = result.to_json()
-    assert payload["n"] == 3
-    assert "sampled_index" in payload
-    branch = payload["branches"][0]
-    assert set(branch) >= {"outcomes", "probability", "leader_party", "statuses"}
-    assert payload["cost"]["qubits_sent"] == result.cost.qubits_sent
-
-
 def test_two_threads_share_one_topology():
     serial = elect(catalog("ring", 5), all_branches=True)
     shared = catalog("ring", 5)

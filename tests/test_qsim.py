@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from anonqnet import qsim
+from anonqnet.cli import dump_state, load_state
 from anonqnet.election import elect
 from anonqnet.errors import ExactnessError, SimulationError
 from anonqnet.qsim import (Gate, Lanes, SparseState, agreed, apply_all_parties,
                            apply_coherent_subroutine, binary_op_all_parties,
-                           branches, drop_registers, dump_state, fidelity, gate,
-                           init_state, layout, load_state, phase_kick_where,
+                           branches, drop_registers, fidelity, gate,
+                           init_state, layout, phase_kick_where,
                            rename_register, scale, tensor,
                            uncompute_subroutine)
 from anonqnet.runtime import PartyProgram

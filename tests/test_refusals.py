@@ -1,21 +1,33 @@
 """Argument refusals that no protocol run reaches, one case per message."""
 import re
 
+import numpy as np
 import pytest
 
-from anonqnet.election import exactly_one_algorithm
+from anonqnet.election import exactly_one_algorithm, rotation_matrix
 from anonqnet.errors import SimulationError
-from anonqnet.postelect import compute_function, majority
-from anonqnet.qsim import SparseState, apply_coherent_subroutine, init_state, layout
+from anonqnet.ghz import ghz_share
+from anonqnet.postelect import compute_function, gather_scatter_state, majority
+from anonqnet.qsim import (SparseState, apply_coherent_subroutine, drop_registers, fidelity,
+                           init_state, layout, tensor)
 from anonqnet.runtime import run_classical
-from anonqnet.subroutines import all_zeros_flooding, modular_sum_views
-from anonqnet.topology import catalog
+from anonqnet.subroutines import all_zeros_flooding, modular_sum_views, view
+from anonqnet.topology import build_graph, catalog, load_graph
 
 
 def coherent_flood(parties, fiducial=0):
     state = init_state(layout(parties, [("x", 2), ("y", 2)]))
     return apply_coherent_subroutine(state, all_zeros_flooding(3), catalog("ring", 3),
                                      "x", "y", fiducial=fiducial)
+
+
+def qubits(parties, name="q"):
+    return init_state(layout(parties, [(name, 2)]))
+
+
+def gather_scatter(parties, transform_dim):
+    return gather_scatter_state(catalog("ring", 2), 0, qubits(parties), "q",
+                                np.eye(transform_dim))
 
 
 REFUSALS = [
@@ -42,6 +54,45 @@ REFUSALS = [
      ValueError, "input 2 outside 0..1"),
     ("flood-negative-rounds", lambda: all_zeros_flooding(-1),
      ValueError, "round bound must be nonnegative"),
+    ("unique-one-entry-above-one",
+     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((2, 0, 0)),
+     ValueError, "input entry 2 is not a bit"),
+    ("unique-one-negative-entry",
+     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((-1, 0, 0)),
+     ValueError, "input entry -1 is not a bit"),
+    ("layout-duplicate-register", lambda: layout(1, [("q", 2), ("q", 2)]),
+     ValueError, "duplicate register name"),
+    ("layout-dimension-one", lambda: layout(1, [("q", 1)]),
+     ValueError, "register 'q' needs dimension >= 2"),
+    ("drop-every-register", lambda: drop_registers(qubits(2), ["q"]),
+     ValueError, "cannot drop every register"),
+    ("tensor-party-count", lambda: tensor(qubits(1, "a"), qubits(2, "b")),
+     ValueError, "party counts differ"),
+    ("fidelity-layout", lambda: fidelity(qubits(1, "a"), qubits(1, "b")),
+     ValueError, "layout mismatch"),
+    ("graph-no-party", lambda: build_graph(0, []),
+     ValueError, "party count must be at least 1"),
+    ("graph-port-cover",
+     lambda: build_graph(2, [(0, 1)], ports=[{}, {(0, 1): 1}]),
+     ValueError, "port table of node 0 does not cover its incident edges"),
+    ("catalog-ring-one", lambda: catalog("ring", 1), ValueError, "ring needs n >= 2"),
+    ("catalog-path-one", lambda: catalog("path", 1), ValueError, "path needs n >= 2"),
+    ("catalog-complete-one", lambda: catalog("complete", 1),
+     ValueError, "complete graph needs n >= 2"),
+    ("catalog-star-one", lambda: catalog("star", 1), ValueError, "star needs n >= 2"),
+    ("catalog-name", lambda: catalog("wheel", 5), ValueError, "unknown catalog graph 'wheel'"),
+    ("graph-file-port-endpoint", lambda: load_graph("n 3\ne 0 1\np 2 0 1\n"),
+     ValueError, "port override: node 2 is not an endpoint of edge 0"),
+    ("gather-scatter-party-count", lambda: gather_scatter(3, 8),
+     ValueError, "state and topology disagree on the party count"),
+    ("gather-scatter-transform-size", lambda: gather_scatter(2, 2),
+     ValueError, "transform must be 4x4"),
+    ("ghz-dimension-one", lambda: ghz_share(catalog("ring", 3), 1),
+     ValueError, "qudit dimension must be at least 2"),
+    ("rotation-one-party", lambda: rotation_matrix(1),
+     ValueError, "need at least two parties"),
+    ("view-negative-depth", lambda: view(catalog("ring", 3), 0, -1),
+     ValueError, "depth must be nonnegative"),
 ]
 
 

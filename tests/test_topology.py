@@ -168,6 +168,15 @@ def test_graph_file_default_ports():
     assert topo.link(1, 1) == (0, 1)
 
 
+def test_graph_file_skips_comment_lines():
+    topo = load_graph("# a 3-party path\nn 3\n  # its edges\ne 0 1\ne 1 2\n")
+    path = catalog("path", 3)
+    assert topo.edges == path.edges and topo.ports == path.ports
+    # a comment still counts as a line in error messages
+    with pytest.raises(ValueError, match="^line 2: unknown record 'z'$"):
+        load_graph("# header\nz 0 1\n")
+
+
 def test_graph_file_errors():
     with pytest.raises(ValueError):
         load_graph("e 0 1\n")  # missing n
