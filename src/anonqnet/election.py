@@ -14,15 +14,18 @@ consistency check then reports.  Banks touch disjoint registers and stay
 unentangled for a basis input, and every bank runs the same steps on the same
 basis keys; only its kick angle and divisor depend on its guess.  So the
 engine evolves the banks of one input as lanes of one small sparse state,
-each lane its own normalized bank state; exactness is asserted numerically
-per bank and any residue raises instead of being rounded away.
+each lane its own normalized bank state.  No step writes a bank's "mark"
+register, which holds the input, so the banks of every input a coherent
+application needs run together as blocks of that one state, one block per
+input.  Exactness is asserted numerically per input and bank, and any
+residue raises instead of being rounded away.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import compress, product
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,8 +118,9 @@ class ExactlyOneProcedure:
     ``apply`` maps each basis component |x>|y> to |x>|y xor not H(x)> where
     H(x) is the weight-one predicate, leaving every working register back at
     its fiducial.  Applying it twice is the identity, which is also how the
-    inverse is realized.  ``evaluate`` gives the memoized ``InputReport`` of
-    one classical input; ``apply`` and ``elect_with_bound`` read it.
+    inverse is realized.  ``evaluate_many`` gives the memoized
+    ``InputReport`` of each of several classical inputs, and ``evaluate``
+    that of one; ``apply`` and ``elect_with_bound`` read them.
     """
 
     def __init__(self, topology: Topology, n_known: Optional[int] = None):
@@ -128,7 +132,8 @@ class ExactlyOneProcedure:
         self.zeros = all_zeros_flooding(self.n_known)
         self.cons = consistency_from_all_zeros(self.zeros)
         self._tape = self._bank_tape()
-        self._bank_layout = layout(topology.n, [("mark", 2), ("coin", 2), ("flag", 2)])
+        self._bank_layout = layout(topology.n, [("mark", 2), ("coin", 2), ("flag", 2)],
+                                   blocks="mark")
         self._memo: dict = {}
         self._cost: Optional[CostReport] = None   # the first report's
 
@@ -162,68 +167,89 @@ class ExactlyOneProcedure:
         tape.append(Step("final_flag", chi.apply, chi.invert))
         return tape
 
-    def _run_bank(self, x: tuple) -> tuple:
-        """One ``BankReport`` per guess, every guess run as a lane of one state."""
+    def _run_bank(self, xs: Sequence[tuple]) -> list:
+        """One ``BankReport`` per guess for each input of ``xs``, in order.
+
+        Every input is a block of one state, told apart by its "mark"
+        register, and every guess a lane; each block keeps the relative order
+        of its keys, so its reports are those of the input run alone.
+        """
         lay = self._bank_layout
-        key = []
-        for bit in x:
-            key.extend((MARKED if bit else UNMARKED, 0, CONSISTENT))
-        start = tuple(key)
+        starts = [tuple(sym for bit in x for sym in (MARKED if bit else UNMARKED, 0, CONSISTENT))
+                  for x in xs]
         width = len(self.guesses)
-        bank = SparseState(lay, {start: Lanes((1.0 + 0j,) * width)})
+        bank = SparseState(lay, dict.fromkeys(starts, Lanes((1.0 + 0j,) * width)))
         bank, fwd_cost = run_steps(bank, self._tape)
 
-        verdicts = lay.reader("flag")
-        peaks = {CONSISTENT: [0.0] * width, INCONSISTENT: [0.0] * width}
+        block_of, verdicts = lay.reader("mark"), lay.reader("flag")
+        peaks = {}
         for comp, amps in bank.amps.items():
             verdict = agreed(verdicts(comp), "consistency verdict")
-            peaks[verdict] = list(map(max, peaks[verdict], map(abs, amps)))
+            block = peaks.setdefault(block_of(comp), {CONSISTENT: [0.0] * width,
+                                                      INCONSISTENT: [0.0] * width})
+            block[verdict] = list(map(max, block[verdict], map(abs, amps)))
 
         bank, bwd_cost = run_steps(bank, self._tape, backward=True)
         cost = sequential(fwd_cost, bwd_cost)
-        restored = bank.amps.get(start, (0j,) * width)
-        reports = []
-        lanes = zip(self.guesses, peaks[CONSISTENT], peaks[INCONSISTENT],
-                    bank.norm_squared(), restored)
-        for guess, max_consistent, max_inconsistent, norm2, fid_amp in lanes:
-            residual = norm2 - abs(fid_amp) ** 2
-            phase_err = abs(fid_amp - 1.0)
-            # written so that a NaN fails too
-            if not (residual <= RESIDUE_TOL and phase_err <= RESIDUE_TOL):
-                raise ExactnessError(
-                    f"guess bank t={guess} failed to disentangle "
-                    f"(residual {residual:.3e}, phase error {phase_err:.3e})"
-                )
-            reports.append(BankReport(
-                guess=guess,
-                max_consistent_amp=max_consistent,
-                max_inconsistent_amp=max_inconsistent,
-                inversion_residual=residual,
-                inversion_phase_error=phase_err,
-                restored_amp=fid_amp,
-                cost=cost,
-            ))
-        return tuple(reports)
+        norms = bank.block_norms()
+        out = []
+        for x, start in zip(xs, starts):
+            block = block_of(start)
+            lanes = zip(self.guesses, peaks[block][CONSISTENT], peaks[block][INCONSISTENT],
+                        norms[block], bank.amplitude(start))
+            reports = []
+            for guess, max_consistent, max_inconsistent, norm2, fid_amp in lanes:
+                residual = norm2 - abs(fid_amp) ** 2
+                phase_err = abs(fid_amp - 1.0)
+                # written so that a NaN fails too
+                if not (residual <= RESIDUE_TOL and phase_err <= RESIDUE_TOL):
+                    raise ExactnessError(
+                        f"guess bank t={guess} failed to disentangle for input {x} "
+                        f"(residual {residual:.3e}, phase error {phase_err:.3e})"
+                    )
+                reports.append(BankReport(
+                    guess=guess,
+                    max_consistent_amp=max_consistent,
+                    max_inconsistent_amp=max_inconsistent,
+                    inversion_residual=residual,
+                    inversion_phase_error=phase_err,
+                    restored_amp=fid_amp,
+                    cost=cost,
+                ))
+            out.append(tuple(reports))
+        return out
 
-    # -- whole procedure on one classical input ----------------------------
+    # -- whole procedure on classical inputs -------------------------------
+
+    def evaluate_many(self, xs: Sequence[tuple]) -> list:
+        """The memoized record of the procedure on each input of ``xs``, in order.
+
+        The guess banks of every input not yet memoized run together, each
+        input a block of one state.  The procedure's communication does not
+        depend on the input, so a new report whose cost differs from the
+        first one's raises ``SimulationError``.  An entry other than 0 or 1
+        raises ``ValueError``.
+        """
+        missing = [x for x in dict.fromkeys(xs) if x not in self._memo]
+        for x in missing:
+            for bit in x:
+                if bit not in (0, 1):
+                    raise ValueError(f"input entry {bit} is not a bit")
+        if missing:
+            banks_of = self._run_bank(missing) if self.guesses else [()] * len(missing)
+            for x, banks in zip(missing, banks_of):
+                self._memo[x] = self._report(x, banks)
+        return [self._memo[x] for x in xs]
 
     def evaluate(self, x: tuple) -> InputReport:
-        """The memoized record of the procedure on one classical input.
+        """The memoized record of the procedure on one classical input."""
+        return self.evaluate_many((x,))[0]
 
-        The procedure's communication does not depend on the input, so a new
-        report whose cost differs from the first one's raises
-        ``SimulationError``.  An entry other than 0 or 1 raises ``ValueError``.
-        """
-        report = self._memo.get(x)
-        if report is not None:
-            return report
-        for bit in x:
-            if bit not in (0, 1):
-                raise ValueError(f"input entry {bit} is not a bit")
+    def _report(self, x: tuple, banks: tuple) -> InputReport:
+        """One input's record from its guess banks and its all-zeros flood."""
         zeros_out, zeros_cost = run_cached(self.zeros, self.topology,
                                            tuple(int(b) for b in x))
         s0 = agreed(zeros_out, "all-zeros flood")
-        banks = self._run_bank(x) if self.guesses else ()
 
         flips = s0 == TRUE or any(b.purely_inconsistent for b in banks)
         if not flips:
@@ -242,27 +268,25 @@ class ExactlyOneProcedure:
             self._cost = cost
         elif (cost.rounds, cost.qubits_sent) != (self._cost.rounds, self._cost.qubits_sent):
             raise SimulationError("unique-one cost varied with the input")
-        report = InputReport(
+        return InputReport(
             value=FALSE if flips else TRUE,
             phase=math.prod((b.restored_amp for b in banks), start=1.0 + 0j),
             cost=cost, zeros_flag=s0, banks=banks,
         )
-        self._memo[x] = report
-        return report
 
     def apply(self, state: SparseState, x_reg: str, y_reg: str,
               run_cache: Optional[dict] = None) -> tuple:
         """Coherently fold the weight-one predicate of x_reg into y_reg.
 
         Returns ``(state, cost)``; the cost is that of one execution, which
-        ``evaluate`` checks is the same for every input.
+        ``evaluate_many`` checks is the same for every input.
         ``run_cache`` is accepted and ignored: the subroutines memoize their
         own runs.
         """
         lay = state.layout
         x_of = lay.reader(x_reg)
         y_slots = lay.slots(y_reg)
-        reports = [self.evaluate(x_of(key)) for key in state.amps]
+        reports = self.evaluate_many([x_of(key) for key in state.amps])
         amps = {}
         for (key, amp), report in zip(state.amps.items(), reports):
             nk = list(key)
@@ -434,7 +458,7 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
     for guess in guesses:
         state, attempt_cost = _amplified_coins(procedure, guess, check_success=False)
         measured = branches(state, "coin")
-        checks = [procedure.evaluate(br.outcome) for br in measured]
+        checks = procedure.evaluate_many([br.outcome for br in measured])
         guess_costs.append(sequential(attempt_cost, checks[0].cost))
         options.append([_GuessOption((guess, br.outcome), br.probability,
                                      check.value == TRUE, _leaders(br.outcome))

@@ -39,10 +39,16 @@ FACTOR_EPS = 1e-9        # residual allowed where dropped registers must factor 
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Register names and dimensions, identical at every party."""
+    """Register names and dimensions, identical at every party.
+
+    ``blocks`` names a register that no operation writes.  Each of its values
+    across the parties is a block: an independent state that shares the
+    dict with the others and is normalized on its own.
+    """
 
     n_parties: int
     regs: tuple  # ((name, dim), ...) in registration order
+    blocks: Optional[str] = None
 
     def __post_init__(self):
         names = [name for name, _ in self.regs]
@@ -51,6 +57,8 @@ class RegisterLayout:
         for name, dim in self.regs:
             if dim < 2:
                 raise ValueError(f"register {name!r} needs dimension >= 2")
+        if self.blocks is not None and self.blocks not in names:
+            raise ValueError(f"no register named {self.blocks!r}")
 
     @cached_property
     def width(self) -> int:
@@ -92,8 +100,8 @@ class RegisterLayout:
         return self._readers[self.reg_index(name)]
 
 
-def layout(n_parties: int, regs: Iterable) -> RegisterLayout:
-    return RegisterLayout(n_parties, tuple((str(n), int(d)) for n, d in regs))
+def layout(n_parties: int, regs: Iterable, blocks: Optional[str] = None) -> RegisterLayout:
+    return RegisterLayout(n_parties, tuple((str(n), int(d)) for n, d in regs), blocks)
 
 
 def _lanewise(op):
@@ -135,11 +143,30 @@ class Lanes(tuple):
         return Lanes(map(operator.neg, self))
 
 
-def _norm_squared(amps: dict):
-    """The squared norm of ``amps``, or a ``Lanes`` of one per lane."""
+def _block_norms(lay: RegisterLayout, amps: dict) -> dict:
+    """The squared norm of each block of ``amps``, a ``Lanes`` of one per lane.
+
+    Keys are the blocks' symbols, in order of their first basis key; a layout
+    without blocks has the one block ``None``.  Each block's amplitudes are
+    summed in dict order, as they would be in a state of that block alone.
+    """
+    if lay.blocks is None:
+        groups = {None: amps.values()}
+    else:
+        block_of = lay.reader(lay.blocks)
+        groups = {}
+        for key, amp in amps.items():
+            groups.setdefault(block_of(key), []).append(amp)
     if isinstance(next(iter(amps.values()), None), Lanes):
-        return Lanes(sum(abs(v) ** 2 for v in lane) for lane in zip(*amps.values()))
-    return sum(abs(v) ** 2 for v in amps.values())
+        return {block: Lanes(sum(abs(v) ** 2 for v in lane) for lane in zip(*group))
+                for block, group in groups.items()}
+    return {block: sum(abs(v) ** 2 for v in group) for block, group in groups.items()}
+
+
+def _refuse_parts(state: "SparseState", operation: str) -> None:
+    """Refuse a lane or blocked state to an operation on one scalar state."""
+    if state.layout.blocks is not None or isinstance(next(iter(state.amps.values())), Lanes):
+        raise ValueError(f"{operation} takes a scalar state, not lanes or blocks")
 
 
 def _prune(amps: dict) -> dict:
@@ -167,25 +194,29 @@ class SparseState:
     """A normalized joint state: {basis tuple: complex amplitude}.
 
     Amplitudes are Python ``complex`` numbers, or ``Lanes`` of them for
-    several states evolved side by side on one support; each lane's norm is
-    checked on its own.
+    several states evolved side by side on one support.  With a blocked
+    layout the dict holds several independent states, one per block.  Each
+    lane of each block is checked for its norm on its own.
     """
 
     __slots__ = ("layout", "amps")
 
     def __init__(self, layout: RegisterLayout, amps: dict, *, normalize: bool = False):
+        if normalize and layout.blocks is not None:
+            raise ValueError("normalize takes a state without blocks")
         amps = _prune(amps)
         if not amps:
             raise SimulationError("state has no support left")
-        norm2 = _norm_squared(amps)
-        lanes = isinstance(norm2, Lanes)
-        for lane_norm2 in norm2 if lanes else (norm2,):
-            if not math.isfinite(lane_norm2):
-                raise SimulationError(f"state norm is {lane_norm2!r}")
-            if not normalize and abs(lane_norm2 - 1.0) > NORM_EPS:
-                raise SimulationError(f"state norm drifted to {lane_norm2!r}")
+        norms = _block_norms(layout, amps)
+        for norm2 in norms.values():
+            for lane_norm2 in norm2 if isinstance(norm2, Lanes) else (norm2,):
+                if not math.isfinite(lane_norm2):
+                    raise SimulationError(f"state norm is {lane_norm2!r}")
+                if not normalize and abs(lane_norm2 - 1.0) > NORM_EPS:
+                    raise SimulationError(f"state norm drifted to {lane_norm2!r}")
         if normalize:
-            scale = (Lanes(1.0 / math.sqrt(x) for x in norm2) if lanes
+            norm2 = norms[None]
+            scale = (Lanes(1.0 / math.sqrt(x) for x in norm2) if isinstance(norm2, Lanes)
                      else 1.0 / math.sqrt(norm2))
             amps = {k: v * scale for k, v in amps.items()}
         self.layout = layout
@@ -194,12 +225,24 @@ class SparseState:
     def __len__(self) -> int:
         return len(self.amps)
 
-    def norm_squared(self):
-        """The squared norm, or a ``Lanes`` of one per lane."""
-        return _norm_squared(self.amps)
+    def block_norms(self) -> dict:
+        """The squared norm of each block, keyed by its symbols (``None``
+        without blocks); a ``Lanes`` of one per lane for a lane state."""
+        return _block_norms(self.layout, self.amps)
 
-    def amplitude(self, key: tuple) -> complex:
-        return self.amps.get(tuple(key), 0j)
+    def norm_squared(self):
+        """The squared norm of a state without blocks, a ``Lanes`` for lanes."""
+        if self.layout.blocks is not None:
+            raise ValueError("norm_squared takes a state without blocks")
+        return self.block_norms()[None]
+
+    def amplitude(self, key: tuple):
+        """The amplitude at ``key``: zero, as a ``Lanes`` for lanes, when absent."""
+        amp = self.amps.get(tuple(key))
+        if amp is not None:
+            return amp
+        first = next(iter(self.amps.values()))
+        return Lanes((0j,) * len(first)) if isinstance(first, Lanes) else 0j
 
     def symbols(self, key: tuple, name: str) -> tuple:
         return self.layout.reader(name)(key)
@@ -246,6 +289,7 @@ def drop_registers(state: SparseState, names: Sequence[str]) -> SparseState:
     discarded and the kept factor is returned renormalized.  Raises
     ``ExactnessError`` when the cut is entangled beyond ``FACTOR_EPS``.
     """
+    _refuse_parts(state, "drop_registers")
     lay = state.layout
     drop_idx = {lay.reg_index(n) for n in names}
     kept_regs = tuple(r for i, r in enumerate(lay.regs) if i not in drop_idx)
@@ -340,6 +384,11 @@ def _check_symbol(lay: RegisterLayout, name: str, symbol: int) -> None:
         raise ValueError(f"symbol {symbol} out of range for register {name!r}")
 
 
+def _check_writable(lay: RegisterLayout, name: str) -> None:
+    if name == lay.blocks:
+        raise ValueError(f"register {name!r} names the blocks and cannot be written")
+
+
 def apply_all_parties(
     state: SparseState,
     register: str,
@@ -356,9 +405,11 @@ def apply_all_parties(
     components where that party's control register holds ``symbol``; a
     party whose control holds it in no component is skipped.  A symbol
     outside the control register's range, or a control on ``register``
-    itself, which is not unitary, raises ``ValueError``.
+    itself, which is not unitary, raises ``ValueError``.  A control-false
+    amplitude is carried through unchanged, as if its party were skipped.
     """
     lay = state.layout
+    _check_writable(lay, register)
     dim = lay.dim(register)
     if gate.dim != dim:
         raise ValueError(f"matrix shape {(gate.dim, gate.dim)} does not match "
@@ -379,12 +430,15 @@ def apply_all_parties(
         out: dict = {}
         for key, amp in amps.items():
             if control is not None and key[ctrl_slot] != ctrl_sym:
-                out[key] = out.get(key, 0j) + amp
+                # no control-true key maps here: it keeps its control symbol
+                out[key] = amp
                 continue
             prefix, suffix = key[:slot], key[slot + 1:]
             for j, coeff in cols[key[slot]]:
                 nk = prefix + (j,) + suffix
-                out[nk] = out.get(nk, 0j) + coeff * amp
+                term = coeff * amp
+                prev = out.get(nk)
+                out[nk] = term if prev is None else prev + term
         amps = out
     return SparseState(lay, amps)
 
@@ -429,6 +483,7 @@ def scale(state: SparseState, factor: complex) -> SparseState:
 def binary_op_all_parties(state: SparseState, source_reg: str, target_reg: str) -> SparseState:
     """Add ``source_reg`` into ``target_reg`` mod their dimension at every party."""
     lay = state.layout
+    _check_writable(lay, target_reg)
     dim = lay.dim(target_reg)
     if source_reg == target_reg or lay.dim(source_reg) != dim:
         raise ValueError("modular addition needs two registers of equal dimension")
@@ -491,6 +546,7 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, inverse):
     lay = state.layout
     if topology.n != lay.n_parties:
         raise ValueError("topology and layout disagree on the party count")
+    _check_writable(lay, out_reg)
     out_dim = lay.dim(out_reg)
     if not (0 <= fiducial < out_dim):
         raise ValueError("fiducial out of range")
@@ -558,6 +614,7 @@ def branches(state: SparseState, register: str) -> list:
     Branches come in lexicographic order of their outcomes, one for every
     outcome the state holds, however light; their probabilities sum to one.
     """
+    _refuse_parts(state, "branches")
     outcome_of = state.layout.reader(register)
     grouped: dict = {}
     for key, amp in state.amps.items():
@@ -604,6 +661,8 @@ def fidelity(state: SparseState, reference: SparseState) -> float:
     """Squared overlap |<reference|state>|^2; layouts must match."""
     if state.layout != reference.layout:
         raise ValueError("layout mismatch")
+    _refuse_parts(state, "fidelity")
+    _refuse_parts(reference, "fidelity")
     overlap = 0j
     ref = reference.amps
     for key, amp in state.amps.items():

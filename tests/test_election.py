@@ -297,9 +297,10 @@ def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
     # every guess bank's cost grows with the weight of its input
     run_bank = election.ExactlyOneProcedure._run_bank
 
-    def varying(self, x):
-        return tuple(dataclasses.replace(r, cost=sequential(r.cost, CostReport(sum(x), 0, 0)))
-                     for r in run_bank(self, x))
+    def varying(self, xs):
+        return [tuple(dataclasses.replace(r, cost=sequential(r.cost, CostReport(sum(x), 0, 0)))
+                      for r in reports)
+                for x, reports in zip(xs, run_bank(self, xs))]
 
     monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", varying)
     with pytest.raises(SimulationError, match="unique-one cost varied with the input"):
@@ -316,9 +317,9 @@ def test_a_bank_that_leaves_its_verdict_open_is_an_error(monkeypatch):
     # not purely inconsistent either: the procedure cannot decide
     run_bank = election.ExactlyOneProcedure._run_bank
 
-    def undecided(self, x):
-        return tuple(dataclasses.replace(r, max_inconsistent_amp=1e-6)
-                     for r in run_bank(self, x))
+    def undecided(self, xs):
+        return [tuple(dataclasses.replace(r, max_inconsistent_amp=1e-6) for r in reports)
+                for reports in run_bank(self, xs)]
 
     monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", undecided)
     with pytest.raises(ExactnessError, match="outcome undetermined .* 1.000e-06"):
@@ -327,12 +328,12 @@ def test_a_bank_that_leaves_its_verdict_open_is_an_error(monkeypatch):
 
 def test_upper_bound_refuses_a_branch_no_guess_verifies(monkeypatch):
     # the verification rejects every outcome, so no guess supplies a leader
-    evaluate = election.ExactlyOneProcedure.evaluate
+    evaluate_many = election.ExactlyOneProcedure.evaluate_many
 
-    def rejecting(self, x):
-        return dataclasses.replace(evaluate(self, x), value=FALSE)
+    def rejecting(self, xs):
+        return [dataclasses.replace(report, value=FALSE) for report in evaluate_many(self, xs)]
 
-    monkeypatch.setattr(election.ExactlyOneProcedure, "evaluate", rejecting)
+    monkeypatch.setattr(election.ExactlyOneProcedure, "evaluate_many", rejecting)
     with pytest.raises(ExactnessError, match="no guess verified a unique leader"):
         elect_with_bound(catalog("ring", 3), 3, all_branches=True)
 

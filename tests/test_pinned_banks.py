@@ -4,14 +4,16 @@ Every input's ``InputReport`` value and phase, and every field of its
 ``BankReport``s but the cost, are hashed from their reprs, so a single bank
 amplitude that moves by one ulp fails the digest.  The values below were
 recorded once from the implementation and must not move when the banks are
-reorganized.
+reorganized, nor when the banks of every input run together as blocks of one
+state.
 """
 import hashlib
+import math
 from itertools import product
 
 import pytest
 
-from anonqnet.election import ExactlyOneProcedure
+from anonqnet.election import ExactlyOneProcedure, unique_one_state
 from anonqnet.topology import catalog
 
 PROCEDURES = {   # (family, n, n_known)
@@ -52,5 +54,22 @@ def report_lines(procedure: ExactlyOneProcedure, n: int) -> list:
 def test_bank_reports_are_frozen(name):
     family, n, n_known = PROCEDURES[name]
     procedure = ExactlyOneProcedure(catalog(family, n), n_known)
+    text = "\n".join(report_lines(procedure, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST[name]
+
+
+@pytest.mark.parametrize("name", sorted(PROCEDURES))
+def test_bank_reports_are_frozen_when_every_input_runs_as_a_block(name, monkeypatch):
+    family, n, n_known = PROCEDURES[name]
+    procedure = ExactlyOneProcedure(catalog(family, n), n_known)
+    runs = []
+    run_bank = procedure._run_bank
+    monkeypatch.setattr(procedure, "_run_bank", lambda xs: runs.append(xs) or run_bank(xs))
+    # one coherent application to the uniform superposition fills the memo
+    # for every input with one blocked run of the banks
+    amp = 1 / math.sqrt(2 ** n)
+    procedure.apply(unique_one_state(dict.fromkeys(product((0, 1), repeat=n), amp)),
+                    "bit", "res")
+    assert len(runs) == 1 and len(runs[0]) == 2 ** n
     text = "\n".join(report_lines(procedure, n))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST[name]

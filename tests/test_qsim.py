@@ -289,6 +289,45 @@ def test_lanes_evolve_exactly_as_states_run_alone():
         assert amps == tuple(run.amplitude(key) for run in runs)
 
 
+def test_each_block_is_normed_on_its_own():
+    lay = layout(1, [("m", 2), ("q", 2)], blocks="m")
+    st = SparseState(lay, {(0, 0): 0.6, (1, 1): -1.0, (0, 1): 0.8j})
+    assert st.block_norms() == {(0,): 0.6 * 0.6 + 0.8 * 0.8, (1,): 1.0}
+    assert st.amplitude((1, 0)) == 0j
+    # block (1,) drifted while block (0,) is fine; the two blocks of the
+    # second state would pass a check of the whole state
+    for amps, match in (({(0, 0): 0.6, (0, 1): 0.8j, (1, 1): 0.5}, "drifted to 0.25"),
+                        ({(0, 0): 0.6, (1, 0): 0.8}, "drifted to 0.36"),
+                        ({(0, 0): Lanes((1.0, 1.0)), (1, 0): Lanes((1.0, 0.5))},
+                         "drifted to 0.25")):
+        with pytest.raises(SimulationError, match=match):
+            SparseState(lay, amps)
+
+
+def test_a_lane_state_reads_a_missing_key_as_zero_lanes():
+    st = SparseState(layout(1, [("q", 2)]), {(0,): Lanes((1.0, 1j, -1.0))})
+    amp = st.amplitude((1,))
+    assert isinstance(amp, Lanes) and amp == (0j, 0j, 0j)
+
+
+def test_a_controlled_gate_leaves_each_block_as_it_leaves_the_block_alone():
+    # block (0, 0) is unmarked at both parties and block (1, 0) at party 1,
+    # where block (1, 1) is marked; a signed zero shows any arithmetic done
+    # on an amplitude that the block's own run carries through untouched
+    lay = layout(2, [("m", 2), ("q", 2)], blocks="m")
+    alone = {(0, 0): {(0, 0, 0, 1): complex(-0.0, 0.6), (0, 1, 0, 0): complex(-0.0, -0.8)},
+             (1, 0): {(1, 0, 0, 1): complex(-0.0, 1.0)},
+             (1, 1): {(1, 1, 1, 0): complex(0.6, -0.0), (1, 0, 1, 1): 0.8j}}
+    joint = {key: amp for amps in alone.values() for key, amp in amps.items()}
+    blocked = apply_all_parties(SparseState(lay, joint), "q", gate(H), control=("m", 1))
+    block_of = lay.reader("m")
+    for block, amps in alone.items():
+        run = apply_all_parties(SparseState(lay, amps), "q", gate(H), control=("m", 1))
+        mine = {key: amp for key, amp in blocked.amps.items() if block_of(key) == block}
+        assert list(mine) == list(run.amps)
+        assert [repr(amp) for amp in mine.values()] == [repr(amp) for amp in run.amps.values()]
+
+
 def test_tensor_and_rename():
     a = SparseState(layout(2, [("x", 2)]), {(0, 1): 1.0})
     b = SparseState(layout(2, [("y", 2)]), {(1, 0): 1.0})

@@ -8,7 +8,8 @@ from anonqnet.election import exactly_one_algorithm, rotation_matrix
 from anonqnet.errors import SimulationError
 from anonqnet.ghz import ghz_share
 from anonqnet.postelect import compute_function, gather_scatter_state, majority
-from anonqnet.qsim import (SparseState, apply_coherent_subroutine, drop_registers, fidelity,
+from anonqnet.qsim import (Lanes, SparseState, apply_all_parties, apply_coherent_subroutine,
+                           binary_op_all_parties, branches, drop_registers, fidelity, gate,
                            init_state, layout, tensor)
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import all_zeros_flooding, modular_sum_views, view
@@ -23,6 +24,16 @@ def coherent_flood(parties, fiducial=0):
 
 def qubits(parties, name="q"):
     return init_state(layout(parties, [(name, 2)]))
+
+
+def lanes():
+    return SparseState(layout(1, [("m", 2), ("q", 2)]), {(0, 0): Lanes((1.0, 1.0))})
+
+
+def blocks(amps=((0, 0), (1, 0)), normalize=False):
+    # one party, each value of "m" its own normalized block
+    return SparseState(layout(1, [("m", 2), ("q", 2)], blocks="m"),
+                       dict.fromkeys(amps, 1.0 + 0j), normalize=normalize)
 
 
 def gather_scatter(parties, transform_dim):
@@ -70,6 +81,28 @@ REFUSALS = [
      ValueError, "party counts differ"),
     ("fidelity-layout", lambda: fidelity(qubits(1, "a"), qubits(1, "b")),
      ValueError, "layout mismatch"),
+    ("branches-lanes", lambda: branches(lanes(), "q"),
+     ValueError, "branches takes a scalar state, not lanes or blocks"),
+    ("branches-blocks", lambda: branches(blocks(), "q"),
+     ValueError, "branches takes a scalar state, not lanes or blocks"),
+    ("drop-lanes", lambda: drop_registers(lanes(), ["m"]),
+     ValueError, "drop_registers takes a scalar state, not lanes or blocks"),
+    ("drop-blocks", lambda: drop_registers(blocks(), ["q"]),
+     ValueError, "drop_registers takes a scalar state, not lanes or blocks"),
+    ("fidelity-lanes", lambda: fidelity(lanes(), lanes()),
+     ValueError, "fidelity takes a scalar state, not lanes or blocks"),
+    ("fidelity-blocks", lambda: fidelity(blocks(), blocks()),
+     ValueError, "fidelity takes a scalar state, not lanes or blocks"),
+    ("normalize-blocks", lambda: blocks(((0, 0), (0, 1)), normalize=True),
+     ValueError, "normalize takes a state without blocks"),
+    ("norm-squared-blocks", lambda: blocks().norm_squared(),
+     ValueError, "norm_squared takes a state without blocks"),
+    ("blocks-unknown-register", lambda: layout(1, [("q", 2)], blocks="m"),
+     ValueError, "no register named 'm'"),
+    ("blocks-gate", lambda: apply_all_parties(blocks(), "m", gate(np.eye(2))),
+     ValueError, "register 'm' names the blocks and cannot be written"),
+    ("blocks-modular-addition", lambda: binary_op_all_parties(blocks(), "q", "m"),
+     ValueError, "register 'm' names the blocks and cannot be written"),
     ("graph-no-party", lambda: build_graph(0, []),
      ValueError, "party count must be at least 1"),
     ("graph-port-cover",
