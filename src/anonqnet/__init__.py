@@ -10,7 +10,7 @@ from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                           modular_sum_views, view)
 from .qsim import (MeasurementBranch, RegisterLayout, SparseState, branches,
                    fidelity, init_state, layout)
-from .amplify import PhasePair, exact_amplify, phase_angles
+from .amplify import exact_amplify, phase_angle
 from .election import (ElectionBranch, ElectionResult, elect, elect_with_bound,
                        exactly_one_algorithm, guess_success_probability,
                        success_probability)

@@ -1,8 +1,8 @@
 """Single-iteration exact amplitude amplification, assembled distributedly.
 
-The operator is -A F0(phi) A^{-1} Fchi(theta): flag the good components and
-phase them, undo the state preparation, phase the all-fiducial component,
-redo the preparation, and negate.  With theta = phi = arccos(1 - 1/(2a)) the
+The operator is -A F0(theta) A^{-1} Fchi(theta): flag the good components
+and phase them, undo the state preparation, phase the all-fiducial component,
+redo the preparation, and negate.  With theta = arccos(1 - 1/(2a)) the
 bad-subspace amplitude of the result is exactly zero whenever the initial
 good probability a is known and at least 1/4.
 
@@ -29,29 +29,19 @@ from .topology import Topology
 PROBABILITY_EPS = 1e-10   # allowed gap between measured and promised success odds
 
 
-@dataclass(frozen=True)
-class PhasePair:
-    """The matched phase pair for one exact amplification at success odds a."""
+def phase_angle(a: float) -> float:
+    """The angle that zeros the bad amplitude of one generalized Grover iterate.
 
-    theta: float
-    phi: float
-    a: float
-
-
-def phase_angles(a: float) -> PhasePair:
-    """Angles that zero the bad amplitude of one generalized Grover iterate.
-
-    Solves 1 + (e^{i phi} - 1)(a e^{i theta} + 1 - a) = 0 under the phase
-    matching phi = theta: the quadratic a z^2 + (1-2a) z + a = 0 has two
-    unit-modulus roots for a > 1/4; we take the one with positive imaginary
-    part, theta = arccos(1 - 1/(2a)).  At a = 1/4 this degenerates to the
-    plain Grover iterate (theta = pi).
+    Both reflections kick this one angle theta.  Solves
+    1 + (e^{i theta} - 1)(a e^{i theta} + 1 - a) = 0: the quadratic
+    a z^2 + (1-2a) z + a = 0 has two unit-modulus roots for a > 1/4; we take
+    the one with positive imaginary part, theta = arccos(1 - 1/(2a)).  At
+    a = 1/4 this degenerates to the plain Grover iterate (theta = pi).
     """
     if not (0.25 - 1e-12 <= a <= 1.0 + 1e-12):
         raise ValueError(f"success probability {a} outside [1/4, 1]")
     a = min(max(a, 0.25), 1.0)
-    theta = math.acos(1.0 - 1.0 / (2.0 * a))
-    return PhasePair(theta=theta, phi=theta, a=a)
+    return math.acos(1.0 - 1.0 / (2.0 * a))
 
 
 @dataclass(frozen=True)
@@ -120,25 +110,26 @@ def amplification_steps(
     prepare: Callable[[SparseState], SparseState],
     chi,
     zero,
-    angles: PhasePair,
+    theta,
 ) -> list:
     """The iterate as a reversible step list (applied left to right).
 
     ``prepare`` must be its own inverse: the "unprepare" step applies it too.
-    ``angles`` may hold a ``Lanes`` of angles, one per lane of the state.
+    Both phase steps kick ``theta``, which may be a ``Lanes`` of angles, one
+    per lane of the state.
     """
     flip = local_step(prepare)
     return [
         Step("flag_good", chi.apply, chi.invert),
         Step("phase_good",
-             local_step(lambda s: chi.kick(s, angles.theta)),
-             local_step(lambda s: chi.kick(s, -angles.theta))),
+             local_step(lambda s: chi.kick(s, theta)),
+             local_step(lambda s: chi.kick(s, -theta))),
         Step("unflag_good", chi.invert, chi.apply),
         Step("unprepare", flip, flip),
         Step("flag_zero", zero.apply, zero.invert),
         Step("phase_zero",
-             local_step(lambda s: zero.kick(s, angles.phi)),
-             local_step(lambda s: zero.kick(s, -angles.phi))),
+             local_step(lambda s: zero.kick(s, theta)),
+             local_step(lambda s: zero.kick(s, -theta))),
         Step("unflag_zero", zero.invert, zero.apply),
         Step("prepare", flip, flip),
         Step("negate", local_step(lambda s: scale(s, -1)), local_step(lambda s: scale(s, -1))),
@@ -188,8 +179,7 @@ def exact_amplify(
     iterate regardless, for callers that amplify on a guess.
     Cost is exactly two executions of each flag subroutine.
     """
-    angles = phase_angles(a)
-    steps = amplification_steps(prepare, chi, zero, angles)
+    steps = amplification_steps(prepare, chi, zero, phase_angle(a))
     # run the first flag, optionally audit the promised success probability,
     # then run the rest
     state, c0 = steps[0].forward(state)

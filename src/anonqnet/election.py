@@ -29,8 +29,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .amplify import (Flag, PhasePair, Step, SubroutineFlag, amplification_steps,
-                      exact_amplify, local_step, phase_angles, run_steps)
+from .amplify import (Flag, Step, SubroutineFlag, amplification_steps, exact_amplify,
+                      local_step, phase_angle, run_steps)
 from .errors import ExactnessError, SimulationError
 from .qsim import (Lanes, SparseState, agreed, apply_all_parties, branches, gate,
                    init_state, joint_branches, layout, sample_index)
@@ -154,16 +154,14 @@ class ExactlyOneProcedure:
                              trigger=INCONSISTENT, fiducial=CONSISTENT, **marked)
         zero = SubroutineFlag(self.zeros, topo, ("coin",), "flag",
                               trigger=TRUE, fiducial=TRUE, **marked)
-        pairs = [phase_angles(guess_success_probability(t)) for t in self.guesses]
-        angles = PhasePair(theta=Lanes(p.theta for p in pairs),
-                           phi=Lanes(p.phi for p in pairs), a=Lanes(p.a for p in pairs))
+        theta = Lanes(phase_angle(guess_success_probability(t)) for t in self.guesses)
 
         # chi, zero and the final verdict (chi once more, on the amplified
         # coins) share the bank's one flag register; this is exact because the
         # iterate returns each flag to its fiducial before the next one is
         # computed, and every fiducial is 1 (CONSISTENT == TRUE)
         tape = [Step("spread", local_step(spread), local_step(spread))]
-        tape += amplification_steps(spread, chi, zero, angles)
+        tape += amplification_steps(spread, chi, zero, theta)
         tape.append(Step("final_flag", chi.apply, chi.invert))
         return tape
 
@@ -227,11 +225,13 @@ class ExactlyOneProcedure:
         The guess banks of every input not yet memoized run together, each
         input a block of one state.  The procedure's communication does not
         depend on the input, so a new report whose cost differs from the
-        first one's raises ``SimulationError``.  An entry other than 0 or 1
-        raises ``ValueError``.
+        first one's raises ``SimulationError``.  An input whose length is not
+        the party count, or an entry other than 0 or 1, raises ``ValueError``.
         """
         missing = [x for x in dict.fromkeys(xs) if x not in self._memo]
         for x in missing:
+            if len(x) != self.topology.n:
+                raise ValueError(f"input {x} has {len(x)} entries for {self.topology.n} parties")
             for bit in x:
                 if bit not in (0, 1):
                     raise ValueError(f"input entry {bit} is not a bit")
@@ -281,7 +281,8 @@ class ExactlyOneProcedure:
         Returns ``(state, cost)``; the cost is that of one execution, which
         ``evaluate_many`` checks is the same for every input.
         ``run_cache`` is accepted and ignored: the subroutines memoize their
-        own runs.
+        own runs.  A state laid out for another party count raises
+        ``ValueError``, as its inputs have the wrong length.
         """
         lay = state.layout
         x_of = lay.reader(x_reg)

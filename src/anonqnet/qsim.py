@@ -190,6 +190,18 @@ def _prune(amps: dict) -> dict:
     return out
 
 
+def _rescaled(lay: RegisterLayout, amps: dict) -> "SparseState":
+    """The scalar state of ``amps`` without dust, scaled to norm one.
+
+    The squared norm is summed in dict order, after pruning.
+    """
+    amps = _prune(amps)
+    if not amps:
+        raise SimulationError("state has no support left")
+    factor = 1.0 / math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+    return SparseState(lay, {k: v * factor for k, v in amps.items()})
+
+
 class SparseState:
     """A normalized joint state: {basis tuple: complex amplitude}.
 
@@ -201,24 +213,16 @@ class SparseState:
 
     __slots__ = ("layout", "amps")
 
-    def __init__(self, layout: RegisterLayout, amps: dict, *, normalize: bool = False):
-        if normalize and layout.blocks is not None:
-            raise ValueError("normalize takes a state without blocks")
+    def __init__(self, layout: RegisterLayout, amps: dict):
         amps = _prune(amps)
         if not amps:
             raise SimulationError("state has no support left")
-        norms = _block_norms(layout, amps)
-        for norm2 in norms.values():
+        for norm2 in _block_norms(layout, amps).values():
             for lane_norm2 in norm2 if isinstance(norm2, Lanes) else (norm2,):
                 if not math.isfinite(lane_norm2):
                     raise SimulationError(f"state norm is {lane_norm2!r}")
-                if not normalize and abs(lane_norm2 - 1.0) > NORM_EPS:
+                if abs(lane_norm2 - 1.0) > NORM_EPS:
                     raise SimulationError(f"state norm drifted to {lane_norm2!r}")
-        if normalize:
-            norm2 = norms[None]
-            scale = (Lanes(1.0 / math.sqrt(x) for x in norm2) if isinstance(norm2, Lanes)
-                     else 1.0 / math.sqrt(norm2))
-            amps = {k: v * scale for k, v in amps.items()}
         self.layout = layout
         self.amps = amps
 
@@ -229,12 +233,6 @@ class SparseState:
         """The squared norm of each block, keyed by its symbols (``None``
         without blocks); a ``Lanes`` of one per lane for a lane state."""
         return _block_norms(self.layout, self.amps)
-
-    def norm_squared(self):
-        """The squared norm of a state without blocks, a ``Lanes`` for lanes."""
-        if self.layout.blocks is not None:
-            raise ValueError("norm_squared takes a state without blocks")
-        return self.block_norms()[None]
 
     def amplitude(self, key: tuple):
         """The amplitude at ``key``: zero, as a ``Lanes`` for lanes, when absent."""
@@ -320,7 +318,7 @@ def drop_registers(state: SparseState, names: Sequence[str]) -> SparseState:
                 f"registers {tuple(names)} are entangled with the rest (residual {residual:.3e})"
             )
         amps[kk] = alpha
-    return SparseState(new_lay, amps, normalize=True)
+    return _rescaled(new_lay, amps)
 
 
 def rename_register(state: SparseState, old: str, new: str) -> SparseState:
@@ -402,11 +400,11 @@ def apply_all_parties(
     repeated here.  A gate whose dimension differs from the register's
     raises ``ValueError``.
     ``control=(name, symbol)`` restricts the action at each party to the
-    components where that party's control register holds ``symbol``; a
-    party whose control holds it in no component is skipped.  A symbol
-    outside the control register's range, or a control on ``register``
-    itself, which is not unitary, raises ``ValueError``.  A control-false
-    amplitude is carried through unchanged, as if its party were skipped.
+    components where that party's control register holds ``symbol``.  A
+    symbol outside the control register's range, or a control on
+    ``register`` itself, which is not unitary, raises ``ValueError``.  A
+    control-false amplitude is carried through unchanged and in order, as if
+    its party were skipped.
     """
     lay = state.layout
     _check_writable(lay, register)
@@ -425,8 +423,6 @@ def apply_all_parties(
     for party, slot in enumerate(lay.slots(register)):
         if control is not None:
             ctrl_slot = ctrl_slots[party]
-            if not any(key[ctrl_slot] == ctrl_sym for key in amps):
-                continue
         out: dict = {}
         for key, amp in amps.items():
             if control is not None and key[ctrl_slot] != ctrl_sym:
@@ -623,8 +619,7 @@ def branches(state: SparseState, register: str) -> list:
     for outcome in sorted(grouped):
         sub = grouped[outcome]
         prob = sum(abs(v) ** 2 for v in sub.values())
-        out.append(MeasurementBranch(outcome, prob,
-                                     SparseState(state.layout, sub, normalize=True)))
+        out.append(MeasurementBranch(outcome, prob, _rescaled(state.layout, sub)))
     return out
 
 

@@ -247,11 +247,12 @@ def load_graph(text: str) -> Topology:
     First line ``n <count>``, one ``e <u> <v>`` line per edge, and optional
     ``p <v> <edge-index> <port>`` lines (edge indices are 0-based positions in
     the order the ``e`` lines appear).  Port lines override the default
-    numbering; the result must still be a bijection per node.
+    numbering; the result must still be a bijection per node.  A second port
+    line for the same node and edge is refused.
     """
     n = None
     edges = []
-    overrides = []
+    overrides = {}   # (node, edge index): port
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -274,13 +275,16 @@ def load_graph(text: str) -> Topology:
         elif tag == "e":
             edges.append(values)
         else:
-            overrides.append(values)
+            if values[:2] in overrides:
+                raise ValueError(f"line {lineno}: second 'p' record for node {values[0]} "
+                                 f"on edge {values[1]}")
+            overrides[values[:2]] = values[2]
     if n is None:
         raise ValueError("missing 'n <count>' line")
     if not overrides:
         return build_graph(n, edges)
     ports = [dict(p) for p in default_ports(n, {_edge(u, v) for u, v in edges})]
-    for v, idx, port in overrides:
+    for (v, idx), port in overrides.items():
         if not (0 <= idx < len(edges)):
             raise ValueError(f"port override references edge index {idx} out of range")
         e = _edge(*edges[idx])

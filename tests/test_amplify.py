@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anonqnet.amplify import (SubroutineFlag, exact_amplify, flag_mass,
-                              phase_angles)
+from anonqnet.amplify import SubroutineFlag, exact_amplify, flag_mass, phase_angle
 from anonqnet.errors import ExactnessError
 from anonqnet.qsim import SparseState, apply_all_parties, gate, init_state, layout
 from anonqnet.runtime import PartyProgram
@@ -40,8 +39,8 @@ def test_plane_model_confirms_angle_formula():
         a = 0.26 + 0.04 * i
         if a > 1.0:
             break
-        pair = phase_angles(a)
-        out = iterate_on_plane(a, pair.theta, pair.phi)
+        theta = phase_angle(a)
+        out = iterate_on_plane(a, theta, theta)
         assert abs(out[0]) < 1e-10, f"bad amplitude {abs(out[0])} at a={a}"
         assert abs(abs(out[1]) - 1.0) < 1e-10
     out = iterate_on_plane(1.0, math.pi / 3, math.pi / 3)
@@ -58,26 +57,24 @@ def test_quadratic_root_matches_closed_form():
         roots = np.roots([a, 1 - 2 * a, a])
         candidates = [np.angle(z) for z in roots if z.imag > 0]
         assert candidates, f"no positive-imaginary root at a={a}"
-        assert abs(candidates[0] - phase_angles(a).theta) < 1e-9
+        assert abs(candidates[0] - phase_angle(a)) < 1e-9
 
 
 def test_anchor_values():
-    assert abs(phase_angles(0.25).theta - math.pi) < 1e-12
-    assert abs(phase_angles(0.5).theta - math.pi / 2) < 1e-12
-    assert abs(phase_angles(1.0).theta - math.pi / 3) < 1e-12
+    assert abs(phase_angle(0.25) - math.pi) < 1e-12
+    assert abs(phase_angle(0.5) - math.pi / 2) < 1e-12
+    assert abs(phase_angle(1.0) - math.pi / 3) < 1e-12
     for a in (0.3, 0.6, 1.0):
-        pair = phase_angles(a)
-        assert pair.theta == pair.phi
-        assert 0 <= pair.theta <= 2 * math.pi
+        assert 0 <= phase_angle(a) <= 2 * math.pi
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        phase_angles(0.2)
+        phase_angle(0.2)
     with pytest.raises(ValueError):
-        phase_angles(1.1)
+        phase_angle(1.1)
     with pytest.raises(ValueError):
-        phase_angles(0.0)   # a flag that never fires has no exact iterate
+        phase_angle(0.0)   # a flag that never fires has no exact iterate
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +108,10 @@ def dense_reference(n):
     dim = 2 ** n
     weights = [bin(i).count("1") for i in range(dim)]
     a = sum(abs(prep[i, 0]) ** 2 for i in range(dim) if weights[i] == 1)
-    pair = phase_angles(a)
-    flag_good = np.diag([cmath.exp(1j * pair.theta) if w == 1 else 1.0
+    theta = phase_angle(a)
+    flag_good = np.diag([cmath.exp(1j * theta) if w == 1 else 1.0
                          for w in weights])
-    flag_zero = np.diag([cmath.exp(1j * pair.phi) if i == 0 else 1.0
+    flag_zero = np.diag([cmath.exp(1j * theta) if i == 0 else 1.0
                          for i in range(dim)])
     start = prep[:, 0]
     return -(prep @ flag_zero @ prep.conj().T @ flag_good) @ start, a

@@ -243,9 +243,14 @@ def test_scale_and_norm_guard():
 def test_sparse_state_refuses_nan_and_infinite_amplitudes():
     lay = layout(1, [("q", 2)])
     for amps in ({(0,): 1, (1,): math.nan}, {(0,): math.inf}):
-        for normalize in (False, True):
+        # as given, and rescaled as a measurement branch or a dropped register is
+        for make in (SparseState, qsim._rescaled):
             with pytest.raises(SimulationError, match="norm"):
-                SparseState(lay, amps, normalize=normalize)
+                make(lay, amps)
+    # rescaling nothing, or only dust, divides by no zero norm
+    for amps in ({}, {(0,): 1e-15, (1,): -1e-16j}):
+        with pytest.raises(SimulationError, match="^state has no support left$"):
+            qsim._rescaled(lay, amps)
 
 
 def test_lanes_are_pruned_and_normed_lane_by_lane():
@@ -255,17 +260,13 @@ def test_lanes_are_pruned_and_normed_lane_by_lane():
     st = SparseState(lay, {(0,): Lanes((amp, 1.0)), (1,): Lanes((amp, 1e-15)),
                            (2,): Lanes((1e-15, -1e-16))})
     assert st.amps == {(0,): (amp, 1.0), (1,): (amp, 0j)}
-    assert st.norm_squared() == (amp * amp + amp * amp, 1.0)
+    assert st.block_norms() == {None: (amp * amp + amp * amp, 1.0)}
     # each lane's norm is checked on its own, a NaN in one lane included
     for amps, match in (({(0,): Lanes((amp, 1.0)), (1,): Lanes((amp, 0.5))}, "drifted to 1.25"),
                         ({(0,): Lanes((1.0, math.nan))}, "norm is nan"),
                         ({(0,): Lanes((1.0, 1e-15))}, "drifted to 0.0")):
         with pytest.raises(SimulationError, match=match):
             SparseState(lay, amps)
-    st = SparseState(lay, {(0,): Lanes((1.0, 3.0)), (1,): Lanes((1.0, 4j))}, normalize=True)
-    assert all(abs(st.amps[k][i] - want) < 1e-15
-               for k, lanes in (((0,), (amp, 0.6)), ((1,), (amp, 0.8j)))
-               for i, want in enumerate(lanes))
     with pytest.raises(ValueError, match="lane counts differ"):
         Lanes((1, 2)) + Lanes((1,))
 
@@ -427,6 +428,15 @@ def test_controlled_gate_with_no_active_party_keeps_amplitudes():
     st = SparseState(lay, {(0, 0, 0, 1, 0, 0): amp, (0, 1, 0, 0, 0, 1): -amp})
     out = apply_all_parties(st, "q", gate(H), control=("mark", 1))
     assert out.amps == st.amps
+    # party 2 holds the control symbol in no key: the gate leaves the keys in
+    # the order, and the amplitudes with the bits, of the state without party 2
+    pair = layout(2, [("mark", 2), ("q", 2)])
+    two = {(1, 1, 0, 0): complex(-0.0, 0.6), (0, 1, 1, 0): 0.48, (1, 0, 0, 1): complex(-0.64, -0.0)}
+    run = apply_all_parties(SparseState(pair, two), "q", gate(H), control=("mark", 1))
+    out = apply_all_parties(SparseState(lay, {key + (0, 1): v for key, v in two.items()}),
+                            "q", gate(H), control=("mark", 1))
+    assert list(out.amps) == [key + (0, 1) for key in run.amps]
+    assert [repr(v) for v in out.amps.values()] == [repr(v) for v in run.amps.values()]
 
 
 def test_controlled_gate_acts_only_where_marked():
@@ -443,7 +453,7 @@ def test_controlled_gate_on_a_superposed_control_matches_a_dense_reference():
     # components pass through unchanged and others get the gate
     lay = layout(2, [("mark", 2), ("q", 2)])
     st = SparseState(lay, {(0, 0, 1, 1): 0.6, (1, 0, 0, 1): 0.48j,
-                           (1, 1, 1, 0): -0.64}, normalize=True)
+                           (1, 1, 1, 0): -0.64})
     out = apply_all_parties(st, "q", gate(H), control=("mark", 1))
     controlled_h = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), H]])
     vec = np.zeros(16, dtype=complex)
@@ -457,7 +467,7 @@ def test_controlled_gate_on_a_superposed_control_matches_a_dense_reference():
 
 def test_phase_kick_two_conditions_matches_brute_force_count():
     lay = layout(3, [("m", 2), ("f", 3)])
-    st = SparseState(lay, {key: 1.0 for key in np.ndindex(*(2, 3) * 3)}, normalize=True)
+    st = SparseState(lay, dict.fromkeys(np.ndindex(*(2, 3) * 3), 1 / math.sqrt(6 ** 3)))
     phase = 0.37
     out = phase_kick_where(st, (("m", 1), ("f", 2)), phase)
     assert set(out.amps) == set(st.amps)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from anonqnet.election import exactly_one_algorithm, rotation_matrix
+from anonqnet.election import exactly_one_algorithm, rotation_matrix, unique_one_state
 from anonqnet.errors import SimulationError
 from anonqnet.ghz import ghz_share
 from anonqnet.postelect import compute_function, gather_scatter_state, majority
@@ -30,10 +30,10 @@ def lanes():
     return SparseState(layout(1, [("m", 2), ("q", 2)]), {(0, 0): Lanes((1.0, 1.0))})
 
 
-def blocks(amps=((0, 0), (1, 0)), normalize=False):
+def blocks():
     # one party, each value of "m" its own normalized block
     return SparseState(layout(1, [("m", 2), ("q", 2)], blocks="m"),
-                       dict.fromkeys(amps, 1.0 + 0j), normalize=normalize)
+                       dict.fromkeys(((0, 0), (1, 0)), 1.0 + 0j))
 
 
 def gather_scatter(parties, transform_dim):
@@ -71,6 +71,13 @@ REFUSALS = [
     ("unique-one-negative-entry",
      lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((-1, 0, 0)),
      ValueError, "input entry -1 is not a bit"),
+    ("unique-one-input-length",
+     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((0, 1)),
+     ValueError, "input (0, 1) has 2 entries for 3 parties"),
+    ("unique-one-state-party-count",
+     lambda: exactly_one_algorithm(catalog("ring", 3)).apply(
+         unique_one_state({(0, 1): 1.0}), "bit", "res"),
+     ValueError, "input (0, 1) has 2 entries for 3 parties"),
     ("layout-duplicate-register", lambda: layout(1, [("q", 2), ("q", 2)]),
      ValueError, "duplicate register name"),
     ("layout-dimension-one", lambda: layout(1, [("q", 1)]),
@@ -93,10 +100,6 @@ REFUSALS = [
      ValueError, "fidelity takes a scalar state, not lanes or blocks"),
     ("fidelity-blocks", lambda: fidelity(blocks(), blocks()),
      ValueError, "fidelity takes a scalar state, not lanes or blocks"),
-    ("normalize-blocks", lambda: blocks(((0, 0), (0, 1)), normalize=True),
-     ValueError, "normalize takes a state without blocks"),
-    ("norm-squared-blocks", lambda: blocks().norm_squared(),
-     ValueError, "norm_squared takes a state without blocks"),
     ("blocks-unknown-register", lambda: layout(1, [("q", 2)], blocks="m"),
      ValueError, "no register named 'm'"),
     ("blocks-gate", lambda: apply_all_parties(blocks(), "m", gate(np.eye(2))),
@@ -116,6 +119,9 @@ REFUSALS = [
     ("catalog-name", lambda: catalog("wheel", 5), ValueError, "unknown catalog graph 'wheel'"),
     ("graph-file-port-endpoint", lambda: load_graph("n 3\ne 0 1\np 2 0 1\n"),
      ValueError, "port override: node 2 is not an endpoint of edge 0"),
+    ("graph-file-repeated-port",
+     lambda: load_graph("n 3\ne 0 1\ne 0 2\np 0 0 2\np 0 0 1\n"),
+     ValueError, "line 5: second 'p' record for node 0 on edge 0"),
     ("gather-scatter-party-count", lambda: gather_scatter(3, 8),
      ValueError, "state and topology disagree on the party count"),
     ("gather-scatter-transform-size", lambda: gather_scatter(2, 2),
