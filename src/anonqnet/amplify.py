@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ExactnessError
-from .qsim import (Lanes, SparseState, agreed, apply_coherent_subroutine,
+from .qsim import (SparseState, agreed_rows, apply_coherent_subroutine, fold,
                    phase_kick_where, scale, uncompute_subroutine)
 from .runtime import CostReport, sequential
 from .subroutines import ClassicalSubroutine
@@ -55,15 +58,15 @@ class Flag:
     conditions and ``divisor`` the party count the register must agree across
     parties, which it does for the global predicates used here.
 
-    For states of ``qsim.Lanes`` amplitudes, ``divisor`` and the kicked angle
-    may be ``Lanes`` too; ``kick`` then divides lane by lane.
+    For a state of several lanes, ``divisor`` and the kicked angle may be
+    arrays of one per lane; ``kick`` then divides lane by lane.
     """
 
     apply: Callable[[SparseState], tuple]
     invert: Callable[[SparseState], tuple]
     register: str
     trigger: int
-    divisor: Union[int, Lanes]
+    divisor: ArrayLike
     conditions: tuple = ()
 
     def kick(self, state: SparseState, total_angle) -> SparseState:
@@ -73,7 +76,7 @@ class Flag:
 
 def SubroutineFlag(sub: ClassicalSubroutine, topology: Topology,
                    in_regs: Sequence[str], out_reg: str, trigger: int,
-                   fiducial: int, *, divisor: Optional[Union[int, Lanes]] = None,
+                   fiducial: int, *, divisor: Optional[ArrayLike] = None,
                    conditions=()) -> Flag:
     """The flag a classical subroutine computes when run coherently.
 
@@ -115,7 +118,7 @@ def amplification_steps(
     """The iterate as a reversible step list (applied left to right).
 
     ``prepare`` must be its own inverse: the "unprepare" step applies it too.
-    Both phase steps kick ``theta``, which may be a ``Lanes`` of angles, one
+    Both phase steps kick ``theta``, which may be an array of angles, one
     per lane of the state.
     """
     flip = local_step(prepare)
@@ -152,13 +155,9 @@ def flag_mass(state: SparseState, register: str, trigger: int) -> float:
     Also checks the flag is shared: a component with disagreeing flag values
     across parties means the flag subroutine is broken.
     """
-    flags = state.layout.reader(register)
-    what = f"flag register {register!r}"
-    mass = 0.0
-    for key, amp in state.amps.items():
-        if agreed(flags(key), what) == trigger:
-            mass += abs(amp) ** 2
-    return mass
+    flags = agreed_rows(state.layout.digits(state.keys, register), f"flag register {register!r}")
+    flagged = flags == trigger
+    return fold(np.float_power(np.hypot(state.re[flagged, 0], state.im[flagged, 0]), 2.0).tolist())
 
 
 def exact_amplify(

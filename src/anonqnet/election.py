@@ -32,8 +32,9 @@ import numpy as np
 from .amplify import (Flag, Step, SubroutineFlag, amplification_steps, exact_amplify,
                       local_step, phase_angle, run_steps)
 from .errors import ExactnessError, SimulationError
-from .qsim import (Lanes, SparseState, agreed, apply_all_parties, branches, gate,
-                   init_state, joint_branches, layout, sample_index)
+from .qsim import (SparseState, agreed, agreed_rows, apply_all_parties, branches,
+                   complex_product, fold, from_columns, gate, init_state, joint_branches,
+                   layout, sample_index)
 from .runtime import CostReport, parallel, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
                           consistency_from_all_zeros, run_cached)
@@ -149,12 +150,12 @@ class ExactlyOneProcedure:
         # only marked parties kick, 1/guess each: when the guess equals the
         # number of marked parties the collected phase is exact, which keeps
         # the procedure exact when the parties know only a bound on n
-        marked = dict(divisor=Lanes(self.guesses), conditions=(("mark", MARKED),))
+        marked = dict(divisor=np.array(self.guesses), conditions=(("mark", MARKED),))
         chi = SubroutineFlag(self.cons, topo, ("coin", "mark"), "flag",
                              trigger=INCONSISTENT, fiducial=CONSISTENT, **marked)
         zero = SubroutineFlag(self.zeros, topo, ("coin",), "flag",
                               trigger=TRUE, fiducial=TRUE, **marked)
-        theta = Lanes(phase_angle(guess_success_probability(t)) for t in self.guesses)
+        theta = np.array([phase_angle(guess_success_probability(t)) for t in self.guesses])
 
         # chi, zero and the final verdict (chi once more, on the amplified
         # coins) share the bank's one flag register; this is exact because the
@@ -176,25 +177,32 @@ class ExactlyOneProcedure:
         starts = [tuple(sym for bit in x for sym in (MARKED if bit else UNMARKED, 0, CONSISTENT))
                   for x in xs]
         width = len(self.guesses)
-        bank = SparseState(lay, dict.fromkeys(starts, Lanes((1.0 + 0j,) * width)))
+        bank = SparseState(lay, dict.fromkeys(starts, (1.0 + 0j,) * width))
+        start_keys = bank.keys
         bank, fwd_cost = run_steps(bank, self._tape)
-
-        block_of, verdicts = lay.reader("mark"), lay.reader("flag")
-        peaks = {}
-        for comp, amps in bank.amps.items():
-            verdict = agreed(verdicts(comp), "consistency verdict")
-            block = peaks.setdefault(block_of(comp), {CONSISTENT: [0.0] * width,
-                                                      INCONSISTENT: [0.0] * width})
-            block[verdict] = list(map(max, block[verdict], map(abs, amps)))
+        verdicts = agreed_rows(lay.digits(bank.keys, "flag"), "consistency verdict")
+        # the input of a row is the one whose marks it holds
+        marks = lay.strides("mark")
+        start_marks = lay.digits(start_keys, "mark") @ marks
+        by_marks = np.argsort(start_marks)
+        held = lay.digits(bank.keys, "mark") @ marks
+        inputs = by_marks[np.searchsorted(start_marks, held, sorter=by_marks)]
+        # the largest amplitude of each input, verdict and lane
+        peaks = np.zeros((len(xs), 2, width))
+        np.maximum.at(peaks, (inputs, verdicts), np.hypot(bank.re, bank.im))
 
         bank, bwd_cost = run_steps(bank, self._tape, backward=True)
         cost = sequential(fwd_cost, bwd_cost)
         norms = bank.block_norms()
+        rows = bank.rows(start_keys)
+        found = (rows >= 0)[:, None]
+        restored = zip(np.where(found, bank.re[rows], 0.0).tolist(),
+                       np.where(found, bank.im[rows], 0.0).tolist())
+        block_of = lay.reader("mark")
         out = []
-        for x, start in zip(xs, starts):
-            block = block_of(start)
-            lanes = zip(self.guesses, peaks[block][CONSISTENT], peaks[block][INCONSISTENT],
-                        norms[block], bank.amplitude(start))
+        for x, start, peak, (fid_re, fid_im) in zip(xs, starts, peaks.tolist(), restored):
+            lanes = zip(self.guesses, peak[CONSISTENT], peak[INCONSISTENT],
+                        norms[block_of(start)], map(complex, fid_re, fid_im))
             reports = []
             for guess, max_consistent, max_inconsistent, norm2, fid_amp in lanes:
                 residual = norm2 - abs(fid_amp) ** 2
@@ -285,17 +293,13 @@ class ExactlyOneProcedure:
         ``ValueError``, as its inputs have the wrong length.
         """
         lay = state.layout
-        x_of = lay.reader(x_reg)
-        y_slots = lay.slots(y_reg)
-        reports = self.evaluate_many([x_of(key) for key in state.amps])
-        amps = {}
-        for (key, amp), report in zip(state.amps.items(), reports):
-            nk = list(key)
-            if report.value == FALSE:
-                for s in y_slots:
-                    nk[s] ^= 1
-            amps[tuple(nk)] = amp * report.phase
-        return SparseState(lay, amps), reports[0].cost
+        reports = self.evaluate_many(list(map(tuple, lay.digits(state.keys, x_reg).tolist())))
+        flips = np.array([report.value == FALSE for report in reports])[:, None]
+        held = lay.digits(state.keys, y_reg)
+        keys = state.keys + np.where(flips, (held ^ 1) - held, 0) @ lay.strides(y_reg)
+        phases = np.array([report.phase for report in reports])[:, None]
+        re, im = complex_product(state.re, state.im, phases.real, phases.imag)
+        return from_columns(lay, keys, re, im), reports[0].cost
 
 
 def exactly_one_algorithm(topology: Topology, n_known: Optional[int] = None) -> ExactlyOneProcedure:
@@ -346,7 +350,7 @@ class ElectionResult:
         return self.branches[self.sampled_index]
 
     def total_probability(self) -> float:
-        return sum(b.probability for b in self.branches)
+        return fold(b.probability for b in self.branches)
 
 
 def _leaders(outcome: tuple) -> tuple:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .qsim import (SparseState, agreed, apply_all_parties, apply_coherent_subroutine,
-                   binary_op_all_parties, branches, drop_registers, gate,
+                   binary_op_all_parties, branches, drop_registers, fold, gate,
                    init_state, joint_branches, layout, rename_register,
                    sample_index, tensor)
 from .runtime import CostReport, parallel
@@ -145,7 +145,7 @@ class GhzShareResult:
         return self.branches[self.sampled_index]
 
     def total_probability(self) -> float:
-        return sum(b.probability for b in self.branches)
+        return fold(b.probability for b in self.branches)
 
 
 def _first_equal_pair(outcomes) -> tuple:

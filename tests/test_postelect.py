@@ -8,7 +8,9 @@ from anonqnet.postelect import (BUILTIN_FUNCTIONS, all_equal, compute_function,
                                 gather_scatter_state, labeled_cycle_exists,
                                 majority, parity, recognize_graph,
                                 spanning_tree, unitary_from_first_column)
+from anonqnet.election import ElectionBranch
 from anonqnet.ghz import cat_state
+from anonqnet.runtime import CostReport
 from anonqnet.qsim import SparseState, fidelity, init_state, layout
 from anonqnet.topology import catalog
 
@@ -144,6 +146,19 @@ def test_pipeline_value_is_seed_independent(election_runs):
     assert len({run.value for run in runs}) == 1
     assert [run.cost for run in runs] == fresh
     assert len(election_runs) == 1
+    # what the calls after the first read holds only Python numbers: a numpy
+    # scalar there would slow every later sample and lookup
+    kept, cost = topo.memo["elect"]
+    assert type(kept) is tuple and type(cost) is CostReport
+    for branch in kept:
+        assert type(branch) is ElectionBranch
+        assert type(branch.probability) is float
+        for field in (branch.outcomes, branch.leaders):
+            assert type(field) is tuple and all(type(v) is int for v in field)
+    assert all(type(end) is int for v in range(topo.n) for port in range(1, topo.degree(v) + 1)
+               for end in topo.link(v, port))
+    state = SparseState(layout(2, [("q", 2)]), {(0, 1): 0.6, (1, 0): 0.8j})
+    assert all(type(amp) is complex for amp in state.amps.values())
 
 
 @pytest.mark.parametrize("fn_name", sorted(BUILTIN_FUNCTIONS))

@@ -7,7 +7,7 @@ from anonqnet import qsim
 from anonqnet.cli import dump_state, load_state
 from anonqnet.election import elect
 from anonqnet.errors import ExactnessError, SimulationError
-from anonqnet.qsim import (Gate, Lanes, SparseState, agreed, apply_all_parties,
+from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
                            apply_coherent_subroutine, binary_op_all_parties,
                            branches, drop_registers, fidelity, gate,
                            init_state, layout, phase_kick_where,
@@ -240,35 +240,42 @@ def test_scale_and_norm_guard():
         SparseState(lay, {(0,): 0.5})
 
 
+def rescaled(lay, amps):
+    """``qsim._rescaled`` on the columns of a dict of scalar amplitudes."""
+    values = np.array(list(amps.values()), dtype=complex).reshape(-1, 1)
+    return qsim._rescaled(lay, lay.encode(list(amps)), values.real, values.imag)[0]
+
+
 def test_sparse_state_refuses_nan_and_infinite_amplitudes():
     lay = layout(1, [("q", 2)])
     for amps in ({(0,): 1, (1,): math.nan}, {(0,): math.inf}):
         # as given, and rescaled as a measurement branch or a dropped register is
-        for make in (SparseState, qsim._rescaled):
+        for make in (SparseState, rescaled):
             with pytest.raises(SimulationError, match="norm"):
                 make(lay, amps)
     # rescaling nothing, or only dust, divides by no zero norm
     for amps in ({}, {(0,): 1e-15, (1,): -1e-16j}):
         with pytest.raises(SimulationError, match="^state has no support left$"):
-            qsim._rescaled(lay, amps)
+            rescaled(lay, amps)
 
 
 def test_lanes_are_pruned_and_normed_lane_by_lane():
-    lay = layout(1, [("q", 2)])
+    lay = layout(1, [("q", 3)])
     amp = 1 / math.sqrt(2)
     # a dust lane becomes an exact 0j; a key goes only when every lane is dust
-    st = SparseState(lay, {(0,): Lanes((amp, 1.0)), (1,): Lanes((amp, 1e-15)),
-                           (2,): Lanes((1e-15, -1e-16))})
+    st = SparseState(lay, {(0,): (amp, 1.0), (1,): (amp, 1e-15), (2,): (1e-15, -1e-16)})
     assert st.amps == {(0,): (amp, 1.0), (1,): (amp, 0j)}
     assert st.block_norms() == {None: (amp * amp + amp * amp, 1.0)}
+    # a dust lane is an exact zero: no sign is left on either part
+    assert [math.copysign(1.0, x) for x in (st.re[1, 1], st.im[1, 1])] == [1.0, 1.0]
     # each lane's norm is checked on its own, a NaN in one lane included
-    for amps, match in (({(0,): Lanes((amp, 1.0)), (1,): Lanes((amp, 0.5))}, "drifted to 1.25"),
-                        ({(0,): Lanes((1.0, math.nan))}, "norm is nan"),
-                        ({(0,): Lanes((1.0, 1e-15))}, "drifted to 0.0")):
+    for amps, match in (({(0,): (amp, 1.0), (1,): (amp, 0.5)}, "drifted to 1.25"),
+                        ({(0,): (1.0, math.nan)}, "norm is nan"),
+                        ({(0,): (1.0, 1e-15)}, "drifted to 0.0")):
         with pytest.raises(SimulationError, match=match):
             SparseState(lay, amps)
-    with pytest.raises(ValueError, match="lane counts differ"):
-        Lanes((1, 2)) + Lanes((1,))
+    with pytest.raises(ValueError):
+        SparseState(lay, {(0,): (1.0, 1.0), (1,): (1.0,)})
 
 
 def test_lanes_evolve_exactly_as_states_run_alone():
@@ -283,8 +290,8 @@ def test_lanes_evolve_exactly_as_states_run_alone():
         return scale(apply_all_parties(state, "m", gate(H)), -1)
 
     runs = [evolve(SparseState(lay, amps), phase) for amps, phase in zip(alone, phases)]
-    lanes = evolve(SparseState(lay, {k: Lanes(a[k] for a in alone) for k in alone[0]}),
-                   Lanes(phases))
+    lanes = evolve(SparseState(lay, {k: tuple(a[k] for a in alone) for k in alone[0]}),
+                   phases)
     assert set(lanes.amps) == set(runs[0].amps) | set(runs[1].amps)
     for key, amps in lanes.amps.items():
         assert amps == tuple(run.amplitude(key) for run in runs)
@@ -293,22 +300,21 @@ def test_lanes_evolve_exactly_as_states_run_alone():
 def test_each_block_is_normed_on_its_own():
     lay = layout(1, [("m", 2), ("q", 2)], blocks="m")
     st = SparseState(lay, {(0, 0): 0.6, (1, 1): -1.0, (0, 1): 0.8j})
-    assert st.block_norms() == {(0,): 0.6 * 0.6 + 0.8 * 0.8, (1,): 1.0}
+    assert st.block_norms() == {(0,): (0.6 * 0.6 + 0.8 * 0.8,), (1,): (1.0,)}
     assert st.amplitude((1, 0)) == 0j
     # block (1,) drifted while block (0,) is fine; the two blocks of the
     # second state would pass a check of the whole state
     for amps, match in (({(0, 0): 0.6, (0, 1): 0.8j, (1, 1): 0.5}, "drifted to 0.25"),
                         ({(0, 0): 0.6, (1, 0): 0.8}, "drifted to 0.36"),
-                        ({(0, 0): Lanes((1.0, 1.0)), (1, 0): Lanes((1.0, 0.5))},
-                         "drifted to 0.25")):
+                        ({(0, 0): (1.0, 1.0), (1, 0): (1.0, 0.5)}, "drifted to 0.25")):
         with pytest.raises(SimulationError, match=match):
             SparseState(lay, amps)
 
 
 def test_a_lane_state_reads_a_missing_key_as_zero_lanes():
-    st = SparseState(layout(1, [("q", 2)]), {(0,): Lanes((1.0, 1j, -1.0))})
-    amp = st.amplitude((1,))
-    assert isinstance(amp, Lanes) and amp == (0j, 0j, 0j)
+    st = SparseState(layout(1, [("q", 2)]), {(0,): (1.0, 1j, -1.0)})
+    assert st.amplitude((1,)) == (0j, 0j, 0j)
+    assert st.amplitude((0,)) == (1.0, 1j, -1.0)
 
 
 def test_a_controlled_gate_leaves_each_block_as_it_leaves_the_block_alone():
@@ -448,33 +454,57 @@ def test_controlled_gate_acts_only_where_marked():
     assert all(abs(out.amps[k] - amp) < 1e-15 for k in out.amps)
 
 
+def lane_columns(state) -> dict:
+    """Each key's amplitudes, one per lane, read from the columns."""
+    return {key: tuple(map(complex, re, im))
+            for key, re, im in zip(state.layout.decode(state.keys), state.re.tolist(),
+                                   state.im.tolist())}
+
+
+# (blocks, amplitudes): each party's mark is in superposition, so at every
+# party some components pass through unchanged and others get the gate; the
+# second state evolves two lanes at once, and the third, of three lanes,
+# holds one block per mark string, each of one key
+SUPERPOSED_CONTROL = [
+    (None, {(0, 0, 1, 1): 0.6, (1, 0, 0, 1): 0.48j, (1, 1, 1, 0): -0.64}),
+    (None, {(0, 0, 1, 1): (0.6, -0.8j), (1, 0, 0, 1): (0.48j, 0.36),
+            (1, 1, 1, 0): (-0.64, 0.48)}),
+    ("mark", {(0, 0, 1, 1): (0.6 + 0.8j, 1.0, -1j), (1, 0, 0, 1): (1j, -1.0, 0.6 - 0.8j),
+              (1, 1, 1, 0): (-1.0, 0.8 + 0.6j, 1.0)}),
+]
+
+
 def test_controlled_gate_on_a_superposed_control_matches_a_dense_reference():
-    # each party's mark is in superposition, so at every party some
-    # components pass through unchanged and others get the gate
-    lay = layout(2, [("mark", 2), ("q", 2)])
-    st = SparseState(lay, {(0, 0, 1, 1): 0.6, (1, 0, 0, 1): 0.48j,
-                           (1, 1, 1, 0): -0.64})
-    out = apply_all_parties(st, "q", gate(H), control=("mark", 1))
     controlled_h = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), H]])
-    vec = np.zeros(16, dtype=complex)
-    for (m0, q0, m1, q1), amp in st.amps.items():
-        vec[8 * m0 + 4 * q0 + 2 * m1 + q1] = amp
-    reference = np.kron(controlled_h, controlled_h) @ vec
-    for index in range(16):
-        key = tuple(int(b) for b in format(index, "04b"))
-        assert abs(out.amplitude(key) - reference[index]) < 1e-12
+    for blocks, amps in SUPERPOSED_CONTROL:
+        st = SparseState(layout(2, [("mark", 2), ("q", 2)], blocks=blocks), amps)
+        out = lane_columns(apply_all_parties(st, "q", gate(H), control=("mark", 1)))
+        lanes = st.re.shape[1]
+        vec = np.zeros((16, lanes), dtype=complex)
+        for (m0, q0, m1, q1), amp in lane_columns(st).items():
+            vec[8 * m0 + 4 * q0 + 2 * m1 + q1] = amp
+        reference = np.kron(controlled_h, controlled_h) @ vec
+        for index in range(16):
+            key = tuple(int(b) for b in format(index, "04b"))
+            got = out.get(key, (0j,) * lanes)
+            assert all(abs(g - r) < 1e-12 for g, r in zip(got, reference[index]))
 
 
 def test_phase_kick_two_conditions_matches_brute_force_count():
-    lay = layout(3, [("m", 2), ("f", 3)])
-    st = SparseState(lay, dict.fromkeys(np.ndindex(*(2, 3) * 3), 1 / math.sqrt(6 ** 3)))
-    phase = 0.37
-    out = phase_kick_where(st, (("m", 1), ("f", 2)), phase)
-    assert set(out.amps) == set(st.amps)
-    for key, amp in st.amps.items():
-        count = sum(1 for p in range(3)
-                    if key[lay.slots("m")[p]] == 1 and key[lay.slots("f")[p]] == 2)
-        assert abs(out.amps[key] - amp * np.exp(1j * phase * count)) < 1e-15
+    # a scalar state, three lanes kicked by three phases, and a blocked state
+    # whose blocks are the 8 mark strings, of 27 keys each
+    for phases, blocks in (((0.37,), None), ((0.37, -1.1, 2.9), None), ((0.37,), "m")):
+        lay = layout(3, [("m", 2), ("f", 3)], blocks=blocks)
+        amp = 1 / math.sqrt(6 ** 3 if blocks is None else 27)
+        st = SparseState(lay, dict.fromkeys(np.ndindex(*(2, 3) * 3), (amp,) * len(phases)))
+        out = phase_kick_where(st, (("m", 1), ("f", 2)), phases if len(phases) > 1 else phases[0])
+        kicked = lane_columns(out)
+        assert set(kicked) == set(st.amps)
+        for key in st.amps:
+            count = sum(1 for p in range(3)
+                        if key[lay.slots("m")[p]] == 1 and key[lay.slots("f")[p]] == 2)
+            for got, phase in zip(kicked[key], phases):
+                assert abs(got - amp * np.exp(1j * phase * count)) < 1e-15
 
 
 def test_coherent_single_party_against_hand_outputs():

@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from anonqnet.election import exactly_one_algorithm, rotation_matrix, unique_one_state
+from anonqnet.election import elect, exactly_one_algorithm, rotation_matrix, unique_one_state
 from anonqnet.errors import SimulationError
 from anonqnet.ghz import ghz_share
 from anonqnet.postelect import compute_function, gather_scatter_state, majority
-from anonqnet.qsim import (Lanes, SparseState, apply_all_parties, apply_coherent_subroutine,
+from anonqnet.qsim import (SparseState, apply_all_parties, apply_coherent_subroutine,
                            binary_op_all_parties, branches, drop_registers, fidelity, gate,
                            init_state, layout, tensor)
 from anonqnet.runtime import run_classical
@@ -27,7 +27,7 @@ def qubits(parties, name="q"):
 
 
 def lanes():
-    return SparseState(layout(1, [("m", 2), ("q", 2)]), {(0, 0): Lanes((1.0, 1.0))})
+    return SparseState(layout(1, [("m", 2), ("q", 2)]), {(0, 0): (1.0, 1.0)})
 
 
 def blocks():
@@ -51,6 +51,8 @@ REFUSALS = [
      ValueError, "fiducial out of range"),
     ("state-without-support", lambda: SparseState(layout(1, [("q", 2)]), {(0,): 0j}),
      SimulationError, "state has no support left"),
+    ("state-key-outside-layout", lambda: SparseState(layout(1, [("q", 2)]), {(2,): 1.0}),
+     ValueError, "basis key (2,) does not fit the layout"),
     ("bound-below-party-count", lambda: exactly_one_algorithm(catalog("ring", 4), 3),
      ValueError, "known bound below the true party count"),
     ("function-input-count", lambda: compute_function(catalog("ring", 3), [0, 1], majority),
@@ -82,6 +84,11 @@ REFUSALS = [
      ValueError, "duplicate register name"),
     ("layout-dimension-one", lambda: layout(1, [("q", 1)]),
      ValueError, "register 'q' needs dimension >= 2"),
+    # the guess banks of ring-30 would need 8**30 keys; the election refuses
+    # them when it builds their layout, before any simulation
+    ("layout-key-space", lambda: elect(catalog("ring", 30)),
+     ValueError, "30 parties of 8 basis states each make 8**30 = 1.238e+27 keys, "
+                 "too many for int64 keys (2**63 at most)"),
     ("drop-every-register", lambda: drop_registers(qubits(2), ["q"]),
      ValueError, "cannot drop every register"),
     ("tensor-party-count", lambda: tensor(qubits(1, "a"), qubits(2, "b")),
