@@ -534,15 +534,13 @@ def drop_registers(state: SparseState, names: Sequence[str]) -> SparseState:
     count = len(firsts)
     re, im = state.re[:, 0], state.im[:, 0]
     weights = np.bincount(rows_of, weights=_squares(re, im), minlength=count)
-    # the factor beta is the heaviest row, the first of equal ones, normalized;
-    # a / ref_norm is computed as CPython divides a complex by a real
+    # the factor beta is the heaviest row, the first of equal ones, normalized
     ref = weights.argmax()
     ref_norm = math.sqrt(weights[ref])
     in_ref = (rows_of == ref).nonzero()[0]
-    ratio = 0.0 / ref_norm
-    denom = ref_norm + 0.0 * ratio
-    beta_re = (re[in_ref] + im[in_ref] * ratio) / denom
-    beta_im = (im[in_ref] - re[in_ref] * ratio) / denom
+    beta = np.array([complex(r, i) / ref_norm
+                     for r, i in zip(re[in_ref].tolist(), im[in_ref].tolist())])
+    beta_re, beta_im = beta.real, beta.imag
     # each row's partner in beta: the entry of the same dropped symbols
     by_key = np.argsort(drop_key[in_ref])
     at = by_key[np.searchsorted(drop_key[in_ref], drop_key, sorter=by_key).clip(max=len(in_ref) - 1)]
