@@ -32,12 +32,12 @@ import numpy as np
 from .amplify import (Flag, Step, SubroutineFlag, amplification_steps, exact_amplify,
                       local_step, phase_angle, run_steps)
 from .errors import ExactnessError, SimulationError
-from .qsim import (SparseState, agreed, agreed_rows, apply_all_parties, branches,
+from .qsim import (SparseState, agreed_rows, apply_all_parties, branches,
                    complex_product, fold, from_columns, gate, init_state, joint_branches,
                    layout, sample_index)
 from .runtime import CostReport, parallel, sequential
 from .subroutines import (FALSE, TRUE, all_zeros_flooding,
-                          consistency_from_all_zeros, run_cached)
+                          consistency_from_all_zeros, run_cached, run_row)
 from .topology import Topology
 
 MARKED, UNMARKED = 1, 0
@@ -231,10 +231,11 @@ class ExactlyOneProcedure:
         """The memoized record of the procedure on each input of ``xs``, in order.
 
         The guess banks of every input not yet memoized run together, each
-        input a block of one state.  The procedure's communication does not
-        depend on the input, so a new report whose cost differs from the
-        first one's raises ``SimulationError``.  An input whose length is not
-        the party count, or an entry other than 0 or 1, raises ``ValueError``.
+        input a block of one state, and one table lookup reads the all-zeros
+        flood of each.  The procedure's communication does not depend on the
+        input, so an input whose cost differs from the first one's raises
+        ``SimulationError``.  An input whose length is not the party count,
+        or an entry other than 0 or 1, raises ``ValueError``.
         """
         missing = [x for x in dict.fromkeys(xs) if x not in self._memo]
         for x in missing:
@@ -245,20 +246,36 @@ class ExactlyOneProcedure:
                     raise ValueError(f"input entry {bit} is not a bit")
         if missing:
             banks_of = self._run_bank(missing) if self.guesses else [()] * len(missing)
-            for x, banks in zip(missing, banks_of):
-                self._memo[x] = self._report(x, banks)
+            zeros_out, zeros_cost = run_cached(self.zeros, self.topology, missing)
+            flags = agreed_rows(zeros_out, "all-zeros flood").tolist()
+            # one cost per distinct set of bank costs: once per batch, as the
+            # banks of one batch share one cost
+            costs: dict = {}
+            for x, banks, s0 in zip(missing, banks_of, flags):
+                bank_costs = tuple(b.cost for b in banks)
+                cost = costs.get(bank_costs)
+                if cost is None:
+                    cost = costs[bank_costs] = self._cost_of(zeros_cost, bank_costs)
+                self._memo[x] = self._report(x, banks, s0, cost)
         return [self._memo[x] for x in xs]
 
     def evaluate(self, x: tuple) -> InputReport:
         """The memoized record of the procedure on one classical input."""
         return self.evaluate_many((x,))[0]
 
-    def _report(self, x: tuple, banks: tuple) -> InputReport:
-        """One input's record from its guess banks and its all-zeros flood."""
-        zeros_out, zeros_cost = run_cached(self.zeros, self.topology,
-                                           tuple(int(b) for b in x))
-        s0 = agreed(zeros_out, "all-zeros flood")
+    def _cost_of(self, zeros_cost: CostReport, bank_costs: tuple) -> CostReport:
+        """One execution's cost from the all-zeros flood's and the banks'."""
+        # the flood is metered twice (computing the zeros flag and undoing
+        # it); the banks already include their own inversion passes
+        cost = sequential(zeros_cost, zeros_cost, parallel(*bank_costs))
+        if self._cost is None:
+            self._cost = cost
+        elif (cost.rounds, cost.qubits_sent) != (self._cost.rounds, self._cost.qubits_sent):
+            raise SimulationError("unique-one cost varied with the input")
+        return cost
 
+    def _report(self, x: tuple, banks: tuple, s0: int, cost: CostReport) -> InputReport:
+        """One input's record from its guess banks and its all-zeros flag."""
         flips = s0 == TRUE or any(b.purely_inconsistent for b in banks)
         if not flips:
             undecided = [b for b in banks if not b.purely_consistent]
@@ -268,14 +285,6 @@ class ExactlyOneProcedure:
                     f"unique-one outcome undetermined for input {x}: a guess bank "
                     f"kept inconsistent amplitude {worst:.3e} without deciding"
                 )
-
-        # the flood is metered twice (computing the zeros flag and undoing
-        # it); the banks already include their own inversion passes
-        cost = sequential(zeros_cost, zeros_cost, parallel(*(b.cost for b in banks)))
-        if self._cost is None:
-            self._cost = cost
-        elif (cost.rounds, cost.qubits_sent) != (self._cost.rounds, self._cost.qubits_sent):
-            raise SimulationError("unique-one cost varied with the input")
         return InputReport(
             value=FALSE if flips else TRUE,
             phase=math.prod((b.restored_amp for b in banks), start=1.0 + 0j),
@@ -499,7 +508,7 @@ def cost_breakdown(topology: Topology) -> dict:
     """
     n = topology.n
     zeros = all_zeros_flooding(n)
-    _out, h0 = run_cached(zeros, topology, (0,) * n)
-    _out, cs = run_cached(consistency_from_all_zeros(zeros), topology, ((0, 1),) * n)
+    _out, h0 = run_row(zeros, topology, (0,) * n)
+    _out, cs = run_row(consistency_from_all_zeros(zeros), topology, ((0, 1),) * n)
     h1 = exactly_one_algorithm(topology).evaluate((0,) * n).cost
     return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

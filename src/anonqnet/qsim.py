@@ -10,10 +10,11 @@ as algorithms avoid needless superposition.
 Every operation acts alike at every party, as the protocols do: one local
 gate per party, one local addition mod d of a register into another, and the
 measurement of one register at every party, enumerated branch by branch.
-Classical subroutines run once per distinct input, and ``run_cached`` checks
-that each run's communication pattern equals the first run's.  A value
-all parties must share, such as a flag or a measured sum, is read through
-``agreed``, the one check that they do share it.
+A coherent application hands a classical subroutine the inputs of every key
+as one table (``run_cached``); the subroutine's memo runs each input it has
+not seen once and checks that each run's communication pattern equals the
+first run's.  A value all parties must share, such as a flag or a measured
+sum, is read through ``agreed``, the one check that they do share it.
 
 The columns reproduce, bit for bit, what Python ``complex`` arithmetic on one
 amplitude at a time gives: products are written out in real arithmetic as
@@ -819,32 +820,15 @@ def _coherent(state, sub, topology, in_regs, out_reg, fiducial, inverse):
     if isinstance(in_regs, str):
         in_regs = (in_regs,)
     keys = state.keys
-    # each party's input as one number: its symbols in the input registers,
-    # read in their mixed radix
-    held_in = 0
-    for r in in_regs:
-        held_in = held_in * lay.dim(r) + lay.digits(keys, r)
-    per_party = math.prod(lay.dim(r) for r in in_regs)
-    # the subroutine runs once per distinct input, in order of first occurrence
-    ids, firsts = _groups(held_in @ per_party ** np.arange(lay.n_parties - 1, -1, -1))
-    held_in = held_in[firsts].tolist()
-    # one input register: a party's input is its symbol; several: a tuple of
-    # its symbols, one per register
-    if len(in_regs) == 1:
-        inputs = map(tuple, held_in)
-    else:
-        symbols = list(product(*(range(lay.dim(r)) for r in in_regs))).__getitem__
-        inputs = (tuple(map(symbols, row)) for row in held_in)
-    # run_cached refuses a differing pattern, so every run costs the same
-    runs = [run_cached(sub, topology, x) for x in inputs]
-    cost = runs[-1][1]
-    table = np.array([outputs for outputs, _cost in runs], dtype=np.int64)
-    outside = (table < 0) | (table >= out_dim)
+    # one row per key, one input per party, one symbol per input register;
+    # the subroutine refuses a differing pattern, so every row costs the same
+    outputs, cost = run_cached(sub, topology,
+                              np.stack([lay.digits(keys, r) for r in in_regs], axis=-1))
+    outside = (outputs < 0) | (outputs >= out_dim)
     if outside.any():
         row = outside.any(axis=1).argmax()
         raise SimulationError(f"subroutine {sub.name} produced symbol "
-                              f"{table[row][outside[row]][0]} outside register {out_reg!r}")
-    outputs = table[ids]
+                              f"{outputs[row][outside[row]][0]} outside register {out_reg!r}")
     held = lay.digits(keys, out_reg)
     if inverse:
         wrong = held != outputs

@@ -7,15 +7,23 @@ layer to run them once per basis component of a superposed input.
 Output encoding is integer symbols: predicates return 1 for "yes"
 (all-zeros / consistent) and 0 for "no".
 
-Each subroutine instance memoizes its own runs per topology object and
-input vector (:func:`run_cached`); the memo lives as long as the instance
-and is never shared with another.  A consistency test is answered from the
-runs of its all-zeros flood, through the flood's own memo.
+A coherent application asks for the outputs of a whole table of inputs at
+once (:func:`run_cached`).  Each subroutine instance keeps one columnar memo
+per topology object: the sorted int64 codes of the input rows it has run and
+an int64 table of their outputs, searched with numpy, so only inputs it has
+not seen reach the engine.  The memo lives as long as the instance and is
+never shared with another.  A direct run of one input vector is a table of
+one row (:func:`run_row`).  A consistency test keeps no memo of its own: its
+table is split into two flood tables, answered by the flood's memo.
 """
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import SimulationError
 from .runtime import PartyProgram, SizedMessage, parallel, run_classical
@@ -28,15 +36,19 @@ TRUE, FALSE = 1, 0
 class ClassicalSubroutine:
     """A party program plus the memo of its runs.
 
-    ``runs`` and ``patterns`` belong to this instance and live as long as it
-    does; see :func:`run_cached`.  A consistency test has no program of its
-    own: ``zeros`` is the all-zeros flood whose cached runs answer it.
+    A party's input is one symbol below each entry of ``input_dims`` (a bit
+    by default): a bare symbol for one entry, a tuple for several.
+    ``runs`` and ``patterns`` belong to this instance and live as long as
+    it does; see :func:`run_cached`.  A consistency test has no program
+    of its own: ``zeros`` is the all-zeros flood whose memo answers it.
     """
 
     program: Optional[PartyProgram] = None
+    input_dims: tuple = (2,)
     runs: dict = field(default_factory=dict, compare=False, repr=False)
     patterns: dict = field(default_factory=dict, compare=False, repr=False)
     zeros: Optional["ClassicalSubroutine"] = field(default=None, repr=False)
+    lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -45,41 +57,119 @@ class ClassicalSubroutine:
         return self.program.name
 
 
-def run_cached(sub: ClassicalSubroutine, topology: Topology, inputs: tuple):
-    """Run a subroutine, memoizing ``(outputs, cost)`` in ``sub.runs``.
+def _input_table(sub: ClassicalSubroutine, topology: Topology, table) -> np.ndarray:
+    """``table`` as int64 of shape (rows, parties, symbols per input), checked."""
+    table = np.asarray(table, dtype=np.int64)
+    dims = sub.input_dims
+    if table.ndim == 2:
+        table = table[:, :, None]
+    if table.ndim != 3 or table.shape[2] != len(dims):
+        raise ValueError(f"{sub.name} takes {len(dims)} symbols per party input, "
+                         f"not a table of shape {table.shape}")
+    if table.shape[1] != topology.n:
+        raise ValueError(f"expected {topology.n} inputs, got {table.shape[1]}")
+    outside = (table < 0) | (table >= np.array(dims))
+    if outside.any():
+        row, party, j = np.argwhere(outside)[0]
+        raise ValueError(f"input {table[row, party, j]} outside 0..{dims[j] - 1} "
+                         f"of {sub.name}")
+    return table
 
-    Coherent application needs a communication pattern (the ``(round, sender,
-    receiver, symbols)`` part of each message event) that does not depend on
-    the input, so a new run whose pattern differs from the first run's on the
-    same topology, kept in ``sub.patterns``, raises ``SimulationError``;
-    equal patterns give equal costs.  Results depend on the port numbering,
-    so the keys hold the topology's identity; each ``runs`` entry keeps the
-    topology alive, so its id is not reused.
 
-    A consistency test (``sub.zeros`` set) is answered from its two flood
-    runs, each cached and pattern-checked by the flood itself: a party
-    reports consistent where either flood reports all-zeros, at the cost of
-    both floods in parallel.  This is the only way a consistency test runs.
+def _row_codes(sub: ClassicalSubroutine, table: np.ndarray) -> np.ndarray:
+    """One int64 per row of a checked input table, equal only for equal rows.
+
+    A party's symbols are read in the mixed radix of ``input_dims``, and the
+    parties, first party most significant, in the radix of all its inputs.
     """
-    key = (id(topology), inputs)
-    entry = sub.runs.get(key)
-    if entry is None:
-        if sub.zeros is not None:
-            a, b = zip(*map(_flood_inputs, inputs))
-            out_a, cost_a = run_cached(sub.zeros, topology, a)
-            out_b, cost_b = run_cached(sub.zeros, topology, b)
-            outputs = [TRUE if TRUE in pair else FALSE for pair in zip(out_a, out_b)]
-            cost = parallel(cost_a, cost_b)
-        else:
-            outputs, cost, events = run_classical(topology, sub.program, inputs)
-            pattern = tuple(ev[:4] for ev in events)
-            # setdefault keeps one entry per key if two threads miss together
-            if sub.patterns.setdefault(id(topology), pattern) != pattern:
-                raise SimulationError(
-                    f"subroutine {sub.name} has an input-dependent communication pattern"
-                )
-        entry = sub.runs.setdefault(key, (topology, (tuple(outputs), cost)))
-    return entry[1]
+    dims = sub.input_dims
+    symbols = table[:, :, 0]
+    for j in range(1, len(dims)):
+        symbols = symbols * dims[j] + table[:, :, j]
+    radix, n = math.prod(dims), table.shape[1]
+    if radix ** n > 2 ** 63:
+        raise ValueError(f"{n} parties of {radix} inputs each make {radix}**{n} input rows, "
+                         f"too many for int64 codes (2**63 at most)")
+    return symbols @ np.array([radix ** p for p in range(n - 1, -1, -1)], dtype=np.int64)
+
+
+def run_cached(sub: ClassicalSubroutine, topology: Topology, table) -> tuple:
+    """Run a subroutine on every row of an input table: ``(outputs, cost)``.
+
+    ``table`` holds one input per party per row, as an int array of shape
+    (rows, parties), or (rows, parties, symbols) when a party's input is a
+    tuple; ``outputs`` is an int64 array of shape (rows, parties).  An input
+    symbol outside ``sub.input_dims`` raises ``ValueError``.
+
+    ``sub.runs`` maps each topology's id to ``(topology, codes, outputs)``:
+    the sorted codes (:func:`_row_codes`) of the rows run so far and their
+    outputs.  Rows are looked up with ``np.searchsorted``; only distinct new
+    rows reach the engine, in order of first occurrence, and the tuple is
+    then replaced in one assignment, so a reader never pairs old codes with
+    new outputs.  A call that raises memoizes none of its runs.
+
+    Coherent application needs a communication pattern (the ``(round,
+    sender, receiver, symbols)`` part of each message event) that does not
+    depend on the input, so a new run whose pattern differs from the first
+    run's on the same topology raises ``SimulationError``.  Equal patterns
+    give equal costs, so ``sub.patterns`` keeps ``(topology, pattern, cost)``
+    of the first run per topology, and that cost is every run's.  Results
+    depend on the port numbering, so every entry is keyed by the topology's
+    identity and holds the topology itself, so its id is not reused.
+
+    A consistency test (``sub.zeros`` set) is answered from two flood
+    tables, through the flood's memo: a party reports consistent where
+    either flood reports all-zeros, at the cost of both floods in parallel.
+    It keeps no rows and no pattern of its own.
+    """
+    table = _input_table(sub, topology, table)
+    if sub.zeros is not None:
+        return _consistency(sub, topology, table)
+    key = id(topology)
+    codes = _row_codes(sub, table)
+    memo = sub.runs.get(key)
+    if memo is not None:
+        known, outputs = memo[1], memo[2]
+        at = np.searchsorted(known, codes)
+        hit = known[np.minimum(at, len(known) - 1)] == codes
+        if hit.all():
+            return outputs[at], sub.patterns[key][2]
+        rows = np.flatnonzero(~hit)
+    else:
+        rows = np.arange(len(codes))
+    # the first row of each distinct missing code, in row order
+    rows = rows[np.sort(np.unique(codes[rows], return_index=True)[1])]
+    if len(sub.input_dims) == 1:
+        program_inputs = table[rows, :, 0].tolist()
+    else:
+        program_inputs = [list(map(tuple, row)) for row in table[rows].tolist()]
+    ran = []
+    for inputs in program_inputs:
+        out, cost, events = run_classical(topology, sub.program, inputs)
+        pattern = tuple(ev[:4] for ev in events)
+        # setdefault keeps one entry per key if two threads miss together
+        if sub.patterns.setdefault(key, (topology, pattern, cost))[1] != pattern:
+            raise SimulationError(
+                f"subroutine {sub.name} has an input-dependent communication pattern"
+            )
+        ran.append(out)
+    with sub.lock:
+        memo = sub.runs.get(key)
+        new_codes, new_outputs = codes[rows], np.array(ran, dtype=np.int64)
+        if memo is not None:
+            new_codes = np.concatenate((memo[1], new_codes))
+            new_outputs = np.concatenate((memo[2], new_outputs))
+        # rows another thread memoized meanwhile keep their first entry
+        known, firsts = np.unique(new_codes, return_index=True)
+        memo = (topology, known, new_outputs[firsts])
+        sub.runs[key] = memo
+    return memo[2][np.searchsorted(known, codes)], sub.patterns[key][2]
+
+
+def run_row(sub: ClassicalSubroutine, topology: Topology, inputs: tuple) -> tuple:
+    """:func:`run_cached` on a table of one row: ``(outputs, cost)``, outputs a tuple."""
+    outputs, cost = run_cached(sub, topology, [inputs])
+    return tuple(outputs[0].tolist()), cost
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +215,23 @@ def all_zeros_flooding(delta: int) -> ClassicalSubroutine:
 # consistency of the marked parties, from two parallel all-zeros runs
 
 
-def _flood_inputs(rz) -> tuple:
-    """One party's bits for the two floods of a consistency test.
+def _flood_tables(table: np.ndarray) -> tuple:
+    """The two flood input tables of a table of ``(r, marked)`` inputs.
 
-    ``(r, marked)`` becomes ``(r, 1 - r)`` on a marked party and ``(0, 0)``
-    elsewhere.
+    A marked party floods ``r`` in the first and ``1 - r`` in the second; an
+    unmarked party floods 0 in both.
     """
-    r, marked = rz
-    return (r, 1 - r) if marked else (0, 0)
+    r, marked = table[:, :, 0], table[:, :, 1]
+    return r & marked, (1 - r) & marked
+
+
+def _consistency(sub: ClassicalSubroutine, topology: Topology, table: np.ndarray) -> tuple:
+    """``run_cached`` of a consistency test on a checked input table."""
+    first, second = _flood_tables(table)
+    floods, h0 = run_cached(sub.zeros, topology, np.concatenate((first, second)))
+    rows = len(table)
+    # TRUE is 1 and FALSE is 0
+    return floods[:rows] | floods[rows:], parallel(h0, h0)
 
 
 def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutine:
@@ -145,9 +244,9 @@ def consistency_from_all_zeros(zeros: ClassicalSubroutine) -> ClassicalSubroutin
     Cost is exactly twice the flooding cost in the same number of rounds.
 
     The returned subroutine has no program of its own: :func:`run_cached`
-    answers it from the runs of ``zeros``.
+    answers it from the memo of ``zeros``.
     """
-    return ClassicalSubroutine(zeros=zeros)
+    return ClassicalSubroutine(input_dims=(2, 2), zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -406,4 +505,4 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
         init=init, send=send, recv=recv, finish=finish,
         name=f"modular_sum[{k},{n}]", parties=n,
     )
-    return ClassicalSubroutine(program)
+    return ClassicalSubroutine(program, input_dims=(k,))

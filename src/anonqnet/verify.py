@@ -27,7 +27,7 @@ from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
                    layout)
 from .runtime import parallel, run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                          modular_sum_views, run_cached)
+                          modular_sum_views, run_row)
 from .topology import automorphisms, catalog, relabel
 
 
@@ -51,18 +51,19 @@ def _catalog_cases(n_min: int, n_max: int, names=("ring", "path", "complete", "s
 # suite: angles
 
 
-def amplification_model(a: float, theta: float, phi: float) -> np.ndarray:
+def amplification_model(a: float, theta: float) -> np.ndarray:
     """Direct 2x2 model of the iterate on span{good, bad}; good is |1>.
 
-    Everything here is plain matrix arithmetic, independent of the sparse
-    engine and of the angle formula under test.
+    Both reflections kick the angle ``theta``.  Everything here is plain
+    matrix arithmetic, independent of the sparse engine and of the angle
+    formula under test.
     """
     prep = np.array([
         [math.sqrt(1.0 - a), math.sqrt(a)],
         [math.sqrt(a), -math.sqrt(1.0 - a)],
     ], dtype=complex)
     flag_good = np.diag([1.0, cmath.exp(1j * theta)])
-    flag_zero = np.diag([cmath.exp(1j * phi), 1.0])
+    flag_zero = np.diag([cmath.exp(1j * theta), 1.0])
     iterate = -(prep @ flag_zero @ np.linalg.inv(prep) @ flag_good)
     return iterate @ (prep @ np.array([1.0, 0.0], dtype=complex))
 
@@ -74,7 +75,7 @@ def suite_angles() -> list:
     worst = 0.0
     for a in grid:
         theta = phase_angle(a)
-        out = amplification_model(a, theta, theta)
+        out = amplification_model(a, theta)
         worst = max(worst, abs(out[0]))
     checks.append(Check(f"bad amplitude < 1e-10 on {len(grid)} grid points", worst < 1e-10,
                         f"worst |bad| = {worst:.3e}"))
@@ -330,8 +331,8 @@ def suite_anonymity() -> list:
             # a consistency run's messages are two flood runs, checked above;
             # its outputs and cost must move along with its inputs
             for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-                out, cost = run_cached(cons, topo, rz)
-                flood_ok &= (run_cached(cons, topo, tuple(relabel(rz, aut)))
+                out, cost = run_row(cons, topo, rz)
+                flood_ok &= (run_row(cons, topo, tuple(relabel(rz, aut)))
                              == (tuple(relabel(out, aut)), cost))
         checks.append(Check(f"{name}-{n}: flooding and consistency traces equivariant",
                             flood_ok))
@@ -441,7 +442,7 @@ def suite_oracles() -> list:
         cons = consistency_from_all_zeros(zeros)
         bad = []
         for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-            out, _c = run_cached(cons, topo, rz)
+            out, _c = run_row(cons, topo, rz)
             marked = [r for r, z in rz if z == 1]
             expect = 1 if (not marked or len(set(marked)) == 1) else 0
             if any(o != expect for o in out):

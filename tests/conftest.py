@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from anonqnet import election
-from anonqnet.subroutines import run_cached
+from anonqnet.subroutines import run_row
 from anonqnet.topology import build_graph, catalog, relabel
 
 
@@ -62,9 +62,9 @@ def in_two_threads(fn):
 
 
 def cached_run_equivariant(sub, topo, inputs, aut):
-    """``run_cached`` outputs move along ``aut`` with the inputs; costs stay."""
-    out, cost = run_cached(sub, topo, tuple(inputs))
-    return run_cached(sub, topo, tuple(relabel(inputs, aut))) == (tuple(relabel(out, aut)), cost)
+    """``run_row`` outputs move along ``aut`` with the inputs; costs stay."""
+    out, cost = run_row(sub, topo, tuple(inputs))
+    return run_row(sub, topo, tuple(relabel(inputs, aut))) == (tuple(relabel(out, aut)), cost)
 
 
 # brute-force oracles: these never touch the simulator

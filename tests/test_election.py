@@ -406,9 +406,9 @@ def test_two_threads_share_one_topology():
 
 
 def test_an_election_runs_the_engine_only_for_floods(monkeypatch):
-    # consistency runs are answered from the flood's cached runs, so ring-5
-    # makes one engine run per bit vector: 32, where running the consistency
-    # program for each distinct (coin, mark) vector would add 3^5 more
+    # consistency tables are answered from the flood's memo, so an election
+    # makes one engine run per bit vector: 2^n, where running the consistency
+    # program for each distinct (coin, mark) vector would add 3^n more
     programs = []
     real = subroutines.run_classical
 
@@ -417,5 +417,15 @@ def test_an_election_runs_the_engine_only_for_floods(monkeypatch):
         return real(topology, program, inputs)
 
     monkeypatch.setattr(subroutines, "run_classical", counting)
-    elect(catalog("ring", 5), all_branches=True)
-    assert programs == ["all_zeros_flooding[5]"] * 32
+    for name in ("ring", "complete"):
+        for n in (3, 4, 5):
+            programs.clear()
+            elect(catalog(name, n), all_branches=True)
+            assert programs == [f"all_zeros_flooding[{n}]"] * 2 ** n, f"{name}-{n}"
+    # a second application on the same state finds every run memoized
+    procedure = exactly_one_algorithm(catalog("ring", 4))
+    state = unique_one_state(dict.fromkeys(all_bit_vectors(4), 0.25))
+    procedure.apply(state, "bit", "res")
+    programs.clear()
+    procedure.apply(state, "bit", "res")
+    assert programs == []

@@ -14,7 +14,7 @@ from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
                            rename_register, scale, tensor,
                            uncompute_subroutine)
 from anonqnet.runtime import PartyProgram
-from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding, run_cached
+from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding, run_row
 from anonqnet.topology import build_graph, catalog
 
 from conftest import all_bit_vectors
@@ -385,7 +385,7 @@ def test_branch_probabilities_sum_to_one_after_ops():
     assert all(b.probability >= 0 for b in brs)
 
 
-def local_program(fn, *, rounds=0, size=None):
+def local_program(fn, *, rounds=0, size=None, input_dims=(2,)):
     """Each party outputs ``fn(own input)``; ``size(input)`` symbols per port per round."""
     def send(x, _r):
         return {} if size is None else {1: (0,) * size(x)}
@@ -393,7 +393,7 @@ def local_program(fn, *, rounds=0, size=None):
     return ClassicalSubroutine(PartyProgram(
         rounds=rounds, symbol_dim=2,
         init=lambda x, _deg: x, send=send, recv=lambda x, _inbox, _r: x,
-        finish=fn, name="local"))
+        finish=fn, name="local"), input_dims)
 
 
 def test_layout_tables():
@@ -511,7 +511,7 @@ def test_coherent_single_party_against_hand_outputs():
     topo = build_graph(1, [])
     lay = layout(1, [("q", 3), ("out", 3)])
     st = SparseState(lay, {(0, 0): 0.6, (1, 0): 0.0 + 0.8j})
-    sub = local_program(lambda x: (x + 1) % 3)
+    sub = local_program(lambda x: (x + 1) % 3, input_dims=(3,))
     mid, cost = apply_coherent_subroutine(st, sub, topo, ("q",), "out")
     assert mid.amps == {(0, 1): 0.6, (1, 2): 0.8j}
     assert (cost.rounds, cost.qubits_sent) == (0, 0)
@@ -533,7 +533,8 @@ def test_coherent_two_input_registers_against_hand_outputs():
     # keys: (a0, b0, out0, a1, b1, out1)
     st = SparseState(lay, {(0, 0, 0, 1, 0, 0): amp, (0, 1, 0, 1, 1, 0): amp,
                            (1, 1, 0, 0, 1, 0): amp, (1, 0, 0, 0, 0, 0): amp})
-    out, _cost = apply_coherent_subroutine(st, local_program(xor), topo, ("a", "b"), "out")
+    out, _cost = apply_coherent_subroutine(st, local_program(xor, input_dims=(2, 2)), topo,
+                                      ("a", "b"), "out")
     assert out.amps == {(0, 0, 0, 1, 0, 1): amp, (0, 1, 1, 1, 1, 0): amp,
                         (1, 1, 0, 0, 1, 1): amp, (1, 0, 1, 0, 0, 0): amp}
     assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in seen)
@@ -566,11 +567,12 @@ def test_coherent_checks_each_new_run_against_the_first():
     # per topology, and a fresh instance keeps its own
     flood, ring, path = all_zeros_flooding(3), catalog("ring", 3), catalog("path", 3)
     for x in all_bit_vectors(3):
-        run_cached(flood, ring, x)
-    run_cached(flood, path, (0, 0, 0))
-    assert len(flood.patterns) == 2 and len(set(flood.patterns.values())) == 2
+        run_row(flood, ring, x)
+    run_row(flood, path, (0, 0, 0))
+    assert len(flood.patterns) == 2
+    assert len({p for _topo, p, _cost in flood.patterns.values()}) == 2
     fresh = all_zeros_flooding(3)
-    run_cached(fresh, ring, (1, 1, 1))
+    run_row(fresh, ring, (1, 1, 1))
     assert list(fresh.patterns.values()) == [flood.patterns[id(ring)]]
 
 
@@ -578,7 +580,7 @@ def test_coherent_rejects_output_outside_register():
     topo = catalog("complete", 2)
     lay = layout(2, [("q", 3), ("out", 2)])
     st = SparseState(lay, {(2, 0, 0, 0): 1.0})
-    sub = local_program(lambda x: x)
+    sub = local_program(lambda x: x, input_dims=(3,))
     with pytest.raises(SimulationError, match="outside register 'out'"):
         apply_coherent_subroutine(st, sub, topo, "q", "out")
 

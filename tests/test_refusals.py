@@ -12,7 +12,8 @@ from anonqnet.qsim import (SparseState, apply_all_parties, apply_coherent_subrou
                            binary_op_all_parties, branches, drop_registers, fidelity, gate,
                            init_state, layout, tensor)
 from anonqnet.runtime import run_classical
-from anonqnet.subroutines import all_zeros_flooding, modular_sum_views, view
+from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
+                                  modular_sum_views, run_row, view)
 from anonqnet.topology import build_graph, catalog, load_graph
 
 
@@ -65,6 +66,17 @@ REFUSALS = [
     ("sum-input-range",
      lambda: run_classical(catalog("ring", 3), modular_sum_views(2, 3).program, [0, 2, 0]),
      ValueError, "input 2 outside 0..1"),
+    ("flood-input-alphabet",
+     lambda: run_row(all_zeros_flooding(3), catalog("ring", 3), (0, 2, 0)),
+     ValueError, "input 2 outside 0..1 of all_zeros_flooding[3]"),
+    ("consistency-input-alphabet",
+     lambda: run_row(consistency_from_all_zeros(all_zeros_flooding(3)), catalog("ring", 3),
+                     ((0, 1), (2, 1), (0, 0))),
+     ValueError, "input 2 outside 0..1 of consistency[3]"),
+    ("run-row-code-space",
+     lambda: run_row(all_zeros_flooding(64), catalog("ring", 64), (0,) * 64),
+     ValueError, "64 parties of 2 inputs each make 2**64 input rows, "
+                 "too many for int64 codes (2**63 at most)"),
     ("flood-negative-rounds", lambda: all_zeros_flooding(-1),
      ValueError, "round bound must be nonnegative"),
     ("unique-one-entry-above-one",

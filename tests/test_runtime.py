@@ -6,7 +6,7 @@ from anonqnet.errors import SimulationError
 from anonqnet.runtime import (CostReport, PartyProgram, SizedMessage, parallel,
                               run_classical, sequential, verify_anonymity)
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                                  modular_sum_views, run_cached)
+                                  modular_sum_views, run_row)
 from anonqnet.topology import catalog
 
 from conftest import all_bit_vectors
@@ -179,11 +179,12 @@ def test_oblivious_patterns(name, n):
     # a consistency run is two flood runs, each checked against the flood's
     # one pattern; it records no pattern of its own
     costs = {
-        run_cached(cons, topo, rz)[1]
+        run_row(cons, topo, rz)[1]
         for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n)
     }
     assert len(costs) == 1
-    assert set(zeros.patterns.values()) == patterns and not cons.patterns
+    assert {p for _topo, p, _cost in zeros.patterns.values()} == patterns
+    assert not cons.patterns
     patterns = {
         pattern(run_classical(topo, sums.program, list(x))[2])
         for x in all_bit_vectors(n)

@@ -9,7 +9,7 @@ from anonqnet.runtime import PartyProgram, parallel, run_classical, verify_anony
 from anonqnet.subroutines import (ClassicalSubroutine, ViewTable,
                                   all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
-                                  run_cached, serialize_view, view)
+                                  run_cached, run_row, serialize_view, view)
 from anonqnet.topology import automorphisms, build_graph, catalog
 
 from conftest import (all_bit_vectors, cached_run_equivariant, catalog_cases,
@@ -53,12 +53,12 @@ def test_flooding_matches_oracle(name, n, topo):
 def test_consistency_examples():
     topo = catalog("ring", 3)
     sub = consistency_from_all_zeros(all_zeros_flooding(3))
-    out, _c = run_cached(sub, topo, ((1, 1), (1, 1), (1, 1)))
+    out, _c = run_row(sub, topo, ((1, 1), (1, 1), (1, 1)))
     assert out == (1, 1, 1)
-    out, _c = run_cached(sub, topo, ((1, 1), (0, 1), (1, 1)))
+    out, _c = run_row(sub, topo, ((1, 1), (0, 1), (1, 1)))
     assert out == (0, 0, 0)
     # nobody marked: vacuously consistent whatever the bits
-    out, _c = run_cached(sub, topo, ((1, 0), (0, 0), (1, 0)))
+    out, _c = run_row(sub, topo, ((1, 0), (0, 0), (1, 0)))
     assert out == (1, 1, 1)
     assert sub.name == "consistency[3]" and sub.program is None
 
@@ -67,7 +67,7 @@ def test_consistency_examples():
 def test_consistency_matches_oracle(name, n, topo):
     sub = consistency_from_all_zeros(all_zeros_flooding(n))
     for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-        out, _c = run_cached(sub, topo, rz)
+        out, _c = run_row(sub, topo, rz)
         assert out == (oracle_consistency(rz),) * n
 
 
@@ -76,7 +76,7 @@ def test_consistency_cost_exactly_doubles_flooding():
         zeros = all_zeros_flooding(n)
         cons = consistency_from_all_zeros(zeros)
         _o, zc, _t = run_classical(topo, zeros.program, [0] * n)
-        _o, cc = run_cached(cons, topo, ((0, 1),) * n)
+        _o, cc = run_row(cons, topo, ((0, 1),) * n)
         assert cc.rounds == zc.rounds
         assert cc.qubits_sent == 2 * zc.qubits_sent
         assert cc.bits_sent == 2 * zc.bits_sent
@@ -90,7 +90,7 @@ def assert_answered_by_flood_runs(cons, topo, rz):
     n = topo.n
     _o, h0, _events = run_classical(topo, cons.zeros.program, [0] * n)
     # equal CostReports carry equal rounds, qubits, bits and per_round
-    assert run_cached(cons, topo, rz) == ((oracle_consistency(rz),) * n, parallel(h0, h0))
+    assert run_row(cons, topo, rz) == ((oracle_consistency(rz),) * n, parallel(h0, h0))
 
 
 @pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
@@ -99,9 +99,11 @@ def test_derived_consistency_matches_its_program(name, n, topo):
     cons = consistency_from_all_zeros(all_zeros_flooding(n))
     for rz in itertools.product(MARKED_PAIRS, repeat=n):
         assert_answered_by_flood_runs(cons, topo, rz)
-    # each half is a flood run: 2^n of them, and no engine run of its own
-    assert len(cons.zeros.runs) == 2 ** n
-    assert not cons.patterns
+    # each half is a flood run: 2^n rows in the flood's table, and no rows
+    # or pattern of its own
+    ((_topo, codes, outputs),) = cons.zeros.runs.values()
+    assert len(codes) == len(outputs) == 2 ** n
+    assert not cons.runs and not cons.patterns
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,9 +127,38 @@ def test_derived_consistency_keeps_the_flood_pattern_check():
         send=send, recv=prog.recv, finish=prog.finish, name="leaky_flood"))
     cons = consistency_from_all_zeros(leaky)
     topo = catalog("ring", 3)
-    run_cached(cons, topo, ((0, 0), (1, 0), (0, 0)))
+    run_row(cons, topo, ((0, 0), (1, 0), (0, 0)))
     with pytest.raises(SimulationError, match="input-dependent communication pattern"):
-        run_cached(cons, topo, ((1, 1), (0, 0), (0, 0)))
+        run_row(cons, topo, ((1, 1), (0, 0), (0, 0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shuffled_ports(max_n=4), st.data())
+def test_a_table_is_answered_as_its_rows_run_alone(topo, data):
+    """Shuffled, repeated rows, half of them memoized by an earlier table."""
+    n = topo.n
+    for sub in (all_zeros_flooding(n), modular_sum_views(3, n)):
+        row = st.tuples(*[st.integers(0, sub.input_dims[0] - 1)] * n)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        rows = rows + data.draw(st.permutations(rows))
+        run_cached(sub, topo, rows[:len(rows) // 2])
+        outputs, cost = run_cached(sub, topo, rows)
+        assert outputs.shape == (len(rows), n)
+        for x, out in zip(rows, outputs.tolist()):
+            expected, expected_cost, _events = run_classical(topo, sub.program, list(x))
+            assert out == expected and cost == expected_cost
+
+
+@pytest.mark.parametrize("sub,inputs", [
+    (all_zeros_flooding(3), (0, 0, 2)),
+    (all_zeros_flooding(3), (0, -1, 0)),
+    (modular_sum_views(3, 3), (0, 3, 0)),
+    (consistency_from_all_zeros(all_zeros_flooding(3)), ((0, 1), (1, 2), (0, 0))),
+], ids=["flood-two", "flood-negative", "sum-modulus", "consistency-mark"])
+def test_an_input_outside_the_alphabet_is_refused(sub, inputs):
+    with pytest.raises(ValueError, match="outside"):
+        run_row(sub, catalog("ring", 3), inputs)
+    assert not sub.runs and not sub.patterns
 
 
 def test_modular_sum_examples():
@@ -176,7 +207,7 @@ def test_random_port_numberings(topo, k, data):
     zeros = all_zeros_flooding(n)
     cons = consistency_from_all_zeros(zeros)
     rz = tuple(zip(bits, marks))
-    assert run_cached(cons, topo, rz)[0] == (oracle_consistency(rz),) * n
+    assert run_row(cons, topo, rz)[0] == (oracle_consistency(rz),) * n
     for aut in automorphisms(topo):
         assert verify_anonymity(topo, zeros.program, bits, aut)
         assert cached_run_equivariant(cons, topo, rz, aut)
@@ -275,10 +306,10 @@ def test_view_children_of_unequal_depths_raise():
 def test_two_threads_share_one_modular_sum():
     topo = catalog("ring", 4)
     inputs = all_bit_vectors(4)
-    serial = [run_cached(modular_sum_views(2, 4), topo, x) for x in inputs]
+    serial = [run_row(modular_sum_views(2, 4), topo, x) for x in inputs]
     shared = modular_sum_views(2, 4)
     for outputs in in_two_threads(
-            lambda: [run_cached(shared, topo, x) for x in inputs]):
+            lambda: [run_row(shared, topo, x) for x in inputs]):
         assert outputs == serial
 
 
@@ -339,12 +370,12 @@ def test_class_count_divides_party_count_guard():
 def test_run_memo_keys_on_topology_and_program():
     flood = all_zeros_flooding(3)
     path = catalog("path", 3)
-    _o, path_cost = run_cached(flood, path, (0, 0, 0))
+    _o, path_cost = run_row(flood, path, (0, 0, 0))
     assert path_cost.qubits_sent == 12
     # one instance on a second topology runs again instead of reusing path-3
-    _o, complete_cost = run_cached(flood, catalog("complete", 3), (0, 0, 0))
+    _o, complete_cost = run_row(flood, catalog("complete", 3), (0, 0, 0))
     assert complete_cost.qubits_sent == 18
-    _o, again = run_cached(flood, path, (0, 0, 0))
+    _o, again = run_row(flood, path, (0, 0, 0))
     assert again is path_cost
     # programs that share a name but not a finish keep separate memos
     prog = flood.program
@@ -354,5 +385,5 @@ def test_run_memo_keys_on_topology_and_program():
                            name=prog.name)
     other = ClassicalSubroutine(negated)
     assert other.name == flood.name
-    assert run_cached(flood, path, (0, 0, 0))[0] == (1, 1, 1)
-    assert run_cached(other, path, (0, 0, 0))[0] == (0, 0, 0)
+    assert run_row(flood, path, (0, 0, 0))[0] == (1, 1, 1)
+    assert run_row(other, path, (0, 0, 0))[0] == (0, 0, 0)

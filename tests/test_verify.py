@@ -22,15 +22,15 @@ def small_catalog(monkeypatch):
 
 def test_oracles_catch_a_wrong_flood_split(monkeypatch):
     # a marked party floods its bit in both runs instead of r and 1 - r
-    monkeypatch.setattr(subroutines, "_flood_inputs",
-                        lambda rz: (rz[0], rz[0]) if rz[1] else (0, 0))
+    monkeypatch.setattr(subroutines, "_flood_tables",
+                        lambda table: (table[:, :, 0] & table[:, :, 1],) * 2)
     small = small_catalog(monkeypatch)
     assert failed(verify.suite_oracles()) == [
         f"{g}: consistency matches enumeration" for g in small]
 
 
 def test_anonymity_catches_a_party_dependent_consistency(monkeypatch):
-    original = verify.run_cached
+    original = verify.run_row
 
     def first_party_flipped(sub, topology, inputs):
         out, cost = original(sub, topology, inputs)
@@ -38,7 +38,7 @@ def test_anonymity_catches_a_party_dependent_consistency(monkeypatch):
             out = (1 - out[0],) + out[1:]
         return out, cost
 
-    monkeypatch.setattr(verify, "run_cached", first_party_flipped)
+    monkeypatch.setattr(verify, "run_row", first_party_flipped)
     assert failed(verify.suite_anonymity()) == [
         f"{g}: flooding and consistency traces equivariant" for g in ("ring-4", "complete-3")]
 

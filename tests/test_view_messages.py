@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from anonqnet.ghz import ghz_share
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import (ViewTable, fold_view, modular_sum_views,
-                                  run_cached, serialize_view, view)
+                                  run_row, serialize_view, view)
 from anonqnet.topology import catalog
 
 from conftest import catalog_cases, case_ids, connected_graphs, shuffled_ports
@@ -150,7 +150,7 @@ def test_messages_round_trip_on_catalog_graphs(name, n, topo):
     assert (folded > 0) == (n >= (5 if name == "path" else 4))
     sub = modular_sum_views(3, n)
     for x in label_vectors:
-        run_cached(sub, topo, tuple(x))
+        run_row(sub, topo, tuple(x))
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,8 +161,8 @@ def test_messages_round_trip_on_random_graphs(topo, data):
     one, two = data.draw(labels), data.draw(labels)
     assert check_messages(topo, 3, one) == check_messages(topo, 3, two)
     sub = modular_sum_views(3, n)
-    run_cached(sub, topo, tuple(one))
-    run_cached(sub, topo, tuple(two))
+    run_row(sub, topo, tuple(one))
+    run_row(sub, topo, tuple(two))
 
 
 def test_fold_view_lists_each_distinct_node_once():
