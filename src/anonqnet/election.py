@@ -443,7 +443,7 @@ def _amplified_coins(procedure: ExactlyOneProcedure, guess: int,
 class _GuessOption(NamedTuple):
     """One measured outcome of one guess's attempt, built once per outcome."""
 
-    pair: tuple              # (guess, outcome)
+    outcome: tuple
     probability: float
     verified: bool
     leaders: tuple
@@ -474,28 +474,36 @@ def elect_with_bound(topology: Topology, upper_bound: int, *,
         measured = branches(state, "coin")
         checks = procedure.evaluate_many([br.outcome for br in measured])
         guess_costs.append(sequential(attempt_cost, checks[0].cost))
-        options.append([_GuessOption((guess, br.outcome), br.probability,
-                                     check.value == TRUE, _leaders(br.outcome))
+        options.append([_GuessOption(br.outcome, br.probability, check.value == TRUE,
+                                     _leaders(br.outcome))
                          for br, check in zip(measured, checks)])
 
     cost = parallel(*guess_costs)
+    # a joint branch's verification pattern alone decides its verified
+    # guesses and winner, so each pattern that occurs is decided once
+    decided = {}
+    for pattern in product(*(dict.fromkeys(o.verified for o in guess_options)
+                             for guess_options in options)):
+        verified = tuple(compress(guesses, pattern))
+        if not verified:
+            raise ExactnessError("no guess verified a unique leader in some branch")
+        decided[pattern] = verified, verified[0], verified[0] - guesses[0]
+
     # the joint tuples come from product over per-option fields, in step with
     # joint_branches; branches() sorts each guess's outcomes, so the joint
     # branches come sorted by guess_outcomes
-    pairs = product(*([o.pair for o in guess_options] for guess_options in options))
+    picks, probabilities = joint_branches(options)
+    pairs = product(*([(guess, o.outcome) for o in guess_options]
+                      for guess, guess_options in zip(guesses, options)))
     marks = product(*([o.verified for o in guess_options] for guess_options in options))
     out = []
-    for (picked, prob), guess_outcomes, verified_marks in zip(joint_branches(options),
-                                                               pairs, marks):
-        verified = tuple(compress(guesses, verified_marks))
-        if not verified:
-            raise ExactnessError("no guess verified a unique leader in some branch")
-        winner = picked[verified[0] - 2]
-        out.append(ElectionBranch(
-            outcomes=winner.pair[1], probability=prob, leaders=winner.leaders,
-            winner_guess=verified[0], guess_outcomes=guess_outcomes, verified=verified,
-        ))
-    sampled = None if all_branches else sample_index([b.probability for b in out], seed)
+    for picked, prob, guess_outcomes, pattern in zip(picks, probabilities, pairs, marks):
+        verified, winner_guess, index = decided[pattern]
+        winner = picked[index]
+        # positional fields: keywords cost a third more per branch
+        out.append(ElectionBranch(winner.outcome, prob, winner.leaders, winner_guess,
+                                  guess_outcomes, verified))
+    sampled = None if all_branches else sample_index(probabilities, seed)
     return ElectionResult(n=n, branches=out, cost=cost, sampled_index=sampled)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -182,12 +183,14 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
                 (d, rename_register(d.state, "keep", "share"))
                 for d in phase2(joint, k, "keep", "aux", audit=audit)]
 
+    # the outcome rows come from product over the attempts' outcomes, in step
+    # with joint_branches
+    picks, probabilities = joint_branches(attempts)
+    outcome_rows = product(*([br.outcome for br in attempt] for attempt in attempts))
     out = []
-    for picked, prob in joint_branches(attempts):
-        outcomes = tuple(br.outcome for br in picked)
-        zero_hits = [i for i, s in enumerate(outcomes) if s == 0]
-        if zero_hits:
-            i0 = zero_hits[0]
+    for picked, prob, outcomes in zip(picks, probabilities, outcome_rows):
+        if 0 in outcomes:
+            i0 = outcomes.index(0)
             out.append(GhzBranch(
                 attempt_outcomes=outcomes, probability=prob,
                 state=picked[i0].state, source_attempt=i0))

@@ -886,8 +886,11 @@ def sample_index(probabilities, seed: Optional[int] = None) -> int:
     """Index of one outcome drawn with seeded randomness.
 
     One uniform draw from ``random.Random(seed)`` is compared against the
-    running sum of ``probabilities``; the last index absorbs rounding.
+    running sum of ``probabilities``, added left to right; the last index
+    absorbs rounding.  No outcomes raise ``ValueError``.
     """
+    if not len(probabilities):
+        raise ValueError("no outcomes to sample")
     draw = random.Random(seed).random()
     acc = 0.0
     for i, p in enumerate(probabilities):
@@ -897,18 +900,20 @@ def sample_index(probabilities, seed: Optional[int] = None) -> int:
     return len(probabilities) - 1
 
 
-def joint_branches(per_part):
+def joint_branches(per_part) -> tuple:
     """Every choice of one option per independent part, with its probability.
 
-    Yields ``(picked, p)`` with ``picked`` one option per part, in
-    lexicographic order of the option lists, and ``p`` the product of the
-    picked options' ``probability`` taken left to right from 1.0.
+    Returns ``(picks, probabilities)``: ``picks`` iterates over the choices,
+    one option per part, in lexicographic order of the option lists, and
+    ``probabilities`` lists their joint probabilities as Python floats, in
+    the same order.  Each is the product of the picked options'
+    ``probability``, taken left to right from 1.0: the outer product of the
+    columns multiplies in that order, so it has the bits of the scalar loop.
     """
-    for picked in product(*per_part):
-        p = 1.0
-        for option in picked:
-            p *= option.probability
-        yield picked, p
+    joint = np.ones(())
+    for options in per_part:
+        joint = np.multiply.outer(joint, [option.probability for option in options])
+    return product(*per_part), joint.ravel().tolist()
 
 
 def fidelity(state: SparseState, reference: SparseState) -> float:

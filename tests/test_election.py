@@ -338,6 +338,69 @@ def test_upper_bound_refuses_a_branch_no_guess_verifies(monkeypatch):
         elect_with_bound(catalog("ring", 3), 3, all_branches=True)
 
 
+def override_verification(monkeypatch, accept):
+    """Make ``elect_with_bound`` verify by ``accept(guess, position, count)``.
+
+    The verification of each guess is the evaluation that follows its
+    amplified coins; it then verifies the measured outcome at ``position`` of
+    ``count`` iff ``accept`` says so.  The amplification itself is untouched.
+    """
+    amplified_coins = election._amplified_coins
+    evaluate_many = election.ExactlyOneProcedure.evaluate_many
+    pending = []
+
+    def coins(procedure, guess, **kwargs):
+        out = amplified_coins(procedure, guess, **kwargs)
+        pending.append(guess)
+        return out
+
+    def evaluate(self, xs):
+        reports = evaluate_many(self, xs)
+        if not pending:
+            return reports
+        guess = pending.pop()
+        return [dataclasses.replace(r, value=TRUE if accept(guess, i, len(xs)) else FALSE)
+                for i, r in enumerate(reports)]
+
+    monkeypatch.setattr(election, "_amplified_coins", coins)
+    monkeypatch.setattr(election.ExactlyOneProcedure, "evaluate_many", evaluate)
+
+
+def test_upper_bound_refuses_when_only_the_last_branch_has_no_verified_guess(monkeypatch):
+    # every guess rejects only its last outcome, so of all joint branches
+    # only the last in enumeration order verifies no guess
+    override_verification(monkeypatch, lambda guess, i, count: i < count - 1)
+    with pytest.raises(ExactnessError, match="no guess verified a unique leader"):
+        elect_with_bound(catalog("ring", 3), 4, all_branches=True)
+    # with the last guess accepting everything, every branch has a winner
+    monkeypatch.undo()
+    override_verification(monkeypatch, lambda guess, i, count: i < count - 1 or guess == 4)
+    assert len(elect_with_bound(catalog("ring", 3), 4, all_branches=True).branches) == 192
+
+
+def test_upper_bound_decides_each_verification_pattern_on_its_own(monkeypatch):
+    # guess 2 rejects everything and guess 4 accepts everything, so the
+    # patterns (F, T, T) and (F, F, T) share their first mark but not their
+    # first verified guess
+    def accept(guess, i, count):
+        return guess == 4 or (guess == 3 and i % 2 == 0)
+
+    override_verification(monkeypatch, accept)
+    result = elect_with_bound(catalog("ring", 3), 4, seed=5)
+    # each guess's measured outcomes, in the order its verification saw them
+    measured = {guess: sorted({dict(b.guess_outcomes)[guess] for b in result.branches})
+                for guess in (2, 3, 4)}
+    winners = set()
+    for b in result.branches:
+        verified = tuple(guess for guess, outcome in b.guess_outcomes
+                         if accept(guess, measured[guess].index(outcome), len(measured[guess])))
+        assert (b.verified, b.winner_guess) == (verified, verified[0])
+        assert b.outcomes == dict(b.guess_outcomes)[verified[0]]
+        assert b.leaders == tuple(p for p, bit in enumerate(b.outcomes) if bit)
+        winners.add(b.winner_guess)
+    assert winners == {3, 4}
+
+
 def test_upper_bound_equals_exact_when_bound_is_tight_n2():
     topo = catalog("complete", 2)
     bounded = elect_with_bound(topo, 2, all_branches=True)

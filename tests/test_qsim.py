@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ from anonqnet.errors import ExactnessError, SimulationError
 from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
                            apply_coherent_subroutine, binary_op_all_parties,
                            branches, drop_registers, fidelity, gate,
-                           init_state, layout, phase_kick_where,
-                           rename_register, scale, tensor,
+                           init_state, joint_branches, layout, phase_kick_where,
+                           rename_register, sample_index, scale, tensor,
                            uncompute_subroutine)
 from anonqnet.runtime import PartyProgram
 from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding, run_row
@@ -608,3 +611,42 @@ def test_agreed_returns_the_common_symbol():
     assert agreed((0,), "flag") == 0
     with pytest.raises(ExactnessError, match="^verdict disagrees across parties$"):
         agreed((1, 1, 0), "verdict")
+
+
+def test_sample_index_walks_the_running_sum():
+    draw = random.Random(3).random()
+    assert 0.125 < draw <= 0.375
+    assert sample_index([0.125, 0.25, 0.625], seed=3) == 1
+    # a running sum short of the draw leaves the last index
+    assert sample_index([0.125, 0.0625], seed=3) == 1
+    assert sample_index([1.0], seed=3) == 0
+
+
+def test_sample_index_refuses_no_outcomes():
+    with pytest.raises(ValueError, match="^no outcomes to sample$"):
+        sample_index([], seed=0)
+
+
+def test_joint_branches_match_the_scalar_product_bit_for_bit():
+    rng = random.Random(11)
+    Option = namedtuple("Option", "name probability")
+    parts = [[Option((i, j), rng.random() / 3) for j in range(size)]
+             for i, size in enumerate((3, 1, 4, 2))]
+    picks, probabilities = joint_branches(parts)
+    picks = list(picks)
+    assert picks == list(itertools.product(*parts))
+    expected = []
+    for picked in picks:
+        p = 1.0
+        for option in picked:
+            p *= option.probability
+        expected.append(p)
+    assert [type(p) for p in probabilities] == [float] * len(picks)
+    assert [p.hex() for p in probabilities] == [p.hex() for p in expected]
+
+
+def test_joint_branches_of_no_parts_and_of_an_empty_part():
+    picks, probabilities = joint_branches([])
+    assert (list(picks), probabilities) == ([()], [1.0])
+    picks, probabilities = joint_branches([[qsim.MeasurementBranch((0,), 1.0, None)], []])
+    assert (list(picks), probabilities) == ([], [])
