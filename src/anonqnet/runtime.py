@@ -3,16 +3,22 @@
 Every party runs identical code; a party's hooks see only its local input,
 its degree, and whatever arrives on its ports; what every party knows in
 advance, such as the party count, is built into the program.
-The engine meters communication exactly: one unit per transmitted symbol per
-link per direction per round, with d-level symbols charged ceil(log2 d) bits.
-A run yields the parties' outputs, its cost, and one plain
+The engine runs a whole table of input rows in lockstep: a party's hooks act
+on columns, one entry per row, so a coherent lookup of many inputs is one
+run.  It meters communication exactly: one unit per transmitted symbol per
+link per direction per round, with d-level symbols charged ceil(log2 d)
+bits, and every row of a table must send the same number of symbols.
+A run yields the parties' outputs, the cost of one row, and one plain
 ``(round, sender, receiver, symbols, payload)`` event per message.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Any, Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import SimulationError
 from .topology import Topology, is_automorphism, relabel
@@ -22,15 +28,23 @@ from .topology import Topology, is_automorphism, relabel
 class PartyProgram:
     """One synchronous distributed program, identical at every party.
 
-    ``init(local_input, degree)`` builds the local state.
-    Each round the engine calls ``send(state, r)`` for a ``{port: message}``
-    outbox, delivers all messages, then calls ``recv(state, inbox, r)``.
-    After exactly ``rounds`` rounds, ``finish(state)`` yields the output.
+    The hooks act on columns: one entry per input row, all rows in lockstep.
+    ``init(column, degree)`` builds the local state from the party's input in
+    every row, an int64 array of shape (rows,), or (rows, symbols) when an
+    input is a tuple.  Each round the engine calls ``send(state, r)`` for a
+    ``{port: message}`` outbox, delivers all messages, then calls
+    ``recv(state, inbox, r)``; the inbox maps the receiving port to what was
+    delivered there.  After exactly ``rounds`` rounds, ``finish(state)``
+    returns one output per row.
 
-    Messages are tuples of symbols drawn from ``range(symbol_dim)``, or
-    :class:`SizedMessage` values carrying an explicit symbol count.  For the
-    program to be usable coherently its (port, size) pattern per round must
-    not depend on the inputs; the quantum layer enforces this.
+    A message is an int array of shape (rows, symbols), each symbol drawn
+    from ``range(symbol_dim)`` and delivered as that array, or a
+    :class:`SizedMessage`, whose payload (one entry per row) is delivered as
+    it is.  Every row must send the same number of symbols on a port in a
+    round, so the (port, size) pattern of a table never depends on which row
+    is read; for the program to be usable coherently that pattern must not
+    depend on the inputs at all, which the quantum layer checks across
+    tables.
 
     ``parties``, when set, is the party count the program was built for; the
     engine refuses to run it on a network of another size.
@@ -38,10 +52,10 @@ class PartyProgram:
 
     rounds: int
     symbol_dim: int
-    init: Callable[[Any, int], Any]
+    init: Callable[[np.ndarray, int], Any]
     send: Callable[[Any, int], dict]
     recv: Callable[[Any, dict, int], Any]
-    finish: Callable[[Any], Any]
+    finish: Callable[[Any], Sequence]
     name: str = "program"
     parties: Optional[int] = None
 
@@ -53,12 +67,31 @@ class PartyProgram:
 class SizedMessage(NamedTuple):
     """A structured message whose transmitted size is declared explicitly.
 
-    ``symbols`` must equal the length the payload would have in a flat symbol
-    encoding and must not depend on input values, only on topology.
+    ``payload`` holds one entry per row.  ``symbols`` is the length each
+    row's payload would have in a flat symbol encoding: one count for every
+    row, or a sequence of one count per row, which must all be equal.  It
+    must not depend on input values, only on topology.
     """
 
-    payload: Any
-    symbols: int
+    payload: Sequence
+    symbols: Any
+
+
+def as_int64(values) -> np.ndarray:
+    """``values`` as an int64 array; an entry that is not an integer raises ``ValueError``.
+
+    A cast alone would read 1.5 as 1, so when numpy does not find an integer
+    dtype, every entry is checked, in order, as the caller wrote it.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        array = np.asarray(values, dtype=object)
+        for x in array.flat:
+            if not isinstance(x, numbers.Integral):
+                raise ValueError(f"input {x} is not an integer")
+            if not -2 ** 63 <= x < 2 ** 63:
+                raise ValueError(f"input {x} does not fit in int64")
+    return array.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -130,20 +163,41 @@ def run_classical(
 ) -> tuple:
     """Run ``program`` at every party for exactly ``program.rounds`` rounds.
 
-    Returns ``(outputs, cost, events)``.  ``events`` is a tuple with one
+    ``inputs`` is a table of input rows, an int array of shape (rows,
+    parties), or (rows, parties, symbols) when an input is a tuple, and all
+    rows run in lockstep; or it is one vector of ``parties`` integers, run
+    as a table of that one row.  An entry that is not an integer, or a table
+    of no rows, raises ``ValueError``.
+
+    Returns ``(outputs, cost, events)``.  For a table, ``outputs`` is an
+    int64 array of shape (rows, parties), and ``cost`` is the cost of one
+    row, which every row shares.  ``events`` is a tuple with one
     ``(round, sender, receiver, symbols, payload)`` tuple per message, in
     send order, with 1-based rounds; its first four fields are the
-    input-oblivious pattern.  A round sends first and then delivers:
-    messages emitted in round r are absorbed by ``recv`` in the same engine
-    round, so information travels one hop per round.
+    input-oblivious pattern, and ``payload`` is what was delivered, a column
+    of every row.  For one vector, ``outputs`` is a list with one output per
+    party and each event's payload is that row's: a tuple of symbols, or the
+    row's entry of a :class:`SizedMessage` payload.
+
+    A round sends first and then delivers: messages emitted in round r are
+    absorbed by ``recv`` in the same engine round, so information travels
+    one hop per round.  A symbol outside the alphabet, a negative declared
+    size, or a size that differs between rows raises ``SimulationError``.
     """
     n = topology.n
     if program.parties is not None and program.parties != n:
         raise ValueError(f"{program.name} was built for {program.parties} parties, not {n}")
-    if len(inputs) != n:
-        raise ValueError(f"expected {n} inputs, got {len(inputs)}")
-    states = [program.init(inputs[v], topology.degree(v)) for v in range(n)]
-    send, recv, link, dim = program.send, program.recv, topology.link, program.symbol_dim
+    table = as_int64(inputs)
+    one = table.ndim == 1
+    if one:
+        table = table[None]
+    if table.ndim < 2 or table.shape[1] != n:
+        raise ValueError(f"expected {n} inputs, got {table.shape[1] if table.ndim > 1 else 1}")
+    rows = len(table)
+    if rows == 0:
+        raise ValueError(f"{program.name} was given a table of no rows")
+    states = [program.init(table[:, v], topology.degree(v)) for v in range(n)]
+    send, recv, link = program.send, program.recv, topology.link
     events = []
     per_round = []
     for r in range(program.rounds):
@@ -151,31 +205,89 @@ def run_classical(
         symbols_this_round = 0
         for v in range(n):
             outbox = send(states[v], r) or {}
+            # a party often sends one column, or one list of sizes, on every
+            # port: check it once
+            columns, sizes = {}, {}
             for port in sorted(outbox):
+                u, q = link(v, port)
                 msg = outbox[port]
                 if type(msg) is SizedMessage:
-                    payload, size = msg
-                    if size < 0:
-                        raise SimulationError(f"party {v} declared a negative message size")
+                    payload, symbols = msg
+                    if len(payload) != rows:
+                        raise SimulationError(f"party {v} sent a payload of {len(payload)} "
+                                              f"rows, not {rows}, on port {port}")
+                    size = sizes.get(id(symbols))
+                    if size is None:
+                        size = sizes[id(symbols)] = _declared_size(program, symbols, rows,
+                                                                   v, port, r)
+                    row = payload[0] if one else payload
                 else:
-                    payload = (msg,) if isinstance(msg, int) else tuple(msg)
-                    for s in payload:
-                        if not (0 <= s < dim):
-                            raise SimulationError(
-                                f"party {v} sent symbol {s} outside alphabet "
-                                f"0..{dim - 1} on port {port}")
-                    size = len(payload)
-                u, q = link(v, port)
+                    hit = columns.get(id(msg))
+                    if hit is None:
+                        payload = _symbol_column(program, msg, rows, v, port)
+                        hit = columns[id(msg)] = (payload, payload.shape[1],
+                                                  tuple(payload[0].tolist()) if one else payload)
+                    payload, size, row = hit
                 inboxes[u][q] = payload
                 symbols_this_round += size
-                events.append((r + 1, v, u, size, payload))
+                events.append((r + 1, v, u, size, row))
         per_round.append(symbols_this_round)
         for v in range(n):
             states[v] = recv(states[v], inboxes[v], r)
-    outputs = [program.finish(states[v]) for v in range(n)]
+    finished = [program.finish(states[v]) for v in range(n)]
+    for column in finished:
+        if len(column) != rows:
+            raise SimulationError(f"{program.name} finished with {len(column)} outputs "
+                                  f"for {rows} rows")
+    if one:
+        outputs = [column.tolist()[0] if isinstance(column, np.ndarray) else column[0]
+                   for column in finished]
+    else:
+        outputs = np.ascontiguousarray(as_int64(finished).T)
     total = sum(per_round)
     cost = CostReport(program.rounds, total, total * program.bits_per_symbol, tuple(per_round))
     return outputs, cost, tuple(events)
+
+
+def _declared_size(program: PartyProgram, symbols, rows: int, v: int, port: int,
+                   r: int) -> int:
+    """The one symbol count of a :class:`SizedMessage` in every row, checked."""
+    if type(symbols) is int or isinstance(symbols, numbers.Integral):
+        low = high = int(symbols)
+    else:
+        if len(symbols) != rows:
+            raise SimulationError(f"party {v} declared {len(symbols)} sizes for {rows} rows "
+                                  f"on port {port}")
+        if isinstance(symbols, np.ndarray):
+            low, high = int(symbols.min()), int(symbols.max())
+        else:
+            low, high = min(symbols), max(symbols)
+    if low < 0:
+        raise SimulationError(f"party {v} declared a negative message size")
+    if low != high:
+        raise SimulationError(
+            f"program {program.name} has an input-dependent communication pattern: "
+            f"party {v} sends {low} and {high} symbols on port {port} in round {r + 1}")
+    return low
+
+
+def _symbol_column(program: PartyProgram, msg, rows: int, v: int, port: int) -> np.ndarray:
+    """A message of symbols as an int64 array of shape (rows, symbols), checked."""
+    column = np.asarray(msg)
+    if column.ndim != 2 or len(column) != rows:
+        raise SimulationError(f"party {v} sent a message of shape {column.shape}, not "
+                              f"({rows} rows, symbols), on port {port}")
+    if column.size:
+        if column.dtype.kind not in "biu":
+            raise SimulationError(f"party {v} sent {column.dtype} symbols on port {port}")
+        column = column.astype(np.int64, copy=False)
+        # one pass over the column: a negative symbol reads as a large unsigned one
+        if column.view(np.uint64).max() >= program.symbol_dim:
+            s = column[(column < 0) | (column >= program.symbol_dim)][0]
+            raise SimulationError(
+                f"party {v} sent symbol {s} outside alphabet "
+                f"0..{program.symbol_dim - 1} on port {port}")
+    return column
 
 
 def verify_anonymity(

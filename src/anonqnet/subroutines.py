@@ -11,22 +11,25 @@ A coherent application asks for the outputs of a whole table of inputs at
 once (:func:`run_cached`).  Each subroutine instance keeps one columnar memo
 per topology object: the sorted int64 codes of the input rows it has run and
 an int64 table of their outputs, searched with numpy, so only inputs it has
-not seen reach the engine.  The memo lives as long as the instance and is
-never shared with another.  A direct run of one input vector is a table of
-one row (:func:`run_row`).  A consistency test keeps no memo of its own: its
-table is split into two flood tables, answered by the flood's memo.
+not seen reach the engine, all of them in one run: the party programs act
+on columns and step every row in lockstep.  The memo lives as long as the
+instance and is never shared with another.  A direct run of one input vector
+is a table of one row (:func:`run_row`).  A consistency test keeps no memo of
+its own: its table is split into two flood tables, answered by the flood's
+memo.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SimulationError
-from .runtime import PartyProgram, SizedMessage, parallel, run_classical
+from .runtime import PartyProgram, SizedMessage, as_int64, parallel, run_classical
 from .topology import Topology
 
 TRUE, FALSE = 1, 0
@@ -59,7 +62,7 @@ class ClassicalSubroutine:
 
 def _input_table(sub: ClassicalSubroutine, topology: Topology, table) -> np.ndarray:
     """``table`` as int64 of shape (rows, parties, symbols per input), checked."""
-    table = np.asarray(table, dtype=np.int64)
+    table = as_int64(table)
     dims = sub.input_dims
     if table.ndim == 2:
         table = table[:, :, None]
@@ -68,6 +71,8 @@ def _input_table(sub: ClassicalSubroutine, topology: Topology, table) -> np.ndar
                          f"not a table of shape {table.shape}")
     if table.shape[1] != topology.n:
         raise ValueError(f"expected {topology.n} inputs, got {table.shape[1]}")
+    if len(table) == 0:
+        raise ValueError(f"{sub.name} was given a table of no rows")
     outside = (table < 0) | (table >= np.array(dims))
     if outside.any():
         row, party, j = np.argwhere(outside)[0]
@@ -99,18 +104,21 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, table) -> tuple:
     ``table`` holds one input per party per row, as an int array of shape
     (rows, parties), or (rows, parties, symbols) when a party's input is a
     tuple; ``outputs`` is an int64 array of shape (rows, parties).  An input
-    symbol outside ``sub.input_dims`` raises ``ValueError``.
+    that is not an integer, or a symbol outside ``sub.input_dims``, raises
+    ``ValueError``.
 
     ``sub.runs`` maps each topology's id to ``(topology, codes, outputs)``:
     the sorted codes (:func:`_row_codes`) of the rows run so far and their
     outputs.  Rows are looked up with ``np.searchsorted``; only distinct new
-    rows reach the engine, in order of first occurrence, and the tuple is
-    then replaced in one assignment, so a reader never pairs old codes with
-    new outputs.  A call that raises memoizes none of its runs.
+    rows reach the engine, as one table in order of first occurrence, and
+    the tuple is then replaced in one assignment, so a reader never pairs
+    old codes with new outputs.  A call that raises memoizes none of its
+    runs.
 
     Coherent application needs a communication pattern (the ``(round,
     sender, receiver, symbols)`` part of each message event) that does not
-    depend on the input, so a new run whose pattern differs from the first
+    depend on the input.  The engine refuses a table whose rows send
+    different patterns, and a new table whose pattern differs from the first
     run's on the same topology raises ``SimulationError``.  Equal patterns
     give equal costs, so ``sub.patterns`` keeps ``(topology, pattern, cost)``
     of the first run per topology, and that cost is every run's.  Results
@@ -139,23 +147,17 @@ def run_cached(sub: ClassicalSubroutine, topology: Topology, table) -> tuple:
         rows = np.arange(len(codes))
     # the first row of each distinct missing code, in row order
     rows = rows[np.sort(np.unique(codes[rows], return_index=True)[1])]
-    if len(sub.input_dims) == 1:
-        program_inputs = table[rows, :, 0].tolist()
-    else:
-        program_inputs = [list(map(tuple, row)) for row in table[rows].tolist()]
-    ran = []
-    for inputs in program_inputs:
-        out, cost, events = run_classical(topology, sub.program, inputs)
-        pattern = tuple(ev[:4] for ev in events)
-        # setdefault keeps one entry per key if two threads miss together
-        if sub.patterns.setdefault(key, (topology, pattern, cost))[1] != pattern:
-            raise SimulationError(
-                f"subroutine {sub.name} has an input-dependent communication pattern"
-            )
-        ran.append(out)
+    missing = table[rows, :, 0] if len(sub.input_dims) == 1 else table[rows]
+    ran, cost, events = run_classical(topology, sub.program, missing)
+    pattern = tuple(ev[:4] for ev in events)
+    # setdefault keeps one entry per key if two threads miss together
+    if sub.patterns.setdefault(key, (topology, pattern, cost))[1] != pattern:
+        raise SimulationError(
+            f"subroutine {sub.name} has an input-dependent communication pattern"
+        )
     with sub.lock:
         memo = sub.runs.get(key)
-        new_codes, new_outputs = codes[rows], np.array(ran, dtype=np.int64)
+        new_codes, new_outputs = codes[rows], ran
         if memo is not None:
             new_codes = np.concatenate((memo[1], new_codes))
             new_outputs = np.concatenate((memo[2], new_outputs))
@@ -183,25 +185,28 @@ def all_zeros_flooding(delta: int) -> ClassicalSubroutine:
     whatever it receives; after ``delta`` rounds (``delta`` at least the graph
     diameter) the OR of all bits has reached everyone.  Exactly one bit per
     port per direction per round, so the pattern is trivially oblivious.
+    A party's state is its accumulated bits, one message column of one
+    symbol per row, sent as it is on every port.
     """
     if delta < 0:
         raise ValueError("round bound must be nonnegative")
 
     def init(x, deg):
-        return [1 if x else 0, deg]
+        return [(x != 0).astype(np.int64)[:, None], deg]
 
     def send(state, _r):
-        bit, deg = state
-        return {p: (bit,) for p in range(1, deg + 1)}
+        bits, deg = state
+        return dict.fromkeys(range(1, deg + 1), bits)
 
     def recv(state, inbox, _r):
-        bit, deg = state
+        bits, deg = state
         for msg in inbox.values():
-            bit |= msg[0]
-        return [bit, deg]
+            bits = bits | msg
+        return [bits, deg]
 
     def finish(state):
-        return TRUE if state[0] == 0 else FALSE
+        # TRUE is 1 and FALSE is 0
+        return (state[0][:, 0] == 0).astype(np.int64)
 
     program = PartyProgram(
         rounds=delta, symbol_dim=2,
@@ -471,24 +476,29 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
     # shared by every party and every run; see ViewTable
     table = ViewTable(n)
 
+    # a party's state: its input labels, its degree and its view, per row
     def init(x, deg):
-        if not (0 <= x < k):
-            raise ValueError(f"input {x} outside 0..{k - 1}")
-        return [x, deg, table.node(x, deg, ())]
+        outside = (x < 0) | (x >= k)
+        if outside.any():
+            raise ValueError(f"input {x[outside][0]} outside 0..{k - 1}")
+        labels = x.tolist()
+        return [labels, deg, [table.node(label, deg, ()) for label in labels]]
 
     def send(state, _r):
-        _x, deg, v = state
-        size = 1 + v.shape.size
-        return {p: SizedMessage((p, v), size) for p in range(1, deg + 1)}
+        _labels, deg, views = state
+        sizes = [1 + v.shape.size for v in views]
+        return {p: SizedMessage([(p, v) for v in views], sizes) for p in range(1, deg + 1)}
 
     def recv(state, inbox, _r):
-        x, deg, _v = state
-        # each payload is the (entry port, view) pair of one child
-        children = tuple(map(inbox.__getitem__, range(1, deg + 1)))
-        return [x, deg, table.node(x, deg, children)]
+        labels, deg, _views = state
+        # each payload holds the (entry port, view) pair of one child per row
+        children = zip(*map(inbox.__getitem__, range(1, deg + 1)))
+        return [labels, deg, list(map(table.node, labels, repeat(deg), children))]
 
     def finish(state):
-        _x, _deg, v = state
+        return [total_mod_k(v) for v in state[2]]
+
+    def total_mod_k(v):
         classes = distinct_truncated_views(v, n - 1)
         c = len(classes)
         if n % c != 0:

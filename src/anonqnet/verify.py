@@ -27,7 +27,7 @@ from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
                    layout)
 from .runtime import parallel, run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                          modular_sum_views, run_row)
+                          modular_sum_views, run_cached, run_row)
 from .topology import automorphisms, catalog, relabel
 
 
@@ -435,37 +435,34 @@ def suite_oracles() -> list:
     checks = []
     for name, n, topo in _catalog_cases(2, 5):
         zeros = all_zeros_flooding(n)
-        bad = [x for x in itertools.product(range(2), repeat=n)
-               if _flood_disagrees(topo, zeros, x)]
+        xs = list(itertools.product(range(2), repeat=n))
+        bad = _disagreeing_rows(xs, run_classical(topo, zeros.program, xs)[0],
+                                lambda x: 1 if sum(x) == 0 else 0)
         checks.append(Check(f"{name}-{n}: all-zeros matches enumeration", not bad,
                             f"failures {bad[:3]}"))
-        cons = consistency_from_all_zeros(zeros)
-        bad = []
-        for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-            out, _c = run_row(cons, topo, rz)
-            marked = [r for r, z in rz if z == 1]
-            expect = 1 if (not marked or len(set(marked)) == 1) else 0
-            if any(o != expect for o in out):
-                bad.append(rz)
+        rzs = list(itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n))
+        bad = _disagreeing_rows(rzs, run_cached(consistency_from_all_zeros(zeros), topo, rzs)[0],
+                                _consistent)
         checks.append(Check(f"{name}-{n}: consistency matches enumeration", not bad,
                             f"failures {bad[:3]}"))
     for name, n, topo in _catalog_cases(2, 5):
         for k in (2, 3, 5):
-            sub = modular_sum_views(k, n)
-            bad = []
-            for x in itertools.product(range(k), repeat=n):
-                out, _c, _t = run_classical(topo, sub.program, list(x))
-                if any(o != sum(x) % k for o in out):
-                    bad.append(x)
+            xs = list(itertools.product(range(k), repeat=n))
+            outputs, _c, _t = run_classical(topo, modular_sum_views(k, n).program, xs)
+            bad = _disagreeing_rows(xs, outputs, lambda x: sum(x) % k)
             checks.append(Check(f"{name}-{n}: modular sum (k={k}) matches enumeration",
                                 not bad, f"failures {bad[:3]}"))
     return checks
 
 
-def _flood_disagrees(topo, zeros, x) -> bool:
-    out, _c, _t = run_classical(topo, zeros.program, list(x))
-    expect = 1 if sum(x) == 0 else 0
-    return any(o != expect for o in out)
+def _consistent(rz) -> int:
+    marked = [r for r, z in rz if z == 1]
+    return 1 if (not marked or len(set(marked)) == 1) else 0
+
+
+def _disagreeing_rows(xs: list, outputs, expect) -> list:
+    """The inputs of ``xs`` whose row of ``outputs`` has a party output other than ``expect``."""
+    return [x for x, out in zip(xs, outputs.tolist()) if any(o != expect(x) for o in out)]
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def weight_one_subroutine(n: int) -> ClassicalSubroutine:
     wrapped = PartyProgram(
         rounds=prog.rounds, symbol_dim=prog.symbol_dim,
         init=prog.init, send=prog.send, recv=prog.recv,
-        finish=lambda st: 1 if prog.finish(st) == 1 else 0,
+        finish=lambda st: [1 if total == 1 else 0 for total in prog.finish(st)],
         name=f"weight_one[{n}]",
     )
     return ClassicalSubroutine(wrapped)

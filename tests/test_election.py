@@ -470,25 +470,26 @@ def test_two_threads_share_one_topology():
 
 def test_an_election_runs_the_engine_only_for_floods(monkeypatch):
     # consistency tables are answered from the flood's memo, so an election
-    # makes one engine run per bit vector: 2^n, where running the consistency
-    # program for each distinct (coin, mark) vector would add 3^n more
-    programs = []
+    # runs the engine on one flood row per bit vector: 2^n, where running the
+    # consistency program for each distinct (coin, mark) vector would add 3^n
+    runs = []   # (program name, rows) per engine run
     real = subroutines.run_classical
 
     def counting(topology, program, inputs):
-        programs.append(program.name)
+        runs.append((program.name, len(inputs)))
         return real(topology, program, inputs)
 
     monkeypatch.setattr(subroutines, "run_classical", counting)
     for name in ("ring", "complete"):
         for n in (3, 4, 5):
-            programs.clear()
+            runs.clear()
             elect(catalog(name, n), all_branches=True)
-            assert programs == [f"all_zeros_flooding[{n}]"] * 2 ** n, f"{name}-{n}"
+            assert {program for program, _rows in runs} == {f"all_zeros_flooding[{n}]"}
+            assert sum(rows for _program, rows in runs) == 2 ** n, f"{name}-{n}"
     # a second application on the same state finds every run memoized
     procedure = exactly_one_algorithm(catalog("ring", 4))
     state = unique_one_state(dict.fromkeys(all_bit_vectors(4), 0.25))
     procedure.apply(state, "bit", "res")
-    programs.clear()
+    runs.clear()
     procedure.apply(state, "bit", "res")
-    assert programs == []
+    assert runs == []

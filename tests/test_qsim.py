@@ -16,7 +16,7 @@ from anonqnet.qsim import (Gate, SparseState, agreed, apply_all_parties,
                            init_state, joint_branches, layout, phase_kick_where,
                            rename_register, sample_index, scale, tensor,
                            uncompute_subroutine)
-from anonqnet.runtime import PartyProgram
+from anonqnet.runtime import PartyProgram, SizedMessage
 from anonqnet.subroutines import ClassicalSubroutine, all_zeros_flooding, run_row
 from anonqnet.topology import build_graph, catalog
 
@@ -389,14 +389,23 @@ def test_branch_probabilities_sum_to_one_after_ops():
 
 
 def local_program(fn, *, rounds=0, size=None, input_dims=(2,)):
-    """Each party outputs ``fn(own input)``; ``size(input)`` symbols per port per round."""
-    def send(x, _r):
-        return {} if size is None else {1: (0,) * size(x)}
+    """Each party outputs ``fn(own input)``; ``size(input)`` symbols per port per round.
+
+    The state is the party's inputs, one per row: a symbol, or a tuple of them.
+    """
+    def init(column, _deg):
+        return [tuple(x) if isinstance(x, list) else x for x in column.tolist()]
+
+    def send(xs, _r):
+        if size is None:
+            return {}
+        sizes = [size(x) for x in xs]
+        return {1: SizedMessage([(0,) * s for s in sizes], sizes)}
 
     return ClassicalSubroutine(PartyProgram(
         rounds=rounds, symbol_dim=2,
-        init=lambda x, _deg: x, send=send, recv=lambda x, _inbox, _r: x,
-        finish=fn, name="local"), input_dims)
+        init=init, send=send, recv=lambda xs, _inbox, _r: xs,
+        finish=lambda xs: [fn(x) for x in xs], name="local"), input_dims)
 
 
 def test_layout_tables():

@@ -13,7 +13,7 @@ from anonqnet.qsim import (SparseState, apply_all_parties, apply_coherent_subrou
                            init_state, layout, tensor)
 from anonqnet.runtime import run_classical
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                                  modular_sum_views, run_row, view)
+                                  modular_sum_views, run_cached, run_row, view)
 from anonqnet.topology import build_graph, catalog, load_graph
 
 
@@ -46,6 +46,13 @@ REFUSALS = [
     ("engine-input-count",
      lambda: run_classical(catalog("ring", 3), all_zeros_flooding(3).program, [0, 0]),
      ValueError, "expected 3 inputs, got 2"),
+    ("engine-non-integer-input",
+     lambda: run_classical(catalog("ring", 3), modular_sum_views(3, 3).program, [1.5, 0, 0]),
+     ValueError, "input 1.5 is not an integer"),
+    ("engine-no-rows",
+     lambda: run_classical(catalog("ring", 3), all_zeros_flooding(3).program,
+                           np.zeros((0, 3), dtype=np.int64)),
+     ValueError, "all_zeros_flooding[3] was given a table of no rows"),
     ("coherent-party-count", lambda: coherent_flood(2),
      ValueError, "topology and layout disagree on the party count"),
     ("coherent-fiducial", lambda: coherent_flood(3, fiducial=2),
@@ -73,6 +80,13 @@ REFUSALS = [
      lambda: run_row(consistency_from_all_zeros(all_zeros_flooding(3)), catalog("ring", 3),
                      ((0, 1), (2, 1), (0, 0))),
      ValueError, "input 2 outside 0..1 of consistency[3]"),
+    ("run-row-non-integer-input",
+     lambda: run_row(all_zeros_flooding(3), catalog("ring", 3), (0.5, 0, 0)),
+     ValueError, "input 0.5 is not an integer"),
+    ("run-cached-no-rows",
+     lambda: run_cached(all_zeros_flooding(3), catalog("ring", 3),
+                        np.zeros((0, 3), dtype=np.int64)),
+     ValueError, "all_zeros_flooding[3] was given a table of no rows"),
     ("run-row-code-space",
      lambda: run_row(all_zeros_flooding(64), catalog("ring", 64), (0,) * 64),
      ValueError, "64 parties of 2 inputs each make 2**64 input rows, "

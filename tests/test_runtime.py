@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonqnet.errors import SimulationError
 from anonqnet.runtime import (CostReport, PartyProgram, SizedMessage, parallel,
@@ -9,14 +12,14 @@ from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros
                                   modular_sum_views, run_row)
 from anonqnet.topology import catalog
 
-from conftest import all_bit_vectors
+from conftest import all_bit_vectors, shuffled_ports
 
 
 def echo_program(rounds=1):
     return PartyProgram(
         rounds=rounds, symbol_dim=2,
         init=lambda x, deg: (x, deg),
-        send=lambda s, r: {p: (s[0],) for p in range(1, s[1] + 1)},
+        send=lambda s, r: {p: s[0][:, None] for p in range(1, s[1] + 1)},
         recv=lambda s, inbox, r: s,
         finish=lambda s: s[0],
         name="echo",
@@ -86,11 +89,18 @@ def test_symbol_out_of_alphabet_rejected():
 
 
 def one_message_program(message, symbol_dim=4):
+    """Every row sends ``message`` on port 1 and outputs what arrives there."""
+    def send(rows, _r):
+        if type(message) is SizedMessage:
+            return {1: SizedMessage([message.payload] * rows, message.symbols)}
+        return {1: np.tile(np.reshape(np.asarray(message, dtype=np.int64), (1, -1)), (rows, 1))}
+
+    def finish(received):
+        return received if isinstance(received, list) else list(map(tuple, received.tolist()))
+
     return PartyProgram(rounds=1, symbol_dim=symbol_dim,
-                        init=lambda x, d: x,
-                        send=lambda s, r: {1: message},
-                        recv=lambda s, inbox, r: inbox[1],
-                        finish=lambda s: s)
+                        init=lambda x, d: len(x), send=send,
+                        recv=lambda s, inbox, r: inbox[1], finish=finish)
 
 
 @pytest.mark.parametrize("message,payload,size", [
@@ -134,10 +144,10 @@ def test_anonymity_detects_payload_asymmetry():
     # costs and message pattern are symmetric but the payloads are not
     counter = itertools.count()
     prog = PartyProgram(rounds=1, symbol_dim=4,
-                        init=lambda x, d: (next(counter) % 4, d),
-                        send=lambda s, r: {p: (s[0],) for p in range(1, s[1] + 1)},
+                        init=lambda x, d: (np.full((len(x), 1), next(counter) % 4), d),
+                        send=lambda s, r: {p: s[0] for p in range(1, s[1] + 1)},
                         recv=lambda s, i, r: s,
-                        finish=lambda s: 0)
+                        finish=lambda s: np.zeros(len(s[0]), dtype=np.int64))
     assert not verify_anonymity(catalog("ring", 4), prog, [0, 0, 0, 0], (1, 2, 3, 0))
 
 
@@ -146,7 +156,7 @@ def test_anonymity_detects_output_asymmetry():
     # hands it, so the second run's outputs differ from the first's
     counter = itertools.count()
     prog = PartyProgram(rounds=0, symbol_dim=2,
-                        init=lambda x, d: next(counter),
+                        init=lambda x, d: np.full(len(x), next(counter)),
                         send=lambda s, r: {}, recv=lambda s, i, r: s,
                         finish=lambda s: s)
     assert not verify_anonymity(catalog("ring", 4), prog, [0, 0, 0, 0], (1, 2, 3, 0))
@@ -240,6 +250,49 @@ def test_cost_report_validation():
         CostReport(2, 5, 5, (1, 1))
     with pytest.raises(ValueError):
         CostReport(1, 5, 5, (5, 0))
+
+
+def test_rows_that_declare_different_sizes_are_refused_in_one_run():
+    # every party declares its input plus one symbols
+    prog = PartyProgram(rounds=1, symbol_dim=2,
+                        init=lambda x, d: x,
+                        send=lambda x, r: {1: SizedMessage([()] * len(x), x + 1)},
+                        recv=lambda x, inbox, r: x,
+                        finish=lambda x: x)
+    topo = catalog("complete", 2)
+    _out, cost, _events = run_classical(topo, prog, [[1, 0], [1, 0]])
+    assert cost.per_round == (3,)
+    with pytest.raises(SimulationError, match="^program program has an input-dependent "
+                                              "communication pattern: party 0 sends 1 and 2 "
+                                              "symbols on port 1 in round 1$"):
+        run_classical(topo, prog, [[1, 0], [0, 0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(shuffled_ports(max_n=5), st.data())
+def test_a_table_runs_as_its_rows_run_alone(topo, data):
+    """Outputs, cost, pattern and payloads of each row equal a one-vector run's."""
+    n = topo.n
+    flood = all_zeros_flooding(n)
+    for sub in (flood, modular_sum_views(2, n), modular_sum_views(3, n)):
+        row = st.tuples(*[st.integers(0, sub.input_dims[0] - 1)] * n)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        outputs, cost, events = run_classical(topo, sub.program, rows)
+        assert outputs.dtype == np.int64 and outputs.shape == (len(rows), n)
+        for i, x in enumerate(rows):
+            alone, alone_cost, alone_events = run_classical(topo, sub.program, list(x))
+            assert outputs[i].tolist() == alone
+            # equal CostReports carry equal rounds, qubits, bits and per_round
+            assert cost == alone_cost
+            assert pattern(events) == pattern(alone_events)
+            for event, alone_event in zip(events, alone_events):
+                payload, alone_payload = event[4][i], alone_event[4]
+                if sub is flood:
+                    assert tuple(payload.tolist()) == alone_payload
+                else:
+                    # one subroutine interns equal views as one object
+                    assert payload[0] == alone_payload[0]
+                    assert payload[1] is alone_payload[1]
 
 
 def test_message_events_shape():

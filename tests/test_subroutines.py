@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonqnet.errors import SimulationError
-from anonqnet.runtime import PartyProgram, parallel, run_classical, verify_anonymity
+from anonqnet.runtime import (PartyProgram, SizedMessage, parallel, run_classical,
+                              verify_anonymity)
 from anonqnet.subroutines import (ClassicalSubroutine, ViewTable,
                                   all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
@@ -118,8 +120,8 @@ def test_derived_consistency_matches_its_program_on_random_ports(topo, data):
 def test_derived_consistency_keeps_the_flood_pattern_check():
     # a flood whose message length is its bit plus one
     def send(state, _r):
-        bit, deg = state
-        return {p: (bit,) * (bit + 1) for p in range(1, deg + 1)}
+        bits, deg = state
+        return {p: SizedMessage(bits, bits[:, 0] + 1) for p in range(1, deg + 1)}
 
     prog = all_zeros_flooding(3).program
     leaky = ClassicalSubroutine(PartyProgram(
@@ -158,6 +160,24 @@ def test_a_table_is_answered_as_its_rows_run_alone(topo, data):
 def test_an_input_outside_the_alphabet_is_refused(sub, inputs):
     with pytest.raises(ValueError, match="outside"):
         run_row(sub, catalog("ring", 3), inputs)
+    assert not sub.runs and not sub.patterns
+
+
+@pytest.mark.parametrize("sub,inputs,value", [
+    (all_zeros_flooding(3), (0.5, 0, 0), "0.5"),
+    (modular_sum_views(3, 3), (1.7, 0, 0), "1.7"),
+    (modular_sum_views(3, 3), (0, 1, "2"), "2"),
+], ids=["flood-half", "sum-fraction", "sum-string"])
+def test_a_non_integer_input_is_refused_not_truncated(sub, inputs, value):
+    # a cast to int64 would read 0.5 as 0 and 1.7 as 1
+    topo = catalog("ring", 3)
+    message = f"^input {value} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        run_row(sub, topo, inputs)
+    with pytest.raises(ValueError, match=message):
+        run_cached(sub, topo, [(0, 0, 0), inputs])
+    with pytest.raises(ValueError, match=message):
+        run_classical(topo, sub.program, list(inputs))
     assert not sub.runs and not sub.patterns
 
 
@@ -343,8 +363,8 @@ def test_view_message_sizes_are_label_independent():
 
 
 def drive_by_hand(topo, program, inputs):
-    """Run a program's hooks round by round without the engine or its checks."""
-    states = [program.init(x, topo.degree(v)) for v, x in enumerate(inputs)]
+    """Run a program's hooks on one row, round by round, without the engine or its checks."""
+    states = [program.init(np.array([x]), topo.degree(v)) for v, x in enumerate(inputs)]
     for r in range(program.rounds):
         inboxes = [{} for _ in states]
         for v, state in enumerate(states):
@@ -352,7 +372,7 @@ def drive_by_hand(topo, program, inputs):
                 u, q = topo.link(v, port)
                 inboxes[u][q] = msg.payload
         states = [program.recv(state, inbox, r) for state, inbox in zip(states, inboxes)]
-    return [program.finish(state) for state in states]
+    return [program.finish(state)[0] for state in states]
 
 
 def test_class_count_divides_party_count_guard():
