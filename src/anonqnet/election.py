@@ -120,8 +120,8 @@ class ExactlyOneProcedure:
     H(x) is the weight-one predicate, leaving every working register back at
     its fiducial.  Applying it twice is the identity, which is also how the
     inverse is realized.  ``evaluate_many`` gives the memoized
-    ``InputReport`` of each of several classical inputs, and ``evaluate``
-    that of one; ``apply`` and ``elect_with_bound`` read them.
+    ``InputReport`` of each of several classical inputs; ``apply`` and
+    ``elect_with_bound`` read them.
     """
 
     def __init__(self, topology: Topology, n_known: Optional[int] = None):
@@ -258,10 +258,6 @@ class ExactlyOneProcedure:
                     cost = costs[bank_costs] = self._cost_of(zeros_cost, bank_costs)
                 self._memo[x] = self._report(x, banks, s0, cost)
         return [self._memo[x] for x in xs]
-
-    def evaluate(self, x: tuple) -> InputReport:
-        """The memoized record of the procedure on one classical input."""
-        return self.evaluate_many((x,))[0]
 
     def _cost_of(self, zeros_cost: CostReport, bank_costs: tuple) -> CostReport:
         """One execution's cost from the all-zeros flood's and the banks'."""
@@ -518,5 +514,5 @@ def cost_breakdown(topology: Topology) -> dict:
     zeros = all_zeros_flooding(n)
     _out, h0 = run_row(zeros, topology, (0,) * n)
     _out, cs = run_row(consistency_from_all_zeros(zeros), topology, ((0, 1),) * n)
-    h1 = exactly_one_algorithm(topology).evaluate((0,) * n).cost
+    h1 = exactly_one_algorithm(topology).evaluate_many([(0,) * n])[0].cost
     return {"h0": h0, "cs": cs, "h1": h1, "qle": elect(topology, all_branches=True).cost}

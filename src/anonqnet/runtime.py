@@ -3,13 +3,14 @@
 Every party runs identical code; a party's hooks see only its local input,
 its degree, and whatever arrives on its ports; what every party knows in
 advance, such as the party count, is built into the program.
-The engine runs a whole table of input rows in lockstep: a party's hooks act
-on columns, one entry per row, so a coherent lookup of many inputs is one
-run.  It meters communication exactly: one unit per transmitted symbol per
-link per direction per round, with d-level symbols charged ceil(log2 d)
-bits, and every row of a table must send the same number of symbols.
-A run yields the parties' outputs, the cost of one row, and one plain
-``(round, sender, receiver, symbols, payload)`` event per message.
+The engine runs a table of input rows in lockstep: a party's hooks act on
+columns, one entry per row, and rows never interact, so a coherent lookup of
+many inputs, or a table stacked on its relabeled copy, is one run.  It
+meters communication exactly: one unit per transmitted symbol per link per
+direction per round, with d-level symbols charged ceil(log2 d) bits, and
+every row of a table must send the same number of symbols.  A run yields an
+output table, the cost of one row, and one ``(round, sender, receiver,
+symbols, payload)`` event per message, its payload a column of every row.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import SimulationError
-from .topology import Topology, is_automorphism, relabel
+from .topology import Topology, is_automorphism
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ class PartyProgram:
     finish: Callable[[Any], Sequence]
     name: str = "program"
     parties: Optional[int] = None
+
+    def __post_init__(self):
+        if not (isinstance(self.rounds, numbers.Integral) and self.rounds >= 0):
+            raise ValueError(f"{self.name} needs a nonnegative round count, not {self.rounds!r}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -165,34 +170,31 @@ def run_classical(
 
     ``inputs`` is a table of input rows, an int array of shape (rows,
     parties), or (rows, parties, symbols) when an input is a tuple, and all
-    rows run in lockstep; or it is one vector of ``parties`` integers, run
-    as a table of that one row.  An entry that is not an integer, or a table
-    of no rows, raises ``ValueError``.
+    rows run in lockstep.  One vector of ``parties`` integers is read as a
+    table of one row.  An entry that is not an integer, or a table of no
+    rows, raises ``ValueError``.
 
-    Returns ``(outputs, cost, events)``.  For a table, ``outputs`` is an
-    int64 array of shape (rows, parties), and ``cost`` is the cost of one
-    row, which every row shares.  ``events`` is a tuple with one
+    Returns ``(outputs, cost, events)``: ``outputs`` is an int64 array of
+    shape (rows, parties), and ``cost`` is the cost of one row, which every
+    row shares.  ``events`` is a tuple with one
     ``(round, sender, receiver, symbols, payload)`` tuple per message, in
     send order, with 1-based rounds; its first four fields are the
     input-oblivious pattern, and ``payload`` is what was delivered, a column
-    of every row.  For one vector, ``outputs`` is a list with one output per
-    party and each event's payload is that row's: a tuple of symbols, or the
-    row's entry of a :class:`SizedMessage` payload.
+    of every row: an int64 array of shape (rows, symbols), or the payload of
+    a :class:`SizedMessage` as it was sent.
 
     A round sends first and then delivers: messages emitted in round r are
     absorbed by ``recv`` in the same engine round, so information travels
-    one hop per round.  A symbol outside the alphabet, a negative declared
-    size, or a size that differs between rows raises ``SimulationError``.
+    one hop per round.  A symbol outside the alphabet, a declared size that
+    is negative or not an integer, or a size that differs between rows
+    raises ``SimulationError``.
     """
     n = topology.n
     if program.parties is not None and program.parties != n:
         raise ValueError(f"{program.name} was built for {program.parties} parties, not {n}")
-    table = as_int64(inputs)
-    one = table.ndim == 1
-    if one:
-        table = table[None]
-    if table.ndim < 2 or table.shape[1] != n:
-        raise ValueError(f"expected {n} inputs, got {table.shape[1] if table.ndim > 1 else 1}")
+    table = np.atleast_2d(as_int64(inputs))   # one vector is a table of one row
+    if table.shape[1] != n:
+        raise ValueError(f"expected {n} inputs, got {table.shape[1]}")
     rows = len(table)
     if rows == 0:
         raise ValueError(f"{program.name} was given a table of no rows")
@@ -220,17 +222,14 @@ def run_classical(
                     if size is None:
                         size = sizes[id(symbols)] = _declared_size(program, symbols, rows,
                                                                    v, port, r)
-                    row = payload[0] if one else payload
                 else:
-                    hit = columns.get(id(msg))
-                    if hit is None:
-                        payload = _symbol_column(program, msg, rows, v, port)
-                        hit = columns[id(msg)] = (payload, payload.shape[1],
-                                                  tuple(payload[0].tolist()) if one else payload)
-                    payload, size, row = hit
+                    payload = columns.get(id(msg))
+                    if payload is None:
+                        payload = columns[id(msg)] = _symbol_column(program, msg, rows, v, port)
+                    size = payload.shape[1]
                 inboxes[u][q] = payload
                 symbols_this_round += size
-                events.append((r + 1, v, u, size, row))
+                events.append((r + 1, v, u, size, payload))
         per_round.append(symbols_this_round)
         for v in range(n):
             states[v] = recv(states[v], inboxes[v], r)
@@ -239,29 +238,22 @@ def run_classical(
         if len(column) != rows:
             raise SimulationError(f"{program.name} finished with {len(column)} outputs "
                                   f"for {rows} rows")
-    if one:
-        outputs = [column.tolist()[0] if isinstance(column, np.ndarray) else column[0]
-                   for column in finished]
-    else:
-        outputs = np.ascontiguousarray(as_int64(finished).T)
     total = sum(per_round)
     cost = CostReport(program.rounds, total, total * program.bits_per_symbol, tuple(per_round))
-    return outputs, cost, tuple(events)
+    return np.ascontiguousarray(as_int64(finished).T), cost, tuple(events)
 
 
 def _declared_size(program: PartyProgram, symbols, rows: int, v: int, port: int,
                    r: int) -> int:
     """The one symbol count of a :class:`SizedMessage` in every row, checked."""
-    if type(symbols) is int or isinstance(symbols, numbers.Integral):
-        low = high = int(symbols)
-    else:
-        if len(symbols) != rows:
-            raise SimulationError(f"party {v} declared {len(symbols)} sizes for {rows} rows "
-                                  f"on port {port}")
-        if isinstance(symbols, np.ndarray):
-            low, high = int(symbols.min()), int(symbols.max())
-        else:
-            low, high = min(symbols), max(symbols)
+    sizes = np.asarray(symbols)
+    if sizes.ndim == 1 and len(sizes) != rows:
+        raise SimulationError(f"party {v} declared {len(sizes)} sizes for {rows} rows "
+                              f"on port {port}")
+    if sizes.ndim > 1 or sizes.dtype.kind not in "biu":
+        raise SimulationError(f"party {v} declared a message size that is not an integer "
+                              f"on port {port}")
+    low, high = int(sizes.min()), int(sizes.max())
     if low < 0:
         raise SimulationError(f"party {v} declared a negative message size")
     if low != high:
@@ -293,22 +285,36 @@ def _symbol_column(program: PartyProgram, msg, rows: int, v: int, port: int) -> 
 def verify_anonymity(
     topology: Topology,
     program: PartyProgram,
-    inputs: Sequence[Any],
+    table: Sequence[Any],
     aut: Sequence[int],
 ) -> bool:
-    """Check equivariance of a run under a port-preserving automorphism.
+    """Check equivariance of a table's runs under a port-preserving automorphism.
 
-    Runs the program on ``inputs`` and on the permuted inputs, and compares
-    outputs, costs, and message events modulo the node relabeling.
+    Runs ``table`` stacked on its copy with party ``v``'s input moved to
+    ``aut[v]``.  Each row's outputs, relabeled, must be its copy's, the message
+    pattern must map onto itself, and each message's payload in a row must be
+    its image's in the copy.
     """
     if not is_automorphism(topology, aut):
         raise ValueError("permutation is not a port-preserving automorphism")
-    out1, cost1, events1 = run_classical(topology, program, inputs)
-    out2, cost2, events2 = run_classical(topology, program, relabel(inputs, aut))
-    if cost1 != cost2 or relabel(out1, aut) != out2:
+    table, perm = as_int64(table), np.asarray(aut)
+    rows = len(table)
+    outputs, _cost, events = run_classical(
+        topology, program, np.concatenate((table, table[:, np.argsort(perm)])))
+    if not np.array_equal(outputs[rows:, perm], outputs[:rows]):
         return False
-    # a simple graph has one edge per (sender, receiver) pair, so sorting
-    # never reaches the payloads: they are only compared for equality
-    moved_events = sorted((r, aut[s], aut[t], size, payload)
-                          for r, s, t, size, payload in events1)
-    return moved_events == sorted(events2)
+    # a simple graph has one edge per (sender, receiver) pair, so a round and
+    # a link name one message
+    sent = {(r, s, t): (size, payload) for r, s, t, size, payload in events}
+    for r, s, t, size, payload in events:
+        image = sent.get((r, aut[s], aut[t]))
+        if (image is None or image[0] != size
+                or _rows(payload, 0, rows) != _rows(image[1], rows, 2 * rows)):
+            return False
+    return True
+
+
+def _rows(payload, start: int, stop: int) -> list:
+    """Rows ``start`` to ``stop`` of a message payload, as a list comparable with ``==``."""
+    part = payload[start:stop]
+    return part.tolist() if isinstance(part, np.ndarray) else list(part)

@@ -27,7 +27,7 @@ from .qsim import (SparseState, apply_all_parties, fidelity, gate, init_state,
                    layout)
 from .runtime import parallel, run_classical, verify_anonymity
 from .subroutines import (all_zeros_flooding, consistency_from_all_zeros,
-                          modular_sum_views, run_cached, run_row)
+                          modular_sum_views, run_cached)
 from .topology import automorphisms, catalog, relabel
 
 
@@ -102,15 +102,15 @@ def suite_h1() -> list:
     for name, n, topo in _catalog_cases(2, 4):
         proc = exactly_one_algorithm(topo)
         bad = []
-        worst_residue = 0.0
-        for x in itertools.product(range(2), repeat=n):
+        xs = list(itertools.product(range(2), repeat=n))
+        for x in xs:
             out, _cost = proc.apply(unique_one_state({x: 1.0}), "bit", "res")
             ((key, amp),) = out.amps.items()
             if set(out.symbols(key, "res")) != {_weight_is_one(x)} or abs(amp - 1.0) > 1e-10:
                 bad.append(x)
-            for b in proc.evaluate(x).banks:
-                worst_residue = max(worst_residue, b.inversion_residual,
-                                    b.inversion_phase_error)
+        worst_residue = max([0.0] + [max(b.inversion_residual, b.inversion_phase_error)
+                                     for report in proc.evaluate_many(xs)
+                                     for b in report.banks])
         checks.append(Check(f"{name}-{n}: all classical inputs exact", not bad,
                             f"failures: {bad}"))
         checks.append(Check(f"{name}-{n}: guess-bank ancillas restored within 1e-10",
@@ -201,7 +201,7 @@ def suite_scaling() -> list:
     qubit_ratio = max(q for _n, _r, q in rows)
     sums, ghz_rounds = [], []
     for name, n, topo in _catalog_cases(3, MAX_RING, ("ring", "complete")):
-        _out, cost, _events = run_classical(topo, modular_sum_views(2, n).program, [0] * n)
+        _out, cost, _events = run_classical(topo, modular_sum_views(2, n).program, [[0] * n])
         sums.append((f"{name}-{n}", cost.qubits_sent / (topo.m * n ** 4)))
         ghz_rounds.append((f"{name}-{n}", ghz_share(topo, 2, all_branches=True).cost.rounds,
                            2 * (n - 1)))
@@ -324,25 +324,25 @@ def suite_anonymity() -> list:
                             f"group order {len(auts)}"))
         zeros = all_zeros_flooding(n)
         cons = consistency_from_all_zeros(zeros)
+        xs = list(itertools.product(range(2), repeat=n))
+        rzs = np.array(list(itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n)))
         flood_ok = True
         for aut in auts:
-            for x in itertools.product(range(2), repeat=n):
-                flood_ok &= verify_anonymity(topo, zeros.program, list(x), aut)
+            flood_ok &= verify_anonymity(topo, zeros.program, xs, aut)
             # a consistency run's messages are two flood runs, checked above;
             # its outputs and cost must move along with its inputs
-            for rz in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-                out, cost = run_row(cons, topo, rz)
-                flood_ok &= (run_row(cons, topo, tuple(relabel(rz, aut)))
-                             == (tuple(relabel(out, aut)), cost))
+            out, cost = run_cached(cons, topo, rzs)
+            moved_out, moved_cost = run_cached(cons, topo, rzs[:, np.argsort(aut)])
+            flood_ok &= moved_cost == cost and np.array_equal(moved_out[:, list(aut)], out)
         checks.append(Check(f"{name}-{n}: flooding and consistency traces equivariant",
                             flood_ok))
         proc = exactly_one_algorithm(topo)
         h1_ok = True
         for aut in auts:
-            for x in itertools.product(range(2), repeat=n):
-                at_x, at_moved = proc.evaluate(x), proc.evaluate(tuple(relabel(x, aut)))
-                h1_ok &= (at_x.value == at_moved.value
-                          and at_x.cost.qubits_sent == at_moved.cost.qubits_sent)
+            at_x = proc.evaluate_many(xs)
+            at_moved = proc.evaluate_many([tuple(relabel(x, aut)) for x in xs])
+            h1_ok &= all(a.value == b.value and a.cost.qubits_sent == b.cost.qubits_sent
+                         for a, b in zip(at_x, at_moved))
         checks.append(Check(f"{name}-{n}: unique-one outputs and costs equivariant", h1_ok))
         dist = _branch_distribution(elect(topo, all_branches=True))
         qle_ok = all(_dist_close(_permuted_distribution(dist, aut), dist, 1e-10)
@@ -352,11 +352,7 @@ def suite_anonymity() -> list:
         # message events must map onto each other exactly under every
         # automorphism
         sub = modular_sum_views(2, n)
-        ghz_ok = all(
-            verify_anonymity(topo, sub.program, list(x), aut)
-            for aut in auts
-            for x in itertools.product(range(2), repeat=n)
-        )
+        ghz_ok = all(verify_anonymity(topo, sub.program, xs, aut) for aut in auts)
         checks.append(Check(f"{name}-{n}: ghz transport layer equivariant", ghz_ok))
     return checks
 

@@ -4,12 +4,13 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from anonqnet import election
-from anonqnet.subroutines import run_row
-from anonqnet.topology import build_graph, catalog, relabel
+from anonqnet.subroutines import run_cached
+from anonqnet.topology import build_graph, catalog
 
 
 def catalog_cases(n_min, n_max, names=("ring", "path", "complete", "star")):
@@ -61,10 +62,12 @@ def in_two_threads(fn):
         sys.setswitchinterval(interval)
 
 
-def cached_run_equivariant(sub, topo, inputs, aut):
-    """``run_row`` outputs move along ``aut`` with the inputs; costs stay."""
-    out, cost = run_row(sub, topo, tuple(inputs))
-    return run_row(sub, topo, tuple(relabel(inputs, aut))) == (tuple(relabel(out, aut)), cost)
+def cached_run_equivariant(sub, topo, table, aut):
+    """``run_cached`` outputs of a table move along ``aut`` with its inputs; costs stay."""
+    table = np.asarray(table)
+    out, cost = run_cached(sub, topo, table)
+    moved_out, moved_cost = run_cached(sub, topo, table[:, np.argsort(aut)])
+    return moved_cost == cost and np.array_equal(moved_out[:, list(aut)], out)
 
 
 # brute-force oracles: these never touch the simulator

@@ -167,8 +167,8 @@ def test_exact_amplify_cost_is_twice_each_flag():
     _state, cost = exact_amplify(state, prepare, chi, zero, a)
 
     from anonqnet.runtime import run_classical
-    _o, chi_cost, _t = run_classical(topo, chi_sub.program, [0] * n)
-    _o, zero_cost, _t = run_classical(topo, zero_sub.program, [0] * n)
+    _o, chi_cost, _t = run_classical(topo, chi_sub.program, [[0] * n])
+    _o, zero_cost, _t = run_classical(topo, zero_sub.program, [[0] * n])
     assert cost.qubits_sent == 2 * chi_cost.qubits_sent + 2 * zero_cost.qubits_sent
     assert cost.rounds == 2 * chi_cost.rounds + 2 * zero_cost.rounds
 

@@ -52,7 +52,7 @@ def run_unique_one(topo, x, n_known=None):
     ((key, amp),) = out.amps.items()
     values = set(out.symbols(key, "res"))
     assert len(values) == 1
-    return values.pop(), amp, cost, proc.evaluate(x)
+    return values.pop(), amp, cost, proc.evaluate_many([x])[0]
 
 
 def test_weight_one_input_accepted():
@@ -114,8 +114,8 @@ def test_evaluate_record_matches_apply_on_every_basis_input():
     topo = catalog("ring", 3)
     proc = exactly_one_algorithm(topo)
     for x in all_bit_vectors(3):
-        report = proc.evaluate(x)
-        assert proc.evaluate(x) is report
+        report = proc.evaluate_many([x])[0]
+        assert proc.evaluate_many([x])[0] is report
         out, cost = proc.apply(unique_one_state({x: 1.0 + 0j}), "bit", "res")
         ((key, amp),) = out.amps.items()
         assert report.cost == cost
@@ -180,7 +180,7 @@ def test_single_party_network():
     # the exact bound is the true party count
     assert elect_with_bound(topo, 1).branches[0].leaders == (0,)
     # no guess, so no bank: the all-zeros flood alone decides
-    assert exactly_one_algorithm(topo).evaluate((0,)).banks == ()
+    assert exactly_one_algorithm(topo).evaluate_many([(0,)])[0].banks == ()
     assert cost_breakdown(topo)["qle"].qubits_sent == 0
 
 
@@ -214,7 +214,7 @@ def test_elect_simulates_once_per_topology(election_runs):
 def test_cost_identity_against_standalone_runs():
     for _name, n, topo in catalog_cases(2, 4, names=("ring", "star")):
         zeros = all_zeros_flooding(n)
-        _o, h0_cost, _t = run_classical(topo, zeros.program, [0] * n)
+        _o, h0_cost, _t = run_classical(topo, zeros.program, [[0] * n])
         proc = exactly_one_algorithm(topo)
         _s, h1_cost = proc.apply(unique_one_state({(0,) * n: 1.0 + 0j}), "bit", "res")
         result = elect(topo, all_branches=True)
@@ -288,7 +288,7 @@ def test_upper_bound_verifies_exactly_the_outcomes_evaluated_true():
     proc = exactly_one_algorithm(topo, n_known=4)
     for branch in result.branches:
         expected = tuple(guess for guess, outcome in branch.guess_outcomes
-                         if proc.evaluate(outcome).value == TRUE)
+                         if proc.evaluate_many([outcome])[0].value == TRUE)
         assert branch.verified == expected
         assert expected and branch.winner_guess == expected[0]
 
@@ -307,9 +307,9 @@ def test_upper_bound_refuses_a_verification_cost_that_varies(monkeypatch):
         elect_with_bound(catalog("ring", 3), 4, all_branches=True)
     # two inputs evaluated one at a time are compared too
     procedure = exactly_one_algorithm(catalog("ring", 3))
-    procedure.evaluate((0, 0, 0))
+    procedure.evaluate_many([(0, 0, 0)])
     with pytest.raises(SimulationError, match="unique-one cost varied with the input"):
-        procedure.evaluate((1, 0, 0))
+        procedure.evaluate_many([(1, 0, 0)])
 
 
 def test_a_bank_that_leaves_its_verdict_open_is_an_error(monkeypatch):
@@ -323,7 +323,7 @@ def test_a_bank_that_leaves_its_verdict_open_is_an_error(monkeypatch):
 
     monkeypatch.setattr(election.ExactlyOneProcedure, "_run_bank", undecided)
     with pytest.raises(ExactnessError, match="outcome undetermined .* 1.000e-06"):
-        exactly_one_algorithm(catalog("ring", 3)).evaluate((1, 0, 0))
+        exactly_one_algorithm(catalog("ring", 3)).evaluate_many([(1, 0, 0)])
 
 
 def test_upper_bound_refuses_a_branch_no_guess_verifies(monkeypatch):
@@ -429,7 +429,7 @@ def test_bank_restoration_is_checked_at_the_residue_tolerance(monkeypatch):
 
     monkeypatch.setattr(election, "run_steps", off_by_a_phase)
     with pytest.raises(ExactnessError, match="phase error 1.000e-08"):
-        election.ExactlyOneProcedure(catalog("ring", 3)).evaluate((1, 0, 0))
+        election.ExactlyOneProcedure(catalog("ring", 3)).evaluate_many([(1, 0, 0)])
 
 
 def test_a_light_branch_with_two_leaders_is_an_error(monkeypatch):

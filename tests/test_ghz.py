@@ -188,7 +188,7 @@ def test_ghz_gate_inventory_and_cost():
                f"sum_mod_{k}_blackbox", "measure"}
     assert set(result.gates_used) <= allowed
     sub = modular_sum_views(k, topo.n)
-    _o, fk_cost, _t = run_classical(topo, sub.program, [0, 0, 0])
+    _o, fk_cost, _t = run_classical(topo, sub.program, [[0, 0, 0]])
     assert result.cost.qubits_sent == k * fk_cost.qubits_sent
     assert result.cost.rounds == fk_cost.rounds
 

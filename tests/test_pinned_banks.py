@@ -42,7 +42,7 @@ DIGEST = {
 def report_lines(procedure: ExactlyOneProcedure, n: int) -> list:
     lines = []
     for x in product((0, 1), repeat=n):
-        report = procedure.evaluate(x)
+        report = procedure.evaluate_many([x])[0]
         lines.append(f"{x} {report.value!r} {report.phase!r}")
         lines.extend(f"  {b.guess!r} {b.max_consistent_amp!r} {b.max_inconsistent_amp!r} "
                      f"{b.inversion_residual!r} {b.inversion_phase_error!r} {b.restored_amp!r}"

@@ -11,7 +11,7 @@ from anonqnet.postelect import compute_function, gather_scatter_state, majority
 from anonqnet.qsim import (SparseState, apply_all_parties, apply_coherent_subroutine,
                            binary_op_all_parties, branches, drop_registers, fidelity, gate,
                            init_state, layout, tensor)
-from anonqnet.runtime import run_classical
+from anonqnet.runtime import PartyProgram, SizedMessage, run_classical
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                                   modular_sum_views, run_cached, run_row, view)
 from anonqnet.topology import build_graph, catalog, load_graph
@@ -37,6 +37,16 @@ def blocks():
                        dict.fromkeys(((0, 0), (1, 0)), 1.0 + 0j))
 
 
+def run_sized(symbols):
+    """A two-row run on complete-2 where every party sends an empty payload
+    declared as ``symbols`` symbols."""
+    program = PartyProgram(rounds=1, symbol_dim=2, init=lambda x, d: len(x),
+                           send=lambda rows, r: {1: SizedMessage([()] * rows, symbols)},
+                           recv=lambda rows, inbox, r: rows,
+                           finish=lambda rows: np.zeros(rows, dtype=np.int64))
+    return run_classical(catalog("complete", 2), program, [[0, 0], [0, 0]])
+
+
 def gather_scatter(parties, transform_dim):
     return gather_scatter_state(catalog("ring", 2), 0, qubits(parties), "q",
                                 np.eye(transform_dim))
@@ -44,15 +54,26 @@ def gather_scatter(parties, transform_dim):
 
 REFUSALS = [
     ("engine-input-count",
-     lambda: run_classical(catalog("ring", 3), all_zeros_flooding(3).program, [0, 0]),
+     lambda: run_classical(catalog("ring", 3), all_zeros_flooding(3).program, [[0, 0]]),
      ValueError, "expected 3 inputs, got 2"),
     ("engine-non-integer-input",
-     lambda: run_classical(catalog("ring", 3), modular_sum_views(3, 3).program, [1.5, 0, 0]),
+     lambda: run_classical(catalog("ring", 3), modular_sum_views(3, 3).program, [[1.5, 0, 0]]),
      ValueError, "input 1.5 is not an integer"),
     ("engine-no-rows",
      lambda: run_classical(catalog("ring", 3), all_zeros_flooding(3).program,
                            np.zeros((0, 3), dtype=np.int64)),
      ValueError, "all_zeros_flooding[3] was given a table of no rows"),
+    # a size is a symbol count: a fraction is neither truncated nor metered
+    ("engine-fractional-size-array", lambda: run_sized(np.full(2, 1.5)),
+     SimulationError, "party 0 declared a message size that is not an integer on port 1"),
+    ("engine-fractional-size-list", lambda: run_sized([1.5, 1.5]),
+     SimulationError, "party 0 declared a message size that is not an integer on port 1"),
+    ("engine-fractional-size", lambda: run_sized(1.5),
+     SimulationError, "party 0 declared a message size that is not an integer on port 1"),
+    ("program-negative-rounds",
+     lambda: PartyProgram(rounds=-2, symbol_dim=2, init=None, send=None, recv=None,
+                          finish=None),
+     ValueError, "program needs a nonnegative round count, not -2"),
     ("coherent-party-count", lambda: coherent_flood(2),
      ValueError, "topology and layout disagree on the party count"),
     ("coherent-fiducial", lambda: coherent_flood(3, fiducial=2),
@@ -68,10 +89,10 @@ REFUSALS = [
     ("sum-modulus", lambda: modular_sum_views(1, 3),
      ValueError, "modulus must be at least 2"),
     ("sum-party-count",
-     lambda: run_classical(catalog("complete", 2), modular_sum_views(5, 4).program, [1, 1]),
+     lambda: run_classical(catalog("complete", 2), modular_sum_views(5, 4).program, [[1, 1]]),
      ValueError, "modular_sum[5,4] was built for 4 parties, not 2"),
     ("sum-input-range",
-     lambda: run_classical(catalog("ring", 3), modular_sum_views(2, 3).program, [0, 2, 0]),
+     lambda: run_classical(catalog("ring", 3), modular_sum_views(2, 3).program, [[0, 2, 0]]),
      ValueError, "input 2 outside 0..1"),
     ("flood-input-alphabet",
      lambda: run_row(all_zeros_flooding(3), catalog("ring", 3), (0, 2, 0)),
@@ -94,13 +115,13 @@ REFUSALS = [
     ("flood-negative-rounds", lambda: all_zeros_flooding(-1),
      ValueError, "round bound must be nonnegative"),
     ("unique-one-entry-above-one",
-     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((2, 0, 0)),
+     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate_many([(2, 0, 0)]),
      ValueError, "input entry 2 is not a bit"),
     ("unique-one-negative-entry",
-     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((-1, 0, 0)),
+     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate_many([(-1, 0, 0)]),
      ValueError, "input entry -1 is not a bit"),
     ("unique-one-input-length",
-     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate((0, 1)),
+     lambda: exactly_one_algorithm(catalog("ring", 3)).evaluate_many([(0, 1)]),
      ValueError, "input (0, 1) has 2 entries for 3 parties"),
     ("unique-one-state-party-count",
      lambda: exactly_one_algorithm(catalog("ring", 3)).apply(

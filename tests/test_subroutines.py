@@ -26,30 +26,30 @@ CASES_5 = catalog_cases(2, 5)
 def test_flooding_trivial_cases():
     topo = catalog("ring", 4)
     sub = all_zeros_flooding(4)
-    out, _c, _t = run_classical(topo, sub.program, [0, 0, 0, 0])
-    assert out == [1, 1, 1, 1]
-    out, _c, _t = run_classical(topo, sub.program, [0, 1, 0, 0])
-    assert out == [0, 0, 0, 0]
+    out, _c, _t = run_classical(topo, sub.program, [[0, 0, 0, 0]])
+    assert out.tolist() == [[1, 1, 1, 1]]
+    out, _c, _t = run_classical(topo, sub.program, [[0, 1, 0, 0]])
+    assert out.tolist() == [[0, 0, 0, 0]]
 
 
 def test_flooding_reaches_far_end_in_diameter_rounds():
     topo = catalog("path", 5)
     sub = all_zeros_flooding(4)  # exactly the diameter
-    out, cost, _t = run_classical(topo, sub.program, [1, 0, 0, 0, 0])
-    assert out == [0, 0, 0, 0, 0]
+    out, cost, _t = run_classical(topo, sub.program, [[1, 0, 0, 0, 0]])
+    assert out.tolist() == [[0, 0, 0, 0, 0]]
     assert cost.rounds == 4
     # one round fewer and the far end still thinks everything is zero
     short = all_zeros_flooding(3)
-    out, _c, _t = run_classical(topo, short.program, [1, 0, 0, 0, 0])
-    assert out[4] == 1 and out[0] == 0
+    out, _c, _t = run_classical(topo, short.program, [[1, 0, 0, 0, 0]])
+    assert out[0, 4] == 1 and out[0, 0] == 0
 
 
 @pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
 def test_flooding_matches_oracle(name, n, topo):
     sub = all_zeros_flooding(n)
-    for x in all_bit_vectors(n):
-        out, _c, _t = run_classical(topo, sub.program, list(x))
-        assert out == [oracle_all_zeros(x)] * n
+    xs = all_bit_vectors(n)
+    out, _c, _t = run_classical(topo, sub.program, xs)
+    assert out.tolist() == [[oracle_all_zeros(x)] * n for x in xs]
 
 
 def test_consistency_examples():
@@ -77,7 +77,7 @@ def test_consistency_cost_exactly_doubles_flooding():
     for _name, n, topo in CASES_4:
         zeros = all_zeros_flooding(n)
         cons = consistency_from_all_zeros(zeros)
-        _o, zc, _t = run_classical(topo, zeros.program, [0] * n)
+        _o, zc, _t = run_classical(topo, zeros.program, [[0] * n])
         _o, cc = run_row(cons, topo, ((0, 1),) * n)
         assert cc.rounds == zc.rounds
         assert cc.qubits_sent == 2 * zc.qubits_sent
@@ -90,7 +90,7 @@ MARKED_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def assert_answered_by_flood_runs(cons, topo, rz):
     n = topo.n
-    _o, h0, _events = run_classical(topo, cons.zeros.program, [0] * n)
+    _o, h0, _events = run_classical(topo, cons.zeros.program, [[0] * n])
     # equal CostReports carry equal rounds, qubits, bits and per_round
     assert run_row(cons, topo, rz) == ((oracle_consistency(rz),) * n, parallel(h0, h0))
 
@@ -147,8 +147,8 @@ def test_a_table_is_answered_as_its_rows_run_alone(topo, data):
         outputs, cost = run_cached(sub, topo, rows)
         assert outputs.shape == (len(rows), n)
         for x, out in zip(rows, outputs.tolist()):
-            expected, expected_cost, _events = run_classical(topo, sub.program, list(x))
-            assert out == expected and cost == expected_cost
+            expected, expected_cost, _events = run_classical(topo, sub.program, [x])
+            assert out == expected[0].tolist() and cost == expected_cost
 
 
 @pytest.mark.parametrize("sub,inputs", [
@@ -177,29 +177,29 @@ def test_a_non_integer_input_is_refused_not_truncated(sub, inputs, value):
     with pytest.raises(ValueError, match=message):
         run_cached(sub, topo, [(0, 0, 0), inputs])
     with pytest.raises(ValueError, match=message):
-        run_classical(topo, sub.program, list(inputs))
+        run_classical(topo, sub.program, [inputs])
     assert not sub.runs and not sub.patterns
 
 
 def test_modular_sum_examples():
     out, _c, _t = run_classical(catalog("ring", 3), modular_sum_views(3, 3).program,
-                                [1, 2, 0])
-    assert out == [0, 0, 0]
+                                [[1, 2, 0]])
+    assert out.tolist() == [[0, 0, 0]]
     out, _c, _t = run_classical(catalog("ring", 4), modular_sum_views(2, 4).program,
-                                [1, 1, 0, 0])
-    assert out == [0, 0, 0, 0]
+                                [[1, 1, 0, 0]])
+    assert out.tolist() == [[0, 0, 0, 0]]
     out, _c, _t = run_classical(catalog("complete", 4), modular_sum_views(5, 4).program,
-                                [4, 4, 4, 4])
-    assert out == [1, 1, 1, 1]
+                                [[4, 4, 4, 4]])
+    assert out.tolist() == [[1, 1, 1, 1]]
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
 def test_modular_sum_matches_oracle(k, name, n, topo):
     sub = modular_sum_views(k, n)
-    for x in itertools.product(range(k), repeat=n):
-        out, _c, _t = run_classical(topo, sub.program, list(x))
-        assert out == [oracle_modular_sum(x, k)] * n
+    xs = list(itertools.product(range(k), repeat=n))
+    out, _c, _t = run_classical(topo, sub.program, xs)
+    assert out.tolist() == [[oracle_modular_sum(x, k)] * n for x in xs]
 
 
 @settings(max_examples=25, deadline=None)
@@ -208,8 +208,8 @@ def test_modular_sum_random_graphs(topo, k, data):
     x = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
                            min_size=topo.n, max_size=topo.n))
     sub = modular_sum_views(k, topo.n)
-    out, _c, _t = run_classical(topo, sub.program, x)
-    assert out == [sum(x) % k] * topo.n
+    out, _c, _t = run_classical(topo, sub.program, [x])
+    assert out.tolist() == [[sum(x) % k] * topo.n]
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,24 +221,24 @@ def test_random_port_numberings(topo, k, data):
     marks = data.draw(st.lists(st.integers(min_value=0, max_value=1),
                                min_size=n, max_size=n))
     sums = modular_sum_views(k, n)
-    out, _c, _t = run_classical(topo, sums.program, x)
-    assert out == [oracle_modular_sum(x, k)] * n
+    out, _c, _t = run_classical(topo, sums.program, [x])
+    assert out.tolist() == [[oracle_modular_sum(x, k)] * n]
     bits = [s % 2 for s in x]
     zeros = all_zeros_flooding(n)
     cons = consistency_from_all_zeros(zeros)
     rz = tuple(zip(bits, marks))
     assert run_row(cons, topo, rz)[0] == (oracle_consistency(rz),) * n
     for aut in automorphisms(topo):
-        assert verify_anonymity(topo, zeros.program, bits, aut)
-        assert cached_run_equivariant(cons, topo, rz, aut)
-        assert verify_anonymity(topo, sums.program, x, aut)
+        assert verify_anonymity(topo, zeros.program, [bits], aut)
+        assert cached_run_equivariant(cons, topo, [rz], aut)
+        assert verify_anonymity(topo, sums.program, [x], aut)
 
 
 def test_modular_sum_single_party():
     topo = build_graph(1, [])
     sub = modular_sum_views(3, 1)
-    out, cost, _t = run_classical(topo, sub.program, [2])
-    assert out == [2]
+    out, cost, _t = run_classical(topo, sub.program, [[2]])
+    assert out.tolist() == [[2]]
     assert cost.rounds == 0 and cost.qubits_sent == 0
 
 
@@ -334,12 +334,13 @@ def test_two_threads_share_one_modular_sum():
 
 
 def _payload_views(events):
-    return [payload[1] for *_pattern, payload in events]   # payloads are (port, view)
+    # one row, whose payloads are (port, view)
+    return [payload[0][1] for *_pattern, payload in events]
 
 
 def test_view_tables_are_per_subroutine():
     topo = catalog("ring", 4)
-    x = [1, 0, 0, 1]
+    x = [[1, 0, 0, 1]]
     one, two = modular_sum_views(2, 4), modular_sum_views(2, 4)
     _o, _c, events_one = run_classical(topo, one.program, x)
     _o, _c, events_two = run_classical(topo, two.program, x)
@@ -357,7 +358,7 @@ def test_view_message_sizes_are_label_independent():
     sub = modular_sum_views(2, 4)
     sizes = set()
     for x in all_bit_vectors(4):
-        _o, cost, _t = run_classical(topo, sub.program, list(x))
+        _o, cost, _t = run_classical(topo, sub.program, [x])
         sizes.add(cost.qubits_sent)
     assert len(sizes) == 1
 
@@ -380,7 +381,7 @@ def test_class_count_divides_party_count_guard():
     topo = catalog("ring", 4)
     sub = modular_sum_views(2, 3)
     with pytest.raises(ValueError, match=r"modular_sum\[2,3\] was built for 3 parties, not 4"):
-        run_classical(topo, sub.program, [1, 0, 0, 0])
+        run_classical(topo, sub.program, [[1, 0, 0, 0]])
     # no graph of the right size can fail the divisibility check, so reach it
     # by running the hooks of the 3-party sum on four parties by hand
     with pytest.raises(SimulationError, match="view classes do not divide the party count"):

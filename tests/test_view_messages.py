@@ -118,11 +118,11 @@ def check_messages(topo, k, inputs):
     """
     n = topo.n
     _out, _cost, events = run_classical(topo, modular_sum_views(k, n).program,
-                                        list(inputs))
+                                        [inputs])
     table, memo = ViewTable(n), {}
     prev = {}
     folded_count = 0
-    for r, sender, receiver, size, (port, v) in events:
+    for r, sender, receiver, size, ((port, v),) in events:
         symbols, folded = encode(port, v, n)
         folded_count += folded
         assert len(symbols) == size
