@@ -293,11 +293,16 @@ def verify_anonymity(
     Runs ``table`` stacked on its copy with party ``v``'s input moved to
     ``aut[v]``.  Each row's outputs, relabeled, must be its copy's, the message
     pattern must map onto itself, and each message's payload in a row must be
-    its image's in the copy.
+    its image's in the copy.  ``table`` has the shape (rows, parties), or
+    (rows, parties, symbols) when an input is a tuple; any other shape
+    raises ``ValueError``.
     """
     if not is_automorphism(topology, aut):
         raise ValueError("permutation is not a port-preserving automorphism")
     table, perm = as_int64(table), np.asarray(aut)
+    if table.ndim not in (2, 3):
+        raise ValueError(f"verify_anonymity takes a table of shape (rows, parties), "
+                         f"not shape {table.shape}")
     rows = len(table)
     outputs, _cost, events = run_classical(
         topology, program, np.concatenate((table, table[:, np.argsort(perm)])))

@@ -11,7 +11,7 @@ from anonqnet.postelect import compute_function, gather_scatter_state, majority
 from anonqnet.qsim import (SparseState, apply_all_parties, apply_coherent_subroutine,
                            binary_op_all_parties, branches, drop_registers, fidelity, gate,
                            init_state, layout, tensor)
-from anonqnet.runtime import PartyProgram, SizedMessage, run_classical
+from anonqnet.runtime import PartyProgram, SizedMessage, run_classical, verify_anonymity
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                                   modular_sum_views, run_cached, run_row, view)
 from anonqnet.topology import build_graph, catalog, load_graph
@@ -186,6 +186,14 @@ REFUSALS = [
      ValueError, "need at least two parties"),
     ("view-negative-depth", lambda: view(catalog("ring", 3), 0, -1),
      ValueError, "depth must be nonnegative"),
+    ("view-short-inputs", lambda: view(catalog("ring", 4), 0, 1, inputs=[0, 0, 0]),
+     ValueError, "expected 4 inputs, got 3"),
+    ("view-long-inputs", lambda: view(catalog("ring", 4), 0, 1, inputs=[0, 0, 0, 0, 1]),
+     ValueError, "expected 4 inputs, got 5"),
+    ("anonymity-vector",
+     lambda: verify_anonymity(catalog("ring", 4), all_zeros_flooding(4).program,
+                              [1, 0, 0, 0], (1, 2, 3, 0)),
+     ValueError, "verify_anonymity takes a table of shape (rows, parties), not shape (4,)"),
 ]
 
 

@@ -290,12 +290,8 @@ def test_a_table_runs_as_its_rows_run_alone(topo, data):
             assert pattern(events) == pattern(alone_events)
             for event, alone_event in zip(events, alone_events):
                 payload, alone_payload = event[4][i], alone_event[4][0]
-                if sub is flood:
-                    assert payload.tolist() == alone_payload.tolist()
-                else:
-                    # one subroutine interns equal views as one object
-                    assert payload[0] == alone_payload[0]
-                    assert payload[1] is alone_payload[1]
+                # one view sum interns equal views as one id of its table
+                assert payload.tolist() == alone_payload.tolist()
 
 
 def test_message_events_shape():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anonqnet.errors import SimulationError
 from anonqnet.runtime import (PartyProgram, SizedMessage, parallel, run_classical,
                               verify_anonymity)
-from anonqnet.subroutines import (ClassicalSubroutine, ViewTable,
+from anonqnet.subroutines import (ClassicalSubroutine, View, ViewTable,
                                   all_zeros_flooding, consistency_from_all_zeros,
                                   distinct_truncated_views, modular_sum_views,
                                   run_cached, run_row, serialize_view, view)
@@ -257,7 +257,7 @@ def test_views_of_symmetric_ring_coincide():
     topo = catalog("ring", 4)
     table = ViewTable(topo.n)
     views = [view(topo, p, 3, inputs=[1, 1, 1, 1], table=table) for p in range(4)]
-    assert len({id(v) for v in views}) == 1  # interning makes equality identity
+    assert len({v.id for v in views}) == 1  # interning gives equal views one id
 
 
 def test_view_k2_alternates():
@@ -271,17 +271,55 @@ def test_view_labels_break_symmetry():
     topo = catalog("ring", 4)
     table = ViewTable(topo.n)
     views = [view(topo, p, 3, inputs=[1, 0, 0, 0], table=table) for p in range(4)]
-    assert len({id(v) for v in views}) == 4
+    assert len({v.id for v in views}) == 4
 
 
 def test_distinct_truncated_views_counts_classes():
     topo = catalog("ring", 4)
     table = ViewTable(topo.n)
     root = view(topo, 0, 6, inputs=[1, 0, 1, 0], table=table)
-    classes = distinct_truncated_views(root, 3)
+    rows, classes = distinct_truncated_views(table, [root.id], 3)
     assert len(classes) == 2  # opposite nodes are indistinguishable
-    root = view(topo, 0, 6, inputs=[1, 0, 0, 0], table=table)
-    assert len(distinct_truncated_views(root, 3)) == 4
+    other = view(topo, 0, 6, inputs=[1, 0, 0, 0], table=table)
+    rows, classes = distinct_truncated_views(table, [other.id, root.id], 3)
+    assert rows.tolist() == [0, 0, 0, 0, 1, 1]
+    # a root shallower than the radius: the walk stops at the leaves
+    shallow = view(topo, 0, 1, inputs=[1, 0, 1, 0], table=table)
+    rows, classes = distinct_truncated_views(table, [shallow.id], 3)
+    assert sorted(classes.tolist()) == sorted({shallow.id, shallow.children[0][1].id})
+
+
+def one_root_classes(root, radius):
+    """Serializations of the nodes within ``radius`` steps of one root, cut to depth ``radius``."""
+    found, level = set(), {root}
+    for _j in range(radius + 1):
+        for node in level:
+            while node.depth > radius:
+                node = node.shorter
+            found.add(serialize_view(node))
+        level = {c for node in level for _q, c in node.children}
+    return found
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(connected_graphs(max_n=5), shuffled_ports(max_n=5)), st.data())
+def test_the_column_class_walk_matches_one_root_walks(topo, data):
+    """Per row: the class set and label sum of the column walk, against one walk per root."""
+    n = topo.n
+    labels = st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)
+    label_rows = data.draw(st.lists(labels, min_size=1, max_size=3))
+    table = ViewTable(n)
+    roots = [(x, p) for x in label_rows for p in range(n)]
+    rows, classes = distinct_truncated_views(
+        table, [view(topo, p, 2 * (n - 1), x, table=table).id for x, p in roots], n - 1)
+    assert (np.diff(rows) >= 0).all()
+    for r, (x, p) in enumerate(roots):
+        mine = classes[rows == r].tolist()
+        # each root walked alone, in a table of its own
+        expected = one_root_classes(view(topo, p, 2 * (n - 1), x), n - 1)
+        assert {serialize_view(View(table, i)) for i in mine} == expected
+        assert len(mine) == len(expected)
+        assert int(table.label[mine].sum()) == sum(w[0] for w in expected)
 
 
 def _check_truncations(topo, inputs):
@@ -293,12 +331,15 @@ def _check_truncations(topo, inputs):
         for d in range(1, 2 * (n - 1) + 1):
             v = view(topo, p, d, inputs, table=table)
             assert v.depth == d
-            assert v.shorter is view(topo, p, d - 1, inputs, table=table)
+            # one table gives a view and its truncation one id each
+            assert v.shorter.id == view(topo, p, d - 1, inputs, table=table).id
     reference = {serialize_view(view(topo, p, n - 1, inputs)) for p in range(n)}
+    rows, classes = distinct_truncated_views(
+        table, [view(topo, p, 2 * (n - 1), inputs, table=table).id for p in range(n)], n - 1)
     for p in range(n):
-        classes = distinct_truncated_views(view(topo, p, 2 * (n - 1), inputs, table=table), n - 1)
-        assert len(classes) == len(reference)
-        assert {serialize_view(w) for w in classes} == reference
+        mine = classes[rows == p].tolist()
+        assert len(mine) == len(reference)
+        assert {serialize_view(View(table, i)) for i in mine} == reference
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,6 +364,46 @@ def test_view_children_of_unequal_depths_raise():
         table.node(0, 2, ((1, leaf), (1, stem)))
 
 
+def test_a_view_with_children_other_than_its_degree_raises():
+    table = ViewTable(3)
+    leaf = table.node(0, 1, ())
+    two = table.node(0, 2, ())
+    message = "^a view of degree 2 needs 2 children, not 1$"
+    with pytest.raises(ValueError, match=message):
+        table.node(0, 2, ((1, leaf),))
+    with pytest.raises(ValueError, match=message):
+        table.intern([0], 2, [np.array([[1, leaf.id]])], [two.id])
+    with pytest.raises(ValueError, match="^a view of degree 1 needs 1 children, not 2$"):
+        table.intern([0], 1, [np.array([[1, leaf.id]])] * 2, [leaf.id])
+    assert table.count == 2
+
+
+def test_a_forged_previous_view_raises():
+    """A view's truncation is checked against the row, whether the row is new or interned."""
+    topo = catalog("ring", 4)
+    x = [1, 0, 0, 0]
+    table = ViewTable(4)
+    honest = view(topo, 1, 2, x, table=table)
+    pairs = [np.array([[q, c.id]]) for q, c in honest.children]
+    assert table.intern([0], 2, pairs, [honest.shorter.id]).tolist() == [honest.id]
+    forged = {
+        "another label": view(topo, 0, 1, x, table=table),
+        "another depth": view(topo, 1, 0, x, table=table),
+        "other children": view(topo, 2, 1, x, table=table),   # label 0, degree 2, depth 1
+        "the view itself": honest,
+    }
+    for prev in forged.values():
+        with pytest.raises(ValueError, match="is not the view of row 0 cut one level shorter"):
+            table.intern([0], 2, pairs, [prev.id])
+    # an honest row, then a new one: the same children with the ports swapped
+    swapped = [np.array([[q, c.id]]) for q, c in reversed(honest.children)]
+    with pytest.raises(ValueError, match="is not the view of row 1 cut one level shorter"):
+        table.intern([0, 0], 2, [np.concatenate(p) for p in zip(pairs, swapped)],
+                     [honest.shorter.id, honest.shorter.id])
+    with pytest.raises(ValueError, match="an id outside the"):
+        table.intern([0], 2, pairs, [table.count])
+
+
 def test_two_threads_share_one_modular_sum():
     topo = catalog("ring", 4)
     inputs = all_bit_vectors(4)
@@ -331,11 +412,16 @@ def test_two_threads_share_one_modular_sum():
     for outputs in in_two_threads(
             lambda: [run_row(shared, topo, x) for x in inputs]):
         assert outputs == serial
+    # a lost or doubled intern would leave another number of views behind
+    alone = modular_sum_views(2, 4)
+    for x in inputs:
+        run_row(alone, topo, x)
+    assert shared.views.count == alone.views.count
 
 
 def _payload_views(events):
-    # one row, whose payloads are (port, view)
-    return [payload[0][1] for *_pattern, payload in events]
+    # one row, whose payloads are (port, view id)
+    return [payload[0, 1] for *_pattern, payload in events]
 
 
 def test_view_tables_are_per_subroutine():
@@ -343,14 +429,17 @@ def test_view_tables_are_per_subroutine():
     x = [[1, 0, 0, 1]]
     one, two = modular_sum_views(2, 4), modular_sum_views(2, 4)
     _o, _c, events_one = run_classical(topo, one.program, x)
+    size = one.views.count
     _o, _c, events_two = run_classical(topo, two.program, x)
     views_one, views_two = _payload_views(events_one), _payload_views(events_two)
     assert views_one and views_two
-    assert not {id(v) for v in views_one} & {id(v) for v in views_two}
-    # a second run of one subroutine reuses its table: equal views are one
-    # object, which is what lets verify_anonymity compare payloads
+    # each subroutine interns in its own table: running one leaves the other's as it was
+    assert one.views is not two.views and one.views.count == size == two.views.count
+    # a second run of one subroutine reuses its table: equal views keep one
+    # id, which is what lets verify_anonymity compare payloads
     _o, _c, events_again = run_classical(topo, one.program, x)
-    assert [id(v) for v in _payload_views(events_again)] == [id(v) for v in views_one]
+    assert _payload_views(events_again) == views_one
+    assert one.views.count == size
 
 
 def test_view_message_sizes_are_label_independent():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from anonqnet.ghz import ghz_share
 from anonqnet.runtime import run_classical
-from anonqnet.subroutines import (ViewTable, fold_view, modular_sum_views,
+from anonqnet.subroutines import (View, ViewTable, fold_view, modular_sum_views,
                                   run_row, serialize_view, view)
 from anonqnet.topology import catalog
 
@@ -19,8 +19,8 @@ from conftest import catalog_cases, case_ids, connected_graphs, shuffled_ports
 
 CASES_6 = catalog_cases(2, 6)
 
-# serializations are compared literally up to this length, beyond it through
-# a shared hash-consing table
+# serializations are compared literally up to this length, beyond it by id
+# in a shared hash-consing table
 SERIALIZE_LIMIT = 20_000
 
 
@@ -103,7 +103,7 @@ def decode(symbols, prev, n, table):
 
 
 def copy_into(v, table, memo):
-    """``v`` rebuilt in ``table``; equal views land on one object there."""
+    """``v`` rebuilt in ``table``; equal views land on one id there."""
     hit = memo.get(v)
     if hit is None:
         hit = memo[v] = table.node(v.label, v.degree, tuple(
@@ -117,12 +117,15 @@ def check_messages(topo, k, inputs):
     Returns the run's pattern and how many messages went folded.
     """
     n = topo.n
-    _out, _cost, events = run_classical(topo, modular_sum_views(k, n).program,
-                                        [inputs])
+    sub = modular_sum_views(k, n)
+    _out, _cost, events = run_classical(topo, sub.program, [inputs])
     table, memo = ViewTable(n), {}
     prev = {}
     folded_count = 0
-    for r, sender, receiver, size, ((port, v),) in events:
+    for r, sender, receiver, size, payload in events:
+        # one row, whose payload is (entry port, view id in the sender's table)
+        ((port, sent),) = payload.tolist()
+        v = View(sub.views, sent)
         symbols, folded = encode(port, v, n)
         folded_count += folded
         assert len(symbols) == size
@@ -131,7 +134,7 @@ def check_messages(topo, k, inputs):
         assert max(symbols) < max(k, n)
         got_port, got = decode(symbols, prev.get((sender, receiver)), n, table)
         assert got_port == port
-        assert got is copy_into(v, table, memo)
+        assert got == copy_into(v, table, memo)
         if 3 * sum(v.shape.widths) - 1 <= SERIALIZE_LIMIT:
             assert serialize_view(got) == serialize_view(v)
         prev[sender, receiver] = v
