@@ -21,7 +21,9 @@ memo.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -298,9 +300,13 @@ class ViewTable:
     Each modular-sum subroutine owns one, shared by all its parties and all
     its runs, so equal views keep one id across runs (the equivariance check
     compares message payloads of ids) and nothing outlives the subroutine.
-    Ids are never reused.  Writers hold ``lock``.  A view's entries are
-    written once, before its id is handed out, and a full column is replaced
-    by a longer copy, so the ids a reader holds stay readable without it.
+    A party hands its rows of a round over with :meth:`defer` and keeps the
+    :class:`Pending` handle; the first read of any handle's ``ids`` interns
+    the rows of every pending handle in one :meth:`intern` batch, in the
+    order they were handed over, which in a run is party order.  Ids are
+    never reused.  Writers hold ``lock``.  A view's entries are written
+    once, before its id is handed out, and a full column is replaced by a
+    longer copy, so the ids a reader holds stay readable without it.
     """
 
     _COLUMNS = ("label", "degree", "depth", "shorter", "shape", "pairs")
@@ -309,6 +315,8 @@ class ViewTable:
         self.n = n
         self.count = 0
         self.lock = threading.Lock()
+        self._flushing = threading.Lock()   # held by one flush at a time
+        self._pending: list = []   # handles not interned yet, in order
         self._ids: dict = {}       # row bytes -> id; one key per id
         self._deeper: dict = {}    # bytes of (truncation shape, child shapes) -> shape
         self._shape_ids = {(1,): 0}   # widths -> shape; shape 0 is a leaf's
@@ -318,49 +326,94 @@ class ViewTable:
         self.shapes = [ViewShape((1,), view_size((1,), n))]
         self.sizes = np.array([self.shapes[0].size], dtype=np.int64)
 
-    def intern(self, labels, degree: int, pairs=(), prev=None) -> np.ndarray:
+    def intern(self, labels, degree, pairs=(), prev=None) -> np.ndarray:
         """The ids of one view per row, as an int64 array; new views are added.
 
-        Row r is the view of label ``labels[r]`` and ``degree`` whose children
-        are row r of ``pairs``, one int array of shape (rows, 2) per exit port
-        1..degree, of (entry port at the child, child id).  Without ``pairs``
-        the views are leaves.  Otherwise ``prev`` holds the ids of the same
-        rows' views one level shorter (in the exchange, the party's views of
-        the round before), and each must be its row's view cut short: equal
-        label, degree and depth less one, and beyond depth 1 the same ports
-        to the children's own truncations.  A ``prev`` that is not, children
-        of unequal depths, a child count other than ``degree`` or an id
-        outside the table raise ``ValueError``.  The rows are interned in one
-        batch: one dict lookup per row, under ``lock``.
+        Row r is the view of label ``labels[r]`` and degree ``degree`` (one
+        for every row, or a column of one per row) whose children are row r
+        of ``pairs``, one int array of shape (rows, 2) per exit port, of
+        (entry port at the child, child id).  A row of degree d takes the
+        first d of them, each with an entry port of at least 1; its pairs on
+        higher ports are padding and must be zeros, so rows of several
+        degrees share one batch.  Without ``pairs`` the views are leaves.
+        Otherwise ``prev`` holds the ids of the same rows' views one level
+        shorter (in the exchange, the party's views of the round before), and
+        each must be its row's view cut short: equal label, degree and depth
+        less one, and beyond depth 1 the same ports to the children's own
+        truncations.  Row counts that differ between ``labels``, a degree
+        column, ``pairs`` and ``prev``, a ``prev`` that is not the view cut
+        short, children of unequal depths, a child count other than the
+        degree or an id outside the table raise ``ValueError`` and leave the
+        table as it was, as they are found before ``lock`` is taken.  The rows
+        are interned in one batch: one dict lookup per row, under ``lock``.
+        The view sum calls it once per round, not once per party: the first
+        read of a :meth:`defer` handle interns every pending party's rows at
+        once, in party order.
         """
-        labels = as_int64(labels)
-        if pairs and len(pairs) != degree:
-            raise ValueError(f"a view of degree {degree} needs {degree} children, "
-                             f"not {len(pairs)}")
-        if pairs and degree > self.n - 1:
-            raise ValueError(f"degree {degree} above n - 1 = {self.n - 1}")
-        rows = np.column_stack((labels, np.full(len(labels), degree, dtype=np.int64), *pairs))
+        labels, rows_in = as_int64(labels), len(labels)
+        one_degree = isinstance(degree, numbers.Integral)   # else one per row
+        degrees = degree if one_degree else as_int64(degree)
+        counts = [len(column) for column in pairs]
         if pairs:
             prev = as_int64(prev)
-            ports, kids = rows[:, 2::2], rows[:, 3::2]
+            counts.append(len(prev))
+        if not one_degree:
+            counts.append(len(degrees))
+        if any(c != rows_in for c in counts):
+            raise ValueError(
+                f"rows of unequal counts: {rows_in} labels"
+                + ("" if one_degree else f", {len(degrees)} degrees")
+                + "".join(f", {len(column)} children on port {p}"
+                          for p, column in enumerate(pairs, 1))
+                + (f", {len(prev)} previous views" if pairs else ""))
+        width = len(pairs)
+        rows = np.empty((rows_in, 2 + 2 * width), dtype=np.int64)
+        rows[:, 0], rows[:, 1] = labels, degrees
+        if pairs:
+            if width > self.n - 1:
+                raise ValueError(f"degree {width} above n - 1 = {self.n - 1}")
+            for p, column in enumerate(pairs):
+                rows[:, 2 + 2 * p:4 + 2 * p] = as_int64(column)
+            given = rows[:, 2:2 + 2 * width].reshape(rows_in, width, 2)
+            ports, kids = given[:, :, 0], given[:, :, 1]
+            exits = None   # each row's real ports, where degrees differ
+            if one_degree:
+                # every port is an exit: each needs a child
+                bad = ports < 1 if degrees == width else np.ones_like(ports, dtype=bool)
+            else:
+                exits = np.arange(width) < degrees[:, None]
+                # an exit needs a port of at least 1, and padding is (0, 0)
+                bad = ports < exits
+                if not bad.any() and np.count_nonzero(ports | kids) != np.count_nonzero(exits):
+                    bad = ~exits & ((ports | kids) != 0)
+                bad[:, 0] |= (degrees > width) | (degrees < 1)
+            if bad.any():
+                r = np.flatnonzero(bad.any(axis=1))[0]
+                d = degrees if one_degree else degrees[r]
+                # a child has an entry port, and padding that is not zeros counts as one
+                given = ports[r] >= 1
+                if exits is not None:
+                    given |= ~exits[r] & ((ports[r] | kids[r]) != 0)
+                raise ValueError(f"a view of degree {d} needs {d} children, "
+                                 f"not {np.count_nonzero(given)}")
             self._known(kids)
             self._known(prev)
             below = self.depth[kids]
-            if (below != below[:, :1]).any():
+            if _real(below != below[:, :1], exits).any():
                 raise ValueError("children of a view must have equal depths")
             depth = below[:, 0] + 1
-            wrong = ((self.label[prev] != labels) | (self.degree[prev] != degree)
+            wrong = ((self.label[prev] != labels) | (self.degree[prev] != degrees)
                      | (self.depth[prev] != depth - 1))
             deep = depth > 1
             if deep.any():
-                cut = self.pairs[prev, :degree]
-                wrong |= deep & ((cut[:, :, 0] != ports)
-                                 | (cut[:, :, 1] != self.shorter[kids])).any(axis=1)
+                cut = self.pairs[prev, :width]
+                wrong |= deep & _real((cut[:, :, 0] != ports)
+                                      | (cut[:, :, 1] != self.shorter[kids]), exits).any(axis=1)
             if wrong.any():
                 r = np.flatnonzero(wrong)[0]
                 raise ValueError(f"view {prev[r]} is not the view of row {r} cut one level "
                                  f"shorter")
-        keys = _row_keys(rows)
+        keys = _row_keys(rows, None if one_degree else degrees)
         with self.lock:
             # columns grow before the dict does, so a failed allocation
             # leaves no id without its entries
@@ -369,24 +422,79 @@ class ViewTable:
             setdefault = known.setdefault
             # one key per id, so len(known) is the next id
             ids = np.array([setdefault(key, len(known)) for key in keys], dtype=np.int64)
-            fresh = np.flatnonzero(ids >= start)
-            if len(fresh):
-                # repeated new rows write one id with equal values
-                new = ids[fresh]
-                self.label[new] = labels[fresh]
-                self.degree[new] = degree
+            stop = len(known)
+            if stop > start:
+                firsts = np.flatnonzero(ids >= start)
+                if len(firsts) > stop - start:
+                    # a new view repeats in the batch: new ids go out in row
+                    # order, so a view's first row is where they reach a new high
+                    new = ids[firsts]
+                    firsts = firsts[np.concatenate(
+                        ([True], new[1:] > np.maximum.accumulate(new)[:-1]))]
+                self.label[start:stop] = labels[firsts]
+                self.degree[start:stop] = degrees if one_degree else degrees[firsts]
                 if pairs:
-                    self.depth[new] = depth[fresh]
-                    self.shorter[new] = prev[fresh]
-                    self.pairs[new, :degree] = rows[fresh, 2:].reshape(len(fresh), degree, 2)
-                    self.shape[new] = self._deeper_shapes(self.shape[prev[fresh]],
-                                                          self.shape[kids[fresh]])
+                    self.depth[start:stop] = depth[firsts]
+                    self.shorter[start:stop] = prev[firsts]
+                    self.pairs[start:stop, :width] = given[firsts]
+                    shapes = self.shape[kids[firsts]]
+                    self.shape[start:stop] = self._deeper_shapes(
+                        self.shape[prev[firsts]],
+                        shapes if exits is None else np.where(exits[firsts], shapes, -1))
                 else:
-                    self.depth[new] = 0
-                    self.shorter[new] = -1
-                    self.shape[new] = 0
-                self.count = len(known)
+                    self.depth[start:stop] = 0
+                    self.shorter[start:stop] = -1
+                    self.shape[start:stop] = 0
+                self.count = stop
         return ids
+
+    def defer(self, labels, degree, pairs=(), prev=None) -> "Pending":
+        """The rows of :meth:`intern`, held until the first read of any pending handle.
+
+        That read interns every pending handle of this table in one batch
+        (:meth:`flush`).
+        """
+        handle = Pending(self, (labels, degree, pairs, prev))
+        with self.lock:
+            self._pending.append(handle)
+        return handle
+
+    def flush(self) -> None:
+        """Intern the rows of every pending handle in one :meth:`intern` batch.
+
+        Rows go in the order they were deferred.  A batch that fails, or
+        that mixes leaves with views that have children, is interned again
+        handle by handle, in the same order, so each handle gets its own ids
+        or the error its own rows raise.  A flush may resolve handles of
+        another run on this table; a reader that finds its handle taken
+        waits for that flush to end.
+        """
+        with self._flushing:
+            with self.lock:
+                batch, self._pending = self._pending, []
+            ids = None
+            if len(batch) > 1:
+                try:
+                    ids = self.intern(*_stacked([h.rows for h in batch]))
+                except Exception:
+                    pass   # interned again below, handle by handle
+            if ids is None:
+                for handle in batch:
+                    try:
+                        handle.result = self.intern(*handle.rows)
+                    except Exception as error:   # raised in the handle's own run
+                        handle.result = error
+            else:
+                stop = 0
+                for handle in batch:
+                    start, stop = stop, stop + len(handle.rows[0])
+                    handle.result = ids[start:stop]
+            # weak references: a handle that held its batch would be a cycle,
+            # freed only by the garbage collector
+            refs = [weakref.ref(handle) for handle in batch]
+            for handle in batch:
+                handle.batch = refs
+                handle.rows = None
 
     def _known(self, ids: np.ndarray) -> None:
         # one pass: a negative id reads as a large unsigned one
@@ -404,24 +512,30 @@ class ViewTable:
                 column[:self.count] = old[:self.count]
                 setattr(self, name, column)
 
-    def _deeper_shapes(self, shorter: np.ndarray, children: np.ndarray) -> list:
+    def _deeper_shapes(self, shorter: np.ndarray, children: np.ndarray) -> np.ndarray:
         """Shape ids of new views, from their truncations' shapes and their children's.
 
         A view's widths are its truncation's, then the sum of its children's
-        last widths; each distinct row of shape ids is worked out once.
+        last widths; a child shape of -1 pads a port above the view's degree.
+        Each distinct row of shape ids is worked out once, and rows equal to
+        the row before are looked up once: a party's views of one round all
+        have one shape.
         """
-        keys = _row_keys(np.column_stack((shorter, children)))
+        rows = np.column_stack((shorter, children))
+        change = np.ones(len(rows), dtype=bool)
+        change[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        keys = _row_keys(rows[change])
         for key in dict.fromkeys(keys):
             if key not in self._deeper:
                 first, *below = np.frombuffer(key, dtype=np.int64).tolist()
                 widths = self.shapes[first].widths + (
-                    sum(self.shapes[c].widths[-1] for c in below),)
+                    sum(self.shapes[c].widths[-1] for c in below if c >= 0),)
                 s = self._shape_ids.setdefault(widths, len(self.shapes))
                 if s == len(self.shapes):
                     self.shapes.append(ViewShape(widths, view_size(widths, self.n)))
                     self.sizes = np.append(self.sizes, self.shapes[s].size)
                 self._deeper[key] = s
-        return list(map(self._deeper.__getitem__, keys))
+        return np.array(list(map(self._deeper.__getitem__, keys)))[np.cumsum(change) - 1]
 
     def node(self, label: int, degree: int, children: tuple = ()) -> "View":
         """The view of ``label`` and ``degree`` above ``children``, one row of :meth:`intern`.
@@ -446,10 +560,84 @@ class ViewTable:
         return View(self, int(self.intern([label], degree, pairs, [shorter.id])[0]))
 
 
-def _row_keys(rows: np.ndarray) -> list:
-    """One dict key per row of an int64 table: its bytes, equal only for equal rows."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+def _row_keys(rows: np.ndarray, degrees=None) -> list:
+    """One dict key per row of an int64 table: its bytes, equal only for equal rows.
+
+    With ``degrees``, a column of one per row of (label, degree, pairs), a
+    row of degree d keys on its label, degree and first d pairs only, the
+    key it has in a batch of its own degree.
+    """
+    if degrees is None:
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+    # a batch holds runs of one degree, one per party
+    starts = np.flatnonzero(np.concatenate(([True], degrees[1:] != degrees[:-1]))).tolist()
+    keys = []
+    if not len(rows):
+        return keys
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        keys += _row_keys(rows[a:b, :2 + 2 * int(degrees[a])])
+    return keys
+
+
+def _real(mismatch: np.ndarray, exits) -> np.ndarray:
+    """``mismatch`` on the real exit ports only; ``exits`` is None when every port is real."""
+    return mismatch if exits is None else mismatch & exits
+
+
+def _stacked(rows: list) -> tuple:
+    """The :meth:`ViewTable.intern` arguments of several handles' rows, as one batch.
+
+    Each handle has one degree; degrees that differ become a column, and a
+    handle with fewer exit ports than the widest has its missing ports
+    padded with zero pairs.  Leaves mixed with views that have children, or
+    a handle whose own columns differ in length, raise ``ValueError``, which
+    the flush meets by interning handle by handle.
+    """
+    sizes = [len(r[0]) for r in rows]
+    labels = np.concatenate([r[0] for r in rows])
+    degrees = [r[1] for r in rows]
+    degrees = degrees[0] if len(set(degrees)) == 1 else np.repeat(degrees, sizes)
+    if not any(r[2] for r in rows):
+        return labels, degrees
+    if not all(r[2] for r in rows):
+        raise ValueError("leaves and views with children go in separate batches")
+    if any(len(c) != s for r, s in zip(rows, sizes) for c in (*r[2], r[3])):
+        raise ValueError("a handle's rows have unequal counts")
+    blank = np.zeros((max(sizes), 2), dtype=np.int64)
+    pairs = [np.concatenate([r[2][p] if p < len(r[2]) else blank[:s]
+                             for r, s in zip(rows, sizes)])
+             for p in range(max(len(r[2]) for r in rows))]
+    return labels, degrees, pairs, np.concatenate([r[3] for r in rows])
+
+
+class Pending:
+    """One party's rows of one round, handed to a :class:`ViewTable` and not yet read.
+
+    The first read of ``ids`` on any pending handle of the table interns
+    every pending handle at once (:meth:`ViewTable.flush`).  ``ids`` then
+    returns this handle's ids, or raises the error its own rows caused.
+    ``batch`` holds weak references to the handles interned together, and
+    ``outputs`` what a reader works out once for the whole batch (the
+    modular sum's outputs of every party).
+    """
+
+    __slots__ = ("table", "rows", "result", "batch", "outputs", "__weakref__")
+
+    def __init__(self, table: ViewTable, rows: tuple):
+        self.table = table
+        self.rows = rows        # the intern arguments; None once interned
+        self.result = None      # the ids, or the error of interning them
+        self.batch = None
+        self.outputs = None
+
+    @property
+    def ids(self) -> np.ndarray:
+        if self.rows is not None:
+            self.table.flush()
+        if isinstance(self.result, Exception):
+            raise self.result
+        return self.result
 
 
 class View:
@@ -660,7 +848,13 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
 
     Views are ids of the subroutine's :class:`ViewTable` (``sub.views``): a
     party holds one id per row, and a message's payload is an int64 array of
-    one (entry port, id) pair per row.
+    one (entry port, id) pair per row.  ``init`` and ``recv`` hand a party's
+    rows to the table (:meth:`ViewTable.defer`) and keep the pending handle;
+    the first read, the next round's ``send`` or ``finish``, interns every
+    pending party's rows at once, in party order, so ids are numbered as if
+    each party had interned its own.  The first ``finish`` of a run walks
+    the view classes of every party of the flush in one
+    :func:`distinct_truncated_views` call and leaves each party its outputs.
     """
     if k < 2:
         raise ValueError("modulus must be at least 2")
@@ -670,15 +864,16 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
     # shared by every party and every run; see ViewTable
     table = ViewTable(n)
 
-    # a party's state: its input labels, its degree and its view ids, per row
+    # a party's state: its input labels, its degree and its pending view ids, per row
     def init(x, deg):
         outside = (x < 0) | (x >= k)
         if outside.any():
             raise ValueError(f"input {x[outside][0]} outside 0..{k - 1}")
-        return [x, deg, table.intern(x, deg)]
+        return [x, deg, table.defer(x, deg)]
 
     def send(state, _r):
-        _labels, deg, ids = state
+        _labels, deg, views = state
+        ids = views.ids
         sizes = 1 + table.sizes[table.shape[ids]]
         outbox = {}
         for p in range(1, deg + 1):
@@ -688,23 +883,37 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
         return outbox
 
     def recv(state, inbox, _r):
-        labels, deg, ids = state
+        labels, deg, views = state
         # each payload holds the (entry port, view id) pair of one child per row
         children = [inbox[p] for p in range(1, deg + 1)]
-        return [labels, deg, table.intern(labels, deg, children, ids)]
+        return [labels, deg, table.defer(labels, deg, children, views.ids)]
 
     def finish(state):
-        ids = state[2]
-        rows, classes = distinct_truncated_views(table, ids, n - 1)
-        c = np.bincount(rows, minlength=len(ids))
-        uneven = n % c != 0
-        if uneven.any():
-            raise SimulationError(
-                f"view classes do not divide the party count (n={n}, classes={c[uneven][0]})"
-            )
+        views = state[2]
+        if views.outputs is None:
+            class_sums(views)
+        if isinstance(views.outputs, Exception):
+            raise views.outputs
+        return views.outputs
+
+    def class_sums(views: Pending) -> None:
+        """Set the outputs of every handle of the flush at ``views``'s depth, from one walk."""
+        ids = views.ids   # read first: a flush may replace the columns
+        depth = table.depth[ids[0]]
+        group = [h for h in (ref() for ref in views.batch) if h is not None
+                 and not isinstance(h.result, Exception) and table.depth[h.result[0]] == depth]
+        roots = np.concatenate([h.result for h in group])
+        rows, classes = distinct_truncated_views(table, roots, n - 1)
+        c = np.bincount(rows, minlength=len(roots))
         # rows are sorted and every row finds at least its own class
-        totals = (n // c) * np.add.reduceat(table.label[classes], np.cumsum(c) - c)
-        return totals % k
+        totals = (n // c) * np.add.reduceat(table.label[classes], np.cumsum(c) - c) % k
+        stop = 0
+        for h in group:
+            start, stop = stop, stop + len(h.result)
+            uneven = n % c[start:stop] != 0
+            h.outputs = totals[start:stop] if not uneven.any() else SimulationError(
+                f"view classes do not divide the party count "
+                f"(n={n}, classes={c[start:stop][uneven][0]})")
 
     # transmitted symbols are labels (< k) plus ports, degrees and child
     # indices, which stay below the party count

@@ -1,10 +1,13 @@
+import gc
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonqnet import subroutines
 from anonqnet.errors import SimulationError
 from anonqnet.runtime import (PartyProgram, SizedMessage, parallel, run_classical,
                               verify_anonymity)
@@ -417,6 +420,184 @@ def test_two_threads_share_one_modular_sum():
     for x in inputs:
         run_row(alone, topo, x)
     assert shared.views.count == alone.views.count
+
+
+def test_two_threads_share_one_modular_sum_on_a_star():
+    # a star's views have two degrees, so every flush interns a mixed batch
+    topo = catalog("star", 5)
+    inputs = all_bit_vectors(5)
+    serial = [run_row(modular_sum_views(2, 5), topo, x) for x in inputs]
+    shared = modular_sum_views(2, 5)
+    for outputs in in_two_threads(
+            lambda: [run_row(shared, topo, x) for x in inputs]):
+        assert outputs == serial
+    alone = modular_sum_views(2, 5)
+    for x in inputs:
+        run_row(alone, topo, x)
+    assert shared.views.count == alone.views.count
+
+
+def test_a_refused_intern_leaves_the_table_as_it_was():
+    table = ViewTable(4)
+    leaves = table.intern([0, 1], 2)
+    pairs = [np.array([[1, leaves[0]], [1, leaves[0]]]), np.array([[2, leaves[0]]] * 2)]
+    message = ("^rows of unequal counts: 2 labels, 2 children on port 1, "
+               "2 children on port 2, 1 previous views$")
+    with pytest.raises(ValueError, match=message):
+        table.intern([0, 0], 2, pairs, [leaves[0]])
+    with pytest.raises(ValueError, match="^rows of unequal counts: 2 labels, 3 degrees$"):
+        table.intern([0, 1], [2, 2, 2])
+    assert table.count == len(table._ids) == 2
+    # the next new view takes the next id, with its entries written
+    (one,) = table.intern([0], 2, [p[:1] for p in pairs], [leaves[0]]).tolist()
+    assert one == 2 and table.count == len(table._ids) == 3
+    assert serialize_view(View(table, one)) == (0, 2, 1, 0, 2, 2, 0, 2)
+    assert View(table, one).shorter == View(table, leaves[0])
+
+
+def test_rows_of_several_degrees_intern_in_one_batch():
+    """A degree column: each row as its own call would intern it; padding must be zeros."""
+    table, alone = ViewTable(4), ViewTable(4)
+    leaves = table.intern([0, 1], [1, 3])
+    assert alone.intern([0], 1).tolist() + alone.intern([1], 3).tolist() == leaves.tolist()
+    a, b = leaves.tolist()
+    pairs = [np.array([[1, b], [1, a]]), np.array([[0, 0], [2, a]]), np.array([[0, 0], [3, a]])]
+    ids = table.intern([0, 1], [1, 3], pairs, leaves)
+    assert alone.intern([0], 1, [np.array([[1, b]])], [a]).tolist() == ids[:1].tolist()
+    assert alone.intern([1], 3, [p[1:] for p in pairs], [b]).tolist() == ids[1:].tolist()
+    assert table.node(0, 1, ((1, View(table, b)),)).id == ids[0]
+    assert [tuple(v.shape.widths) for v in (View(table, i) for i in ids)] == [(1, 1), (1, 3)]
+    for padding in ([[0, 0], [0, 1]], [[-1, 0], [0, 0]]):
+        padded = [pairs[0]] + [np.array([pad, [p, a]]) for pad, p in zip(padding, (2, 3))]
+        with pytest.raises(ValueError, match="^a view of degree 1 needs 1 children, not 2$"):
+            table.intern([0, 1], [1, 3], padded, leaves)
+    portless = [np.array([[0, b], [1, a]])] + pairs[1:]
+    with pytest.raises(ValueError, match="^a view of degree 1 needs 1 children, not 0$"):
+        table.intern([0, 1], [1, 3], portless, leaves)
+    with pytest.raises(ValueError, match="^a view of degree 3 needs 3 children, not 2$"):
+        table.intern([0, 1], [1, 3], pairs[:2], leaves)
+    assert table.count == 4
+
+
+def party_by_party(topo, k, rows, table):
+    """``(payloads, outputs)`` of a mod-k view sum whose parties each intern their own rows.
+
+    A reference run in ``table`` without the engine: one ``intern`` per
+    party and round, in party order, and one class walk per party; the
+    payloads are listed in the engine's send order.
+    """
+    n, x = topo.n, np.asarray(rows)
+    ids = [table.intern(x[:, v], topo.degree(v)) for v in range(n)]
+    payloads = []
+    for _r in range(2 * (n - 1)):
+        inboxes = [{} for _ in range(n)]
+        for v in range(n):
+            for p in range(1, topo.degree(v) + 1):
+                u, q = topo.link(v, p)
+                inboxes[u][q] = np.column_stack((np.full(len(x), p), ids[v]))
+                payloads.append(inboxes[u][q].tolist())
+        ids = [table.intern(x[:, v], topo.degree(v),
+                            [inboxes[v][p] for p in range(1, topo.degree(v) + 1)], ids[v])
+               for v in range(n)]
+    outputs = []
+    for v in range(n):
+        found, classes = distinct_truncated_views(table, ids[v], n - 1)
+        c = np.bincount(found, minlength=len(x))
+        outputs.append((n // c) * np.add.reduceat(table.label[classes], np.cumsum(c) - c) % k)
+    return payloads, np.array(outputs).T
+
+
+def seeded_graph(seed):
+    """A connected graph of 3 to 6 parties and shuffled ports, from ``seed``."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+    topo = build_graph(n, sorted(edges))
+    ports = []
+    for table in topo.ports:
+        perm = rng.sample(range(1, len(table) + 1), len(table))
+        ports.append({e: perm[p - 1] for e, p in table.items()})
+    return build_graph(n, sorted(edges), ports)
+
+
+@pytest.mark.parametrize("topo", [catalog("star", 5), catalog("path", 6), catalog("ring", 5)]
+                         + [seeded_graph(seed) for seed in range(6)],
+                         ids=["star-5", "path-6", "ring-5"] + [f"seed-{s}" for s in range(6)])
+def test_view_ids_match_party_by_party_interning(topo):
+    n, k = topo.n, 3
+    rng = random.Random(n)
+    rows = [[rng.randrange(k) for _ in range(n)] for _ in range(5)] + [[1] * n, [1] * n]
+    sub, reference = modular_sum_views(k, n), ViewTable(n)
+    for table in (rows, rows[:2], rows[3:]):   # the second and third runs meet known views
+        expected_payloads, expected_outputs = party_by_party(topo, k, table, reference)
+        outputs, _cost, events = run_classical(topo, sub.program, table)
+        assert [payload.tolist() for *_pattern, payload in events] == expected_payloads
+        assert outputs.tolist() == expected_outputs.tolist()
+        assert outputs.tolist() == [[sum(x) % k] * n for x in table]
+        assert sub.views.count == reference.count
+
+
+@pytest.mark.parametrize("name,n", [("ring", 4), ("star", 5), ("path", 6), ("complete", 4)])
+def test_a_run_interns_once_per_round_and_walks_once(monkeypatch, name, n):
+    calls = {"intern": 0, "walk": 0}
+    intern, walk = ViewTable.intern, subroutines.distinct_truncated_views
+
+    def counted_intern(*args, **kwargs):
+        calls["intern"] += 1
+        return intern(*args, **kwargs)
+
+    def counted_walk(*args, **kwargs):
+        calls["walk"] += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(ViewTable, "intern", counted_intern)
+    monkeypatch.setattr(subroutines, "distinct_truncated_views", counted_walk)
+    outputs, _cost = run_row(modular_sum_views(2, n), catalog(name, n), (1,) + (0,) * (n - 1))
+    assert outputs == (1,) * n
+    # the leaves, then one batch per round, of every party's rows
+    assert calls == {"intern": 2 * (n - 1) + 1, "walk": 1}
+
+
+def test_a_corrupt_handle_raises_in_its_owner_alone():
+    topo = catalog("ring", 4)
+    x = [1, 0, 0, 0]
+    table = ViewTable(4)
+    leaves = [int(table.intern([x[v]], 2)[0]) for v in range(4)]
+
+    def defer(v, prev):
+        pairs = [np.array([[q, leaves[u]]]) for u, q in (topo.link(v, p) for p in (1, 2))]
+        return table.defer([x[v]], 2, pairs, [prev])
+
+    # party 1's previous view is party 0's, whose label is another; a new
+    # leaf among views with children also sends the flush handle by handle
+    handles = [defer(0, leaves[0]), table.defer([2], 2), defer(1, leaves[0]),
+               defer(2, leaves[2])]
+    assert handles[3].ids is not None   # reading one handle interns all four
+    with pytest.raises(ValueError, match="is not the view of row 0 cut one level shorter"):
+        handles[2].ids
+    # the others got the ids that interning them alone, in order, gives
+    alone = ViewTable(4)
+    for v in range(4):
+        alone.intern([x[v]], 2)
+    honest = [view(topo, 0, 1, x, table=alone), alone.node(2, 2),
+              view(topo, 2, 1, x, table=alone)]
+    assert [handles[i].ids.tolist() for i in (0, 1, 3)] == [[v.id] for v in honest]
+    assert table.count == alone.count
+
+
+def test_a_view_sum_run_leaves_no_garbage_cycles():
+    # pending handles reach their batch through weak references
+    topo = catalog("star", 5)
+    sub = modular_sum_views(3, 5)
+    run_classical(topo, sub.program, [[1, 0, 2, 0, 1]])
+    gc.collect()
+    gc.disable()
+    try:
+        run_classical(topo, sub.program, [[1, 0, 2, 0, 1], [0, 0, 0, 0, 1]])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _payload_views(events):
