@@ -20,6 +20,7 @@ memo.
 """
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import threading
@@ -351,18 +352,16 @@ class ViewTable:
         once, in party order.
         """
         labels, rows_in = as_int64(labels), len(labels)
-        one_degree = isinstance(degree, numbers.Integral)   # else one per row
-        degrees = degree if one_degree else as_int64(degree)
+        per_row = not isinstance(degree, numbers.Integral)   # else one for every row
+        degrees = as_int64(degree) if per_row else np.full(rows_in, degree, dtype=np.int64)
         counts = [len(column) for column in pairs]
         if pairs:
             prev = as_int64(prev)
             counts.append(len(prev))
-        if not one_degree:
-            counts.append(len(degrees))
-        if any(c != rows_in for c in counts):
+        if any(c != rows_in for c in counts + [len(degrees)]):
             raise ValueError(
                 f"rows of unequal counts: {rows_in} labels"
-                + ("" if one_degree else f", {len(degrees)} degrees")
+                + (f", {len(degrees)} degrees" if per_row else "")
                 + "".join(f", {len(column)} children on port {p}"
                           for p, column in enumerate(pairs, 1))
                 + (f", {len(prev)} previous views" if pairs else ""))
@@ -374,32 +373,24 @@ class ViewTable:
                 raise ValueError(f"degree {width} above n - 1 = {self.n - 1}")
             for p, column in enumerate(pairs):
                 rows[:, 2 + 2 * p:4 + 2 * p] = as_int64(column)
-            given = rows[:, 2:2 + 2 * width].reshape(rows_in, width, 2)
+            given = rows[:, 2:].reshape(rows_in, width, 2)
             ports, kids = given[:, :, 0], given[:, :, 1]
-            exits = None   # each row's real ports, where degrees differ
-            if one_degree:
-                # every port is an exit: each needs a child
-                bad = ports < 1 if degrees == width else np.ones_like(ports, dtype=bool)
-            else:
-                exits = np.arange(width) < degrees[:, None]
-                # an exit needs a port of at least 1, and padding is (0, 0)
-                bad = ports < exits
-                if not bad.any() and np.count_nonzero(ports | kids) != np.count_nonzero(exits):
-                    bad = ~exits & ((ports | kids) != 0)
-                bad[:, 0] |= (degrees > width) | (degrees < 1)
+            exits = np.arange(width) < degrees[:, None]   # each row's real ports
+            # an exit needs a port of at least 1, and padding is (0, 0)
+            bad = ports < exits
+            if not bad.any() and np.count_nonzero(ports | kids) != np.count_nonzero(exits):
+                bad = ~exits & ((ports | kids) != 0)
+            bad[:, 0] |= (degrees > width) | (degrees < 1)
             if bad.any():
                 r = np.flatnonzero(bad.any(axis=1))[0]
-                d = degrees if one_degree else degrees[r]
                 # a child has an entry port, and padding that is not zeros counts as one
-                given = ports[r] >= 1
-                if exits is not None:
-                    given |= ~exits[r] & ((ports[r] | kids[r]) != 0)
-                raise ValueError(f"a view of degree {d} needs {d} children, "
-                                 f"not {np.count_nonzero(given)}")
+                found = (ports[r] >= 1) | (~exits[r] & ((ports[r] | kids[r]) != 0))
+                raise ValueError(f"a view of degree {degrees[r]} needs {degrees[r]} children, "
+                                 f"not {np.count_nonzero(found)}")
             self._known(kids)
             self._known(prev)
             below = self.depth[kids]
-            if _real(below != below[:, :1], exits).any():
+            if ((below != below[:, :1]) & exits).any():
                 raise ValueError("children of a view must have equal depths")
             depth = below[:, 0] + 1
             wrong = ((self.label[prev] != labels) | (self.degree[prev] != degrees)
@@ -407,13 +398,21 @@ class ViewTable:
             deep = depth > 1
             if deep.any():
                 cut = self.pairs[prev, :width]
-                wrong |= deep & _real((cut[:, :, 0] != ports)
-                                      | (cut[:, :, 1] != self.shorter[kids]), exits).any(axis=1)
+                wrong |= deep & (((cut[:, :, 0] != ports) | (cut[:, :, 1] != self.shorter[kids]))
+                                 & exits).any(axis=1)
             if wrong.any():
                 r = np.flatnonzero(wrong)[0]
                 raise ValueError(f"view {prev[r]} is not the view of row {r} cut one level "
                                  f"shorter")
-        keys = _row_keys(rows, None if one_degree else degrees)
+        # a row of degree d keys on its label, degree and first d pairs, as
+        # it would in a batch of its own degree; a batch holds one run of
+        # rows per party, each of one degree
+        change = np.ones(rows_in, dtype=bool)
+        change[1:] = degrees[1:] != degrees[:-1]
+        starts = np.flatnonzero(change).tolist()
+        keys = []
+        for a, b in zip(starts, starts[1:] + [rows_in]):
+            keys += _row_keys(rows[a:b, :2 + 2 * int(degrees[a])])
         with self.lock:
             # columns grow before the dict does, so a failed allocation
             # leaves no id without its entries
@@ -432,15 +431,14 @@ class ViewTable:
                     firsts = firsts[np.concatenate(
                         ([True], new[1:] > np.maximum.accumulate(new)[:-1]))]
                 self.label[start:stop] = labels[firsts]
-                self.degree[start:stop] = degrees if one_degree else degrees[firsts]
+                self.degree[start:stop] = degrees[firsts]
                 if pairs:
                     self.depth[start:stop] = depth[firsts]
                     self.shorter[start:stop] = prev[firsts]
                     self.pairs[start:stop, :width] = given[firsts]
-                    shapes = self.shape[kids[firsts]]
                     self.shape[start:stop] = self._deeper_shapes(
                         self.shape[prev[firsts]],
-                        shapes if exits is None else np.where(exits[firsts], shapes, -1))
+                        np.where(exits[firsts], self.shape[kids[firsts]], -1))
                 else:
                     self.depth[start:stop] = 0
                     self.shorter[start:stop] = -1
@@ -467,34 +465,43 @@ class ViewTable:
         handle by handle, in the same order, so each handle gets its own ids
         or the error its own rows raise.  A flush may resolve handles of
         another run on this table; a reader that finds its handle taken
-        waits for that flush to end.
+        waits for that flush to end.  Should the flush itself be cut short,
+        the handles it left without a result go back to the head of the
+        pending list, and interning them again gives the same ids.
         """
         with self._flushing:
             with self.lock:
                 batch, self._pending = self._pending, []
-            ids = None
-            if len(batch) > 1:
-                try:
-                    ids = self.intern(*_stacked([h.rows for h in batch]))
-                except Exception:
-                    pass   # interned again below, handle by handle
-            if ids is None:
-                for handle in batch:
+            try:
+                ids = None
+                if len(batch) > 1:
                     try:
-                        handle.result = self.intern(*handle.rows)
-                    except Exception as error:   # raised in the handle's own run
-                        handle.result = error
-            else:
-                stop = 0
-                for handle in batch:
-                    start, stop = stop, stop + len(handle.rows[0])
-                    handle.result = ids[start:stop]
-            # weak references: a handle that held its batch would be a cycle,
-            # freed only by the garbage collector
-            refs = [weakref.ref(handle) for handle in batch]
-            for handle in batch:
-                handle.batch = refs
-                handle.rows = None
+                        ids = self.intern(*_stacked([h.rows for h in batch]))
+                    except Exception:
+                        pass   # interned again below, handle by handle
+                if ids is None:
+                    for handle in batch:
+                        try:
+                            handle.result = self.intern(*handle.rows)
+                        except Exception as error:   # raised in the handle's own run
+                            # no traceback: its frames would hold the handle
+                            handle.result = error.with_traceback(None)
+                else:
+                    stop = 0
+                    for handle in batch:
+                        start, stop = stop, stop + len(handle.rows[0])
+                        handle.result = ids[start:stop]
+            finally:
+                done = [h for h in batch if h.result is not None]
+                if len(done) < len(batch):
+                    with self.lock:
+                        self._pending[:0] = [h for h in batch if h.result is None]
+                # weak references: a handle that held its batch would be a
+                # cycle, freed only by the garbage collector
+                refs = [weakref.ref(handle) for handle in done]
+                for handle in done:
+                    handle.batch = refs
+                    handle.rows = None
 
     def _known(self, ids: np.ndarray) -> None:
         # one pass: a negative id reads as a large unsigned one
@@ -512,19 +519,14 @@ class ViewTable:
                 column[:self.count] = old[:self.count]
                 setattr(self, name, column)
 
-    def _deeper_shapes(self, shorter: np.ndarray, children: np.ndarray) -> np.ndarray:
+    def _deeper_shapes(self, shorter: np.ndarray, children: np.ndarray) -> list:
         """Shape ids of new views, from their truncations' shapes and their children's.
 
         A view's widths are its truncation's, then the sum of its children's
         last widths; a child shape of -1 pads a port above the view's degree.
-        Each distinct row of shape ids is worked out once, and rows equal to
-        the row before are looked up once: a party's views of one round all
-        have one shape.
+        Each distinct row of shape ids is worked out once.
         """
-        rows = np.column_stack((shorter, children))
-        change = np.ones(len(rows), dtype=bool)
-        change[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        keys = _row_keys(rows[change])
+        keys = _row_keys(np.column_stack((shorter, children)))
         for key in dict.fromkeys(keys):
             if key not in self._deeper:
                 first, *below = np.frombuffer(key, dtype=np.int64).tolist()
@@ -535,7 +537,7 @@ class ViewTable:
                     self.shapes.append(ViewShape(widths, view_size(widths, self.n)))
                     self.sizes = np.append(self.sizes, self.shapes[s].size)
                 self._deeper[key] = s
-        return np.array(list(map(self._deeper.__getitem__, keys)))[np.cumsum(change) - 1]
+        return list(map(self._deeper.__getitem__, keys))
 
     def node(self, label: int, degree: int, children: tuple = ()) -> "View":
         """The view of ``label`` and ``degree`` above ``children``, one row of :meth:`intern`.
@@ -560,35 +562,16 @@ class ViewTable:
         return View(self, int(self.intern([label], degree, pairs, [shorter.id])[0]))
 
 
-def _row_keys(rows: np.ndarray, degrees=None) -> list:
-    """One dict key per row of an int64 table: its bytes, equal only for equal rows.
-
-    With ``degrees``, a column of one per row of (label, degree, pairs), a
-    row of degree d keys on its label, degree and first d pairs only, the
-    key it has in a batch of its own degree.
-    """
-    if degrees is None:
-        rows = np.ascontiguousarray(rows)
-        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
-    # a batch holds runs of one degree, one per party
-    starts = np.flatnonzero(np.concatenate(([True], degrees[1:] != degrees[:-1]))).tolist()
-    keys = []
-    if not len(rows):
-        return keys
-    for a, b in zip(starts, starts[1:] + [len(rows)]):
-        keys += _row_keys(rows[a:b, :2 + 2 * int(degrees[a])])
-    return keys
-
-
-def _real(mismatch: np.ndarray, exits) -> np.ndarray:
-    """``mismatch`` on the real exit ports only; ``exits`` is None when every port is real."""
-    return mismatch if exits is None else mismatch & exits
+def _row_keys(rows: np.ndarray) -> list:
+    """One dict key per row of an int64 table: its bytes, equal only for equal rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
 
 
 def _stacked(rows: list) -> tuple:
     """The :meth:`ViewTable.intern` arguments of several handles' rows, as one batch.
 
-    Each handle has one degree; degrees that differ become a column, and a
+    Each handle has one degree, repeated into a column of one per row, and a
     handle with fewer exit ports than the widest has its missing ports
     padded with zero pairs.  Leaves mixed with views that have children, or
     a handle whose own columns differ in length, raise ``ValueError``, which
@@ -596,8 +579,7 @@ def _stacked(rows: list) -> tuple:
     """
     sizes = [len(r[0]) for r in rows]
     labels = np.concatenate([r[0] for r in rows])
-    degrees = [r[1] for r in rows]
-    degrees = degrees[0] if len(set(degrees)) == 1 else np.repeat(degrees, sizes)
+    degrees = np.repeat([r[1] for r in rows], sizes)
     if not any(r[2] for r in rows):
         return labels, degrees
     if not all(r[2] for r in rows):
@@ -619,7 +601,9 @@ class Pending:
     returns this handle's ids, or raises the error its own rows caused.
     ``batch`` holds weak references to the handles interned together, and
     ``outputs`` what a reader works out once for the whole batch (the
-    modular sum's outputs of every party).
+    modular sum's outputs of every party).  An error is kept without a
+    traceback and raised as a copy, so that neither its frames nor the
+    reader's lead back to the handle.
     """
 
     __slots__ = ("table", "rows", "result", "batch", "outputs", "__weakref__")
@@ -636,7 +620,7 @@ class Pending:
         if self.rows is not None:
             self.table.flush()
         if isinstance(self.result, Exception):
-            raise self.result
+            raise copy.copy(self.result)
         return self.result
 
 
@@ -893,7 +877,7 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
         if views.outputs is None:
             class_sums(views)
         if isinstance(views.outputs, Exception):
-            raise views.outputs
+            raise copy.copy(views.outputs)
         return views.outputs
 
     def class_sums(views: Pending) -> None:

@@ -586,6 +586,26 @@ def test_a_corrupt_handle_raises_in_its_owner_alone():
     assert table.count == alone.count
 
 
+def test_a_flush_cut_short_leaves_its_handles_pending(monkeypatch):
+    class Cut(BaseException):
+        pass
+
+    table = ViewTable(3)
+    handles = [table.defer([0], 2), table.defer([1], 2)]
+    intern = ViewTable.intern
+
+    def cut_once(*args, **kwargs):
+        monkeypatch.setattr(ViewTable, "intern", intern)
+        raise Cut
+
+    monkeypatch.setattr(ViewTable, "intern", cut_once)
+    with pytest.raises(Cut):
+        handles[1].ids
+    # the next read interns both again, in order
+    assert [h.ids.tolist() for h in handles] == [[0], [1]]
+    assert table.count == 2
+
+
 def test_a_view_sum_run_leaves_no_garbage_cycles():
     # pending handles reach their batch through weak references
     topo = catalog("star", 5)
@@ -595,6 +615,31 @@ def test_a_view_sum_run_leaves_no_garbage_cycles():
     gc.disable()
     try:
         run_classical(topo, sub.program, [[1, 0, 2, 0, 1], [0, 0, 0, 0, 1]])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_refused_view_row_leaves_no_garbage_cycles():
+    # a handle keeps its error without a traceback and raises a copy, so
+    # neither the flush's frames nor the reader's lead back to the handle
+    table = ViewTable(4)
+    leaves = table.intern([0, 1], 2).tolist()
+    pairs = [np.array([[1, leaves[0]]]), np.array([[2, leaves[0]]])]
+    gc.collect()
+    gc.disable()
+    try:
+        # the second handle's previous view has another label
+        handles = [table.defer([0], 2, pairs, [leaves[0]]),
+                   table.defer([0], 2, pairs, [leaves[1]])]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not the view of row 0 cut one level shorter"):
+                handles[1].ids
+        assert handles[0].ids.tolist() == [2]
+        del handles
+        # the outputs of a finish are refused the same way
+        with pytest.raises(SimulationError, match="view classes do not divide the party count"):
+            drive_by_hand(catalog("ring", 4), modular_sum_views(2, 3).program, [1, 0, 0, 0])
         assert gc.collect() == 0
     finally:
         gc.enable()
