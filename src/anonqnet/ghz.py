@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional
 
@@ -120,14 +120,34 @@ def phase2(state: SparseState, k: int, keep_reg: str, add_reg: str,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GhzBranch:
+    """One joint branch of the k attempts, and of the distillation if it ran.
+
+    A frozen slotted record built by one constructor that writes each slot
+    through the slot's own descriptor, as ``election.ElectionBranch`` is.
+    """
+
     attempt_outcomes: tuple              # measured sums, one per attempt
     probability: float
     state: SparseState                   # final shared state, register "share"
     source_attempt: int                  # 0-based attempt the state came from
     pair: Optional[tuple] = None         # (l, m) used for distillation
     distill_outcome: Optional[int] = None
+
+    def __init__(self, attempt_outcomes: tuple, probability: float, state: SparseState,
+                 source_attempt: int, pair: Optional[tuple] = None,
+                 distill_outcome: Optional[int] = None):
+        _set_attempt_outcomes(self, attempt_outcomes)
+        _set_probability(self, probability)
+        _set_state(self, state)
+        _set_source_attempt(self, source_attempt)
+        _set_pair(self, pair)
+        _set_distill_outcome(self, distill_outcome)
+
+
+(_set_attempt_outcomes, _set_probability, _set_state, _set_source_attempt, _set_pair,
+ _set_distill_outcome) = (GhzBranch.__dict__[f.name].__set__ for f in fields(GhzBranch))
 
 
 @dataclass
@@ -191,17 +211,12 @@ def ghz_share(topology: Topology, k: int, *, seed: Optional[int] = None,
     for picked, prob, outcomes in zip(picks, probabilities, outcome_rows):
         if 0 in outcomes:
             i0 = outcomes.index(0)
-            out.append(GhzBranch(
-                attempt_outcomes=outcomes, probability=prob,
-                state=picked[i0].state, source_attempt=i0))
+            out.append(GhzBranch(outcomes, prob, picked[i0].state, i0))
             continue
-        l, m = _first_equal_pair(outcomes)
+        pair = _first_equal_pair(outcomes)
+        l = pair[0]
         for d, state in distilled[outcomes[l]]:
-            out.append(GhzBranch(
-                attempt_outcomes=outcomes,
-                probability=prob * d.probability,
-                state=state, source_attempt=l, pair=(l, m),
-                distill_outcome=d.outcome))
+            out.append(GhzBranch(outcomes, prob * d.probability, state, l, pair, d.outcome))
 
     gates = tuple(sorted(set(audit)))
     sampled = None if all_branches else sample_index([b.probability for b in out], seed)

@@ -282,6 +282,27 @@ def test_upper_bound_verification_flags():
         assert sum(picked) == 1
 
 
+def test_election_branch_is_a_frozen_slotted_record():
+    branch = elect_with_bound(catalog("ring", 3), 4, all_branches=True).branches[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        branch.probability = 0.5
+    halved = dataclasses.replace(branch, probability=branch.probability / 2)
+    assert halved.probability == branch.probability / 2
+    assert dataclasses.replace(halved, probability=branch.probability) == branch
+    fields = [f.name for f in dataclasses.fields(election.ElectionBranch)]
+    assert fields == ["outcomes", "probability", "leaders", "winner_guess",
+                      "guess_outcomes", "verified"]
+    keywords = election.ElectionBranch(**{name: getattr(branch, name) for name in fields})
+    positional = election.ElectionBranch(*(getattr(branch, name) for name in fields))
+    assert keywords == positional == branch
+    assert hash(keywords) == hash(positional) == hash(branch)
+    assert election.ElectionBranch((1,), 1.0, (0,)) == election.ElectionBranch(
+        outcomes=(1,), probability=1.0, leaders=(0,), winner_guess=None,
+        guess_outcomes=None, verified=None)
+    # slots only: 65,536 joint branches carry no per-record dict
+    assert not hasattr(branch, "__dict__")
+
+
 def test_upper_bound_verifies_exactly_the_outcomes_evaluated_true():
     topo = catalog("ring", 3)
     result = elect_with_bound(topo, 4, all_branches=True)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from anonqnet.errors import ExactnessError
-from anonqnet.ghz import cat_state, fourier_gate, ghz_share, phase1, phase2
+from anonqnet.ghz import GhzBranch, cat_state, fourier_gate, ghz_share, phase1, phase2
 from anonqnet.qsim import (SparseState, apply_all_parties, fidelity, gate, layout,
                            rename_register, tensor)
 from anonqnet.runtime import run_classical
@@ -208,6 +209,30 @@ def test_ghz_pair_selection_is_first_match():
             earlier = [(a, b) for a in range(len(outcomes)) for b in range(a + 1, len(outcomes))
                        if outcomes[a] == outcomes[b]]
             assert earlier[0] == (l, m)
+
+
+def test_ghz_branch_is_a_frozen_slotted_record():
+    result = ghz_share(catalog("ring", 3), 3, all_branches=True)
+    branch = next(b for b in result.branches if b.pair is not None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        branch.probability = 0.5
+    halved = dataclasses.replace(branch, probability=branch.probability / 2)
+    assert halved.probability == branch.probability / 2
+    assert halved.state is branch.state
+    assert dataclasses.replace(halved, probability=branch.probability) == branch
+    fields = [f.name for f in dataclasses.fields(GhzBranch)]
+    assert fields == ["attempt_outcomes", "probability", "state", "source_attempt", "pair",
+                      "distill_outcome"]
+    keywords = GhzBranch(**{name: getattr(branch, name) for name in fields})
+    positional = GhzBranch(*(getattr(branch, name) for name in fields))
+    assert keywords == positional == branch
+    assert hash(keywords) == hash(positional) == hash(branch)
+    undistilled = GhzBranch((0, 1, 2), 1.0, branch.state, 0)
+    assert undistilled == GhzBranch(attempt_outcomes=(0, 1, 2), probability=1.0,
+                                    state=branch.state, source_attempt=0, pair=None,
+                                    distill_outcome=None)
+    # slots only: thousands of joint branches carry no per-record dict
+    assert not hasattr(branch, "__dict__")
 
 
 def test_ghz_sampled_mode():

@@ -8,12 +8,14 @@ field of every branch, the probabilities to 17 digits, and the sampled index
 of one seed, so that any reorganization of the enumeration must keep each
 branch, its order and each probability's last bit.
 """
+import dataclasses
 import hashlib
 
 import pytest
 
 from anonqnet.election import elect_with_bound
 from anonqnet.ghz import ghz_share
+from anonqnet.qsim import SparseState
 from anonqnet.topology import catalog
 
 SEED = 7
@@ -55,5 +57,20 @@ def test_joint_branches_are_frozen(name):
     text = "\n".join(map(branch_line, result.branches))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(result.branches), result.sampled_index, digest) == PINNED[name]
-    # JSON output and exact comparisons rely on plain Python floats
-    assert all(type(b.probability) is float for b in result.branches)
+    # JSON output and exact comparisons rely on plain Python values: no
+    # numpy scalar may reach a record, in any field
+    for b in result.branches:
+        assert type(b.probability) is float
+        for field in dataclasses.fields(b):
+            value = getattr(b, field.name)
+            if field.name == "state":
+                assert type(value) is SparseState
+            else:
+                assert is_plain(value), (field.name, value)
+
+
+def is_plain(value) -> bool:
+    """An int, float or None, or a tuple of such values, nested to any depth."""
+    if type(value) is tuple:
+        return all(map(is_plain, value))
+    return type(value) in (int, float, type(None))
