@@ -1,16 +1,17 @@
 """Synchronous anonymous execution of classical distributed programs.
 
-Every party runs identical code; a party's hooks see only its local input,
-its degree, and whatever arrives on its ports; what every party knows in
-advance, such as the party count, is built into the program.
-The engine runs a table of input rows in lockstep: a party's hooks act on
-columns, one entry per row, and rows never interact, so a coherent lookup of
-many inputs, or a table stacked on its relabeled copy, is one run.  It
-meters communication exactly: one unit per transmitted symbol per link per
-direction per round, with d-level symbols charged ceil(log2 d) bits, and
-every row of a table must send the same number of symbols.  A run yields an
-output table, the cost of one row, and one ``(round, sender, receiver,
-symbols, payload)`` event per message, its payload a column of every row.
+Every party runs identical code and knows its input, its degree and its
+port numbers, nothing else; what every party knows in advance, such as the
+party count, is built into the program.  The engine runs a table of input
+rows in lockstep with the parties stacked into the row axis: each hook is
+called once per round for every party and row, and a row carries no party
+index.  Rows never interact, so a coherent lookup of many inputs, or a
+table stacked on its relabeled copy, is one run.  It meters communication
+exactly: one unit per transmitted symbol per link per direction per round,
+with d-level symbols charged ceil(log2 d) bits, and every row of a party
+must send the same number of symbols.  A run yields an output table, the
+cost of one row, and one ``(round, sender, receiver, symbols, payload)``
+event per message, its payload the sender's rows.
 """
 from __future__ import annotations
 
@@ -29,23 +30,26 @@ from .topology import Topology, is_automorphism
 class PartyProgram:
     """One synchronous distributed program, identical at every party.
 
-    The hooks act on columns: one entry per input row, all rows in lockstep.
-    ``init(column, degree)`` builds the local state from the party's input in
-    every row, an int64 array of shape (rows,), or (rows, symbols) when an
-    input is a tuple.  Each round the engine calls ``send(state, r)`` for a
-    ``{port: message}`` outbox, delivers all messages, then calls
-    ``recv(state, inbox, r)``; the inbox maps the receiving port to what was
-    delivered there.  After exactly ``rounds`` rounds, ``finish(state)``
-    returns one output per row.
+    The hooks act on the parties stacked party-major: row ``v * R + i`` is
+    party v on input row i of a table of R rows.  ``init(inputs, degrees)``
+    builds the state from the stacked inputs, an int64 array of shape
+    (parties * R,), or (parties * R, symbols) when an input is a tuple, and
+    from each row's degree.  Each round the engine calls ``send(state, r)``
+    for a ``{port: message}`` outbox, on every port or none, delivers the
+    messages, then calls ``recv(state, inbox, r)``.  The message on port p
+    holds the rows whose degree is at least p, in stacked order
+    (:func:`port_rows`), and so does the inbox on port p, each party's rows
+    what its neighbour sent across the link.  After exactly ``rounds``
+    rounds, ``finish(state)`` returns one output per stacked row.
 
-    A message is an int array of shape (rows, symbols), each symbol drawn
-    from ``range(symbol_dim)`` and delivered as that array, or a
-    :class:`SizedMessage`, whose payload (one entry per row) is delivered as
-    it is.  Every row must send the same number of symbols on a port in a
-    round, so the (port, size) pattern of a table never depends on which row
-    is read; for the program to be usable coherently that pattern must not
-    depend on the inputs at all, which the quantum layer checks across
-    tables.
+    A message is an integer or bool array of shape (rows, symbols), each
+    symbol drawn from ``range(symbol_dim)`` and delivered in its dtype (a
+    signed one as int64), or a :class:`SizedMessage`, whose payload (one
+    entry per row) is delivered as it is.  Every row of a party must send
+    the same number of symbols on a port in a round, so the (port, size)
+    pattern of a table never depends on which row is read; for the program
+    to be usable coherently that pattern must not depend on the inputs at
+    all, which the quantum layer checks across tables.
 
     ``parties``, when set, is the party count the program was built for; the
     engine refuses to run it on a network of another size.
@@ -53,7 +57,7 @@ class PartyProgram:
 
     rounds: int
     symbol_dim: int
-    init: Callable[[np.ndarray, int], Any]
+    init: Callable[[np.ndarray, np.ndarray], Any]
     send: Callable[[Any, int], dict]
     recv: Callable[[Any, dict, int], Any]
     finish: Callable[[Any], Sequence]
@@ -74,8 +78,8 @@ class SizedMessage(NamedTuple):
 
     ``payload`` holds one entry per row.  ``symbols`` is the length each
     row's payload would have in a flat symbol encoding: one count for every
-    row, or a sequence of one count per row, which must all be equal.  It
-    must not depend on input values, only on topology.
+    row, or a sequence of one count per row, equal within each party's rows.
+    It must not depend on input values, only on topology.
     """
 
     payload: Sequence
@@ -97,6 +101,22 @@ def as_int64(values) -> np.ndarray:
             if not -2 ** 63 <= x < 2 ** 63:
                 raise ValueError(f"input {x} does not fit in int64")
     return array.astype(np.int64, copy=False)
+
+
+def port_rows(degrees) -> tuple:
+    """The stacked rows that port p's messages hold, for p in 1..max of ``init``'s degrees.
+
+    They are the rows of degree at least p: a slice when they are one run,
+    every row for one, so that picking them copies nothing, else an index.
+    """
+    degrees = np.asarray(degrees)
+    entries = []
+    for p in range(1, int(degrees.max(initial=0)) + 1):
+        rows = np.flatnonzero(degrees >= p)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        entries.append(rows)
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -170,24 +190,21 @@ def run_classical(
 
     ``inputs`` is a table of input rows, an int array of shape (rows,
     parties), or (rows, parties, symbols) when an input is a tuple, and all
-    rows run in lockstep.  One vector of ``parties`` integers is read as a
-    table of one row.  An entry that is not an integer, or a table of no
-    rows, raises ``ValueError``.
+    rows run in lockstep, stacked as :class:`PartyProgram` says.  One vector
+    of ``parties`` integers is read as a table of one row.  An entry that is
+    not an integer, or a table of no rows, raises ``ValueError``.
 
     Returns ``(outputs, cost, events)``: ``outputs`` is an int64 array of
     shape (rows, parties), and ``cost`` is the cost of one row, which every
-    row shares.  ``events`` is a tuple with one
-    ``(round, sender, receiver, symbols, payload)`` tuple per message, in
-    send order, with 1-based rounds; its first four fields are the
-    input-oblivious pattern, and ``payload`` is what was delivered, a column
-    of every row: an int64 array of shape (rows, symbols), or the payload of
-    a :class:`SizedMessage` as it was sent.
+    row shares.  ``events`` holds one ``(round, sender, receiver, symbols,
+    payload)`` tuple per message, by sender and then port, with 1-based
+    rounds; its first four fields are the input-oblivious pattern, and
+    ``payload`` is the sender's rows of what was delivered.
 
     A round sends first and then delivers: messages emitted in round r are
     absorbed by ``recv`` in the same engine round, so information travels
-    one hop per round.  A symbol outside the alphabet, a declared size that
-    is negative or not an integer, or a size that differs between rows
-    raises ``SimulationError``.
+    one hop per round.  A port no party has raises ``ValueError``, and a
+    malformed message, or one sent on some ports only, ``SimulationError``.
     """
     n = topology.n
     if program.parties is not None and program.parties != n:
@@ -198,88 +215,123 @@ def run_classical(
     rows = len(table)
     if rows == 0:
         raise ValueError(f"{program.name} was given a table of no rows")
-    states = [program.init(table[:, v], topology.degree(v)) for v in range(n)]
-    send, recv, link = program.send, program.recv, topology.link
-    events = []
-    per_round = []
+    holders, messages, blocks, spans = _links(topology)
+    state = program.init(table.swapaxes(0, 1).reshape(n * rows, *table.shape[2:]),
+                         np.repeat([topology.degree(v) for v in range(n)], rows))
+    events, per_round = [], []
     for r in range(program.rounds):
-        inboxes = [{} for _ in range(n)]
-        symbols_this_round = 0
-        for v in range(n):
-            outbox = send(states[v], r) or {}
-            # a party often sends one column, or one list of sizes, on every
-            # port: check it once
-            columns, sizes = {}, {}
-            for port in sorted(outbox):
-                u, q = link(v, port)
-                msg = outbox[port]
-                if type(msg) is SizedMessage:
-                    payload, symbols = msg
-                    if len(payload) != rows:
-                        raise SimulationError(f"party {v} sent a payload of {len(payload)} "
-                                              f"rows, not {rows}, on port {port}")
-                    size = sizes.get(id(symbols))
-                    if size is None:
-                        size = sizes[id(symbols)] = _declared_size(program, symbols, rows,
-                                                                   v, port, r)
-                else:
-                    payload = columns.get(id(msg))
-                    if payload is None:
-                        payload = columns[id(msg)] = _symbol_column(program, msg, rows, v, port)
-                    size = payload.shape[1]
-                inboxes[u][q] = payload
-                symbols_this_round += size
-                events.append((r + 1, v, u, size, payload))
-        per_round.append(symbols_this_round)
-        for v in range(n):
-            states[v] = recv(states[v], inboxes[v], r)
-    finished = [program.finish(states[v]) for v in range(n)]
-    for column in finished:
-        if len(column) != rows:
-            raise SimulationError(f"{program.name} finished with {len(column)} outputs "
-                                  f"for {rows} rows")
+        outbox = program.send(state, r) or {}
+        inbox, sizes = {}, []
+        if outbox:
+            if outbox.keys() != holders.keys():
+                port = next((p for p in outbox if p not in holders), None)
+                if port is not None:
+                    raise ValueError(f"party 0 sends on port {port} in round {r + 1}, "
+                                     f"but node 0 has no port {port}")
+                port = min(holders.keys() - outbox.keys())
+                raise SimulationError(f"party {holders[port][0]} sends nothing on port {port} "
+                                      f"in round {r + 1}: a round sends on every port or none")
+            payloads = []
+            for p, parties in holders.items():
+                payload, symbols = _checked(program, outbox[p], parties, rows, p, r)
+                payloads.append(payload)
+                sizes += symbols
+            stacked, inbox = _delivered(payloads, blocks, spans, rows)
+            events.extend((r + 1, v, u, sizes[b], stacked[b * rows:(b + 1) * rows])
+                          for v, u, b in messages)
+        per_round.append(sum(sizes))
+        state = program.recv(state, inbox, r)
+    outputs = program.finish(state)
+    if len(outputs) != n * rows:
+        raise SimulationError(f"{program.name} finished with {len(outputs)} outputs for "
+                              f"{n} parties of {rows} rows")
     total = sum(per_round)
     cost = CostReport(program.rounds, total, total * program.bits_per_symbol, tuple(per_round))
-    return np.ascontiguousarray(as_int64(finished).T), cost, tuple(events)
+    return np.ascontiguousarray(as_int64(outputs).reshape(n, rows).T), cost, tuple(events)
 
 
-def _declared_size(program: PartyProgram, symbols, rows: int, v: int, port: int,
-                   r: int) -> int:
-    """The one symbol count of a :class:`SizedMessage` in every row, checked."""
-    sizes = np.asarray(symbols)
-    if sizes.ndim == 1 and len(sizes) != rows:
-        raise SimulationError(f"party {v} declared {len(sizes)} sizes for {rows} rows "
-                              f"on port {port}")
+def _links(topology: Topology) -> tuple:
+    """``(holders, messages, blocks, spans)``: a round's messages stacked in port order.
+
+    The message on port p holds a block of rows per party in ``holders[p]``.
+    ``messages`` lists (sender, receiver, block) by sender and then port;
+    ``blocks`` lists the blocks the inboxes gather, and ``spans`` holds each
+    port's ``(port, first, end)`` among the blocks of either.
+    """
+    n, degree = topology.n, topology.degree
+    holders = {p: tuple(v for v in range(n) if degree(v) >= p)
+               for p in range(1, max(map(degree, range(n))) + 1)}
+    order = [(v, p) for p, parties in holders.items() for v in parties]
+    block = dict(zip(order, range(len(order))))
+    messages = tuple((v, topology.link(v, p)[0], block[v, p])
+                     for v in range(n) for p in range(1, degree(v) + 1))
+    blocks = np.array([block[topology.link(u, q)] for u, q in order], dtype=np.intp)
+    starts = np.cumsum([0] + [len(parties) for parties in holders.values()]).tolist()
+    return holders, messages, blocks, tuple(zip(holders, starts, starts[1:]))
+
+
+def _delivered(payloads: list, blocks: np.ndarray, spans: tuple, rows: int) -> tuple:
+    """A round's payloads stacked in port order, and the inboxes gathered from them as copies."""
+    if any(type(payload) is not np.ndarray for payload in payloads):
+        stacked = list(chain.from_iterable(payloads))
+        return stacked, {q: [x for b in blocks[start:stop].tolist()
+                             for x in stacked[b * rows:(b + 1) * rows]]
+                         for q, start, stop in spans}
+    stacked = np.concatenate(payloads)
+    tail = stacked.shape[1:]
+    gathered = stacked.reshape(len(stacked) // rows, rows, *tail)[blocks]
+    return stacked, {q: gathered[start:stop].reshape((stop - start) * rows, *tail)
+                     for q, start, stop in spans}
+
+
+def _checked(program: PartyProgram, msg, parties: tuple, rows: int, port: int,
+             r: int) -> tuple:
+    """A message's payload, a signed array as int64, and each party's symbol count, checked."""
+    sized = type(msg) is SizedMessage
+    payload = msg.payload if sized else np.asarray(msg)
+    if not sized and payload.ndim != 2:
+        raise SimulationError(f"party {parties[0]} sent a message of shape {payload.shape}, "
+                              f"not (rows, symbols), on port {port} in round {r + 1}")
+    if len(payload) != len(parties) * rows:
+        raise SimulationError(
+            f"the message on port {port} in round {r + 1} has {len(payload)} rows, not "
+            f"{rows} for each of the {len(parties)} parties with that port, from party "
+            f"{parties[min(len(payload) // rows, len(parties) - 1)]} on")
+    if not sized:
+        if payload.size and payload.dtype.kind not in "biu":
+            raise SimulationError(f"party {parties[0]} sent {payload.dtype} symbols on port "
+                                  f"{port}")
+        if payload.dtype.kind == "i":
+            payload = payload.astype(np.int64, copy=False)
+        # one pass: a negative symbol reads as a large unsigned one; a bool is 0 or 1
+        if (payload.size and (payload.dtype.kind != "b" or program.symbol_dim < 2)
+                and payload.view(f"u{payload.itemsize}").max() >= program.symbol_dim):
+            outside = (payload < 0) | (payload >= program.symbol_dim)
+            i = int(np.argmax(outside.any(axis=1)))
+            raise SimulationError(
+                f"party {parties[i // rows]} sent symbol {payload[i][outside[i]][0]} outside "
+                f"alphabet 0..{program.symbol_dim - 1} on port {port}")
+        return payload, [payload.shape[1]] * len(parties)
+    sizes = np.asarray(msg.symbols)
     if sizes.ndim > 1 or sizes.dtype.kind not in "biu":
-        raise SimulationError(f"party {v} declared a message size that is not an integer "
-                              f"on port {port}")
-    low, high = int(sizes.min()), int(sizes.max())
-    if low < 0:
-        raise SimulationError(f"party {v} declared a negative message size")
-    if low != high:
+        raise SimulationError(f"party {parties[0]} declared a message size that is not an "
+                              f"integer on port {port}")
+    if sizes.ndim == 1 and len(sizes) != len(parties) * rows:
+        raise SimulationError(f"party {parties[min(len(sizes) // rows, len(parties) - 1)]} "
+                              f"declared {len(sizes)} sizes for {len(parties) * rows} rows "
+                              f"on port {port} in round {r + 1}")
+    per_party = np.broadcast_to(sizes, (len(parties) * rows,)).reshape(len(parties), rows)
+    low, high = per_party.min(axis=1), per_party.max(axis=1)
+    if low.min() < 0:
+        raise SimulationError(f"party {parties[int(np.argmax(low < 0))]} declared a negative "
+                              f"message size")
+    if (low != high).any():
+        b = int(np.argmax(low != high))
         raise SimulationError(
             f"program {program.name} has an input-dependent communication pattern: "
-            f"party {v} sends {low} and {high} symbols on port {port} in round {r + 1}")
-    return low
-
-
-def _symbol_column(program: PartyProgram, msg, rows: int, v: int, port: int) -> np.ndarray:
-    """A message of symbols as an int64 array of shape (rows, symbols), checked."""
-    column = np.asarray(msg)
-    if column.ndim != 2 or len(column) != rows:
-        raise SimulationError(f"party {v} sent a message of shape {column.shape}, not "
-                              f"({rows} rows, symbols), on port {port}")
-    if column.size:
-        if column.dtype.kind not in "biu":
-            raise SimulationError(f"party {v} sent {column.dtype} symbols on port {port}")
-        column = column.astype(np.int64, copy=False)
-        # one pass over the column: a negative symbol reads as a large unsigned one
-        if column.view(np.uint64).max() >= program.symbol_dim:
-            s = column[(column < 0) | (column >= program.symbol_dim)][0]
-            raise SimulationError(
-                f"party {v} sent symbol {s} outside alphabet "
-                f"0..{program.symbol_dim - 1} on port {port}")
-    return column
+            f"party {parties[b]} sends {low[b]} and {high[b]} symbols on port {port} "
+            f"in round {r + 1}")
+    return payload, low.tolist()
 
 
 def verify_anonymity(

@@ -12,7 +12,7 @@ once (:func:`run_cached`).  Each subroutine instance keeps one columnar memo
 per topology object: the sorted int64 codes of the input rows it has run and
 an int64 table of their outputs, searched with numpy, so only inputs it has
 not seen reach the engine, all of them in one run: the party programs act
-on columns and step every row in lockstep.  The memo lives as long as the
+on all parties' rows at once, in lockstep.  The memo lives as long as the
 instance and is never shared with another.  A direct run of one input vector
 is a table of one row (:func:`run_row`).  A consistency test keeps no memo of
 its own: its table is split into two flood tables, answered by the flood's
@@ -20,18 +20,16 @@ memo.
 """
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SimulationError
-from .runtime import PartyProgram, SizedMessage, as_int64, parallel, run_classical
+from .runtime import PartyProgram, SizedMessage, as_int64, parallel, port_rows, run_classical
 from .topology import Topology
 
 TRUE, FALSE = 1, 0
@@ -190,24 +188,25 @@ def all_zeros_flooding(delta: int) -> ClassicalSubroutine:
     whatever it receives; after ``delta`` rounds (``delta`` at least the graph
     diameter) the OR of all bits has reached everyone.  Exactly one bit per
     port per direction per round, so the pattern is trivially oblivious.
-    A party's state is its accumulated bits, one message column of one
-    symbol per row, sent as it is on every port.
+    The state is the accumulated bits, one bool message column of one
+    symbol per stacked row, and the rows each port's messages hold
+    (:func:`port_rows`).
     """
     if delta < 0:
         raise ValueError("round bound must be nonnegative")
 
     def init(x, deg):
-        return [(x != 0).astype(np.int64)[:, None], deg]
+        return [(x != 0)[:, None], port_rows(deg)]
 
     def send(state, _r):
-        bits, deg = state
-        return dict.fromkeys(range(1, deg + 1), bits)
+        bits, ports = state
+        return {p: bits[rows] for p, rows in enumerate(ports, 1)}
 
     def recv(state, inbox, _r):
-        bits, deg = state
-        for msg in inbox.values():
-            bits = bits | msg
-        return [bits, deg]
+        bits, ports = state
+        for q, rows in enumerate(ports, 1):
+            bits[rows] |= inbox[q]
+        return state
 
     def finish(state):
         # TRUE is 1 and FALSE is 0
@@ -301,11 +300,10 @@ class ViewTable:
     Each modular-sum subroutine owns one, shared by all its parties and all
     its runs, so equal views keep one id across runs (the equivariance check
     compares message payloads of ids) and nothing outlives the subroutine.
-    A party hands its rows of a round over with :meth:`defer` and keeps the
-    :class:`Pending` handle; the first read of any handle's ``ids`` interns
-    the rows of every pending handle in one :meth:`intern` batch, in the
-    order they were handed over, which in a run is party order.  Ids are
-    never reused.  Writers hold ``lock``.  A view's entries are written
+    A run interns the stacked rows of every party in one :meth:`intern`
+    batch per round, in party order, so ids are numbered as if each party
+    had interned its own rows in turn.  Ids are never reused.  Writers hold
+    ``lock``.  A view's entries are written
     once, before its id is handed out, and a full column is replaced by a
     longer copy, so the ids a reader holds stay readable without it.
     """
@@ -316,8 +314,6 @@ class ViewTable:
         self.n = n
         self.count = 0
         self.lock = threading.Lock()
-        self._flushing = threading.Lock()   # held by one flush at a time
-        self._pending: list = []   # handles not interned yet, in order
         self._ids: dict = {}       # row bytes -> id; one key per id
         self._deeper: dict = {}    # bytes of (truncation shape, child shapes) -> shape
         self._shape_ids = {(1,): 0}   # widths -> shape; shape 0 is a leaf's
@@ -347,9 +343,8 @@ class ViewTable:
         degree or an id outside the table raise ``ValueError`` and leave the
         table as it was, as they are found before ``lock`` is taken.  The rows
         are interned in one batch: one dict lookup per row, under ``lock``.
-        The view sum calls it once per round, not once per party: the first
-        read of a :meth:`defer` handle interns every pending party's rows at
-        once, in party order.
+        The view sum calls it once per round, on the stacked rows of every
+        party.
         """
         labels, rows_in = as_int64(labels), len(labels)
         per_row = not isinstance(degree, numbers.Integral)   # else one for every row
@@ -446,63 +441,6 @@ class ViewTable:
                 self.count = stop
         return ids
 
-    def defer(self, labels, degree, pairs=(), prev=None) -> "Pending":
-        """The rows of :meth:`intern`, held until the first read of any pending handle.
-
-        That read interns every pending handle of this table in one batch
-        (:meth:`flush`).
-        """
-        handle = Pending(self, (labels, degree, pairs, prev))
-        with self.lock:
-            self._pending.append(handle)
-        return handle
-
-    def flush(self) -> None:
-        """Intern the rows of every pending handle in one :meth:`intern` batch.
-
-        Rows go in the order they were deferred.  A batch that fails, or
-        that mixes leaves with views that have children, is interned again
-        handle by handle, in the same order, so each handle gets its own ids
-        or the error its own rows raise.  A flush may resolve handles of
-        another run on this table; a reader that finds its handle taken
-        waits for that flush to end.  Should the flush itself be cut short,
-        the handles it left without a result go back to the head of the
-        pending list, and interning them again gives the same ids.
-        """
-        with self._flushing:
-            with self.lock:
-                batch, self._pending = self._pending, []
-            try:
-                ids = None
-                if len(batch) > 1:
-                    try:
-                        ids = self.intern(*_stacked([h.rows for h in batch]))
-                    except Exception:
-                        pass   # interned again below, handle by handle
-                if ids is None:
-                    for handle in batch:
-                        try:
-                            handle.result = self.intern(*handle.rows)
-                        except Exception as error:   # raised in the handle's own run
-                            # no traceback: its frames would hold the handle
-                            handle.result = error.with_traceback(None)
-                else:
-                    stop = 0
-                    for handle in batch:
-                        start, stop = stop, stop + len(handle.rows[0])
-                        handle.result = ids[start:stop]
-            finally:
-                done = [h for h in batch if h.result is not None]
-                if len(done) < len(batch):
-                    with self.lock:
-                        self._pending[:0] = [h for h in batch if h.result is None]
-                # weak references: a handle that held its batch would be a
-                # cycle, freed only by the garbage collector
-                refs = [weakref.ref(handle) for handle in done]
-                for handle in done:
-                    handle.batch = refs
-                    handle.rows = None
-
     def _known(self, ids: np.ndarray) -> None:
         # one pass: a negative id reads as a large unsigned one
         if ids.size and ids.view(np.uint64).max() >= self.count:
@@ -566,62 +504,6 @@ def _row_keys(rows: np.ndarray) -> list:
     """One dict key per row of an int64 table: its bytes, equal only for equal rows."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
-
-
-def _stacked(rows: list) -> tuple:
-    """The :meth:`ViewTable.intern` arguments of several handles' rows, as one batch.
-
-    Each handle has one degree, repeated into a column of one per row, and a
-    handle with fewer exit ports than the widest has its missing ports
-    padded with zero pairs.  Leaves mixed with views that have children, or
-    a handle whose own columns differ in length, raise ``ValueError``, which
-    the flush meets by interning handle by handle.
-    """
-    sizes = [len(r[0]) for r in rows]
-    labels = np.concatenate([r[0] for r in rows])
-    degrees = np.repeat([r[1] for r in rows], sizes)
-    if not any(r[2] for r in rows):
-        return labels, degrees
-    if not all(r[2] for r in rows):
-        raise ValueError("leaves and views with children go in separate batches")
-    if any(len(c) != s for r, s in zip(rows, sizes) for c in (*r[2], r[3])):
-        raise ValueError("a handle's rows have unequal counts")
-    blank = np.zeros((max(sizes), 2), dtype=np.int64)
-    pairs = [np.concatenate([r[2][p] if p < len(r[2]) else blank[:s]
-                             for r, s in zip(rows, sizes)])
-             for p in range(max(len(r[2]) for r in rows))]
-    return labels, degrees, pairs, np.concatenate([r[3] for r in rows])
-
-
-class Pending:
-    """One party's rows of one round, handed to a :class:`ViewTable` and not yet read.
-
-    The first read of ``ids`` on any pending handle of the table interns
-    every pending handle at once (:meth:`ViewTable.flush`).  ``ids`` then
-    returns this handle's ids, or raises the error its own rows caused.
-    ``batch`` holds weak references to the handles interned together, and
-    ``outputs`` what a reader works out once for the whole batch (the
-    modular sum's outputs of every party).  An error is kept without a
-    traceback and raised as a copy, so that neither its frames nor the
-    reader's lead back to the handle.
-    """
-
-    __slots__ = ("table", "rows", "result", "batch", "outputs", "__weakref__")
-
-    def __init__(self, table: ViewTable, rows: tuple):
-        self.table = table
-        self.rows = rows        # the intern arguments; None once interned
-        self.result = None      # the ids, or the error of interning them
-        self.batch = None
-        self.outputs = None
-
-    @property
-    def ids(self) -> np.ndarray:
-        if self.rows is not None:
-            self.table.flush()
-        if isinstance(self.result, Exception):
-            raise copy.copy(self.result)
-        return self.result
 
 
 class View:
@@ -830,15 +712,11 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
     plus its view, serialized or folded (:func:`view_size`), so its size
     depends on n, the round and the topology but never on the input labels.
 
-    Views are ids of the subroutine's :class:`ViewTable` (``sub.views``): a
-    party holds one id per row, and a message's payload is an int64 array of
-    one (entry port, id) pair per row.  ``init`` and ``recv`` hand a party's
-    rows to the table (:meth:`ViewTable.defer`) and keep the pending handle;
-    the first read, the next round's ``send`` or ``finish``, interns every
-    pending party's rows at once, in party order, so ids are numbered as if
-    each party had interned its own.  The first ``finish`` of a run walks
-    the view classes of every party of the flush in one
-    :func:`distinct_truncated_views` call and leaves each party its outputs.
+    Views are ids of the subroutine's :class:`ViewTable` (``sub.views``),
+    one per stacked row, and a payload holds one (entry port, id) pair per
+    row.  ``init`` and each ``recv`` intern every party's rows in one
+    :meth:`ViewTable.intern` batch, and ``finish`` walks every row's view
+    classes in one :func:`distinct_truncated_views` call.
     """
     if k < 2:
         raise ValueError("modulus must be at least 2")
@@ -848,56 +726,45 @@ def modular_sum_views(k: int, n: int) -> ClassicalSubroutine:
     # shared by every party and every run; see ViewTable
     table = ViewTable(n)
 
-    # a party's state: its input labels, its degree and its pending view ids, per row
+    # the state: input labels, degrees, each port's rows (port_rows) and the
+    # view ids, per stacked row
     def init(x, deg):
         outside = (x < 0) | (x >= k)
         if outside.any():
             raise ValueError(f"input {x[outside][0]} outside 0..{k - 1}")
-        return [x, deg, table.defer(x, deg)]
+        return [x, deg, port_rows(deg), table.intern(x, deg)]
 
     def send(state, _r):
-        _labels, deg, views = state
-        ids = views.ids
+        _labels, _deg, ports, ids = state
         sizes = 1 + table.sizes[table.shape[ids]]
         outbox = {}
-        for p in range(1, deg + 1):
-            payload = np.empty((len(ids), 2), dtype=np.int64)
-            payload[:, 0], payload[:, 1] = p, ids
-            outbox[p] = SizedMessage(payload, sizes)
+        for p, rows in enumerate(ports, 1):
+            mine = ids[rows]
+            payload = np.empty((len(mine), 2), dtype=np.int64)
+            payload[:, 0], payload[:, 1] = p, mine
+            outbox[p] = SizedMessage(payload, sizes[rows])
         return outbox
 
     def recv(state, inbox, _r):
-        labels, deg, views = state
-        # each payload holds the (entry port, view id) pair of one child per row
-        children = [inbox[p] for p in range(1, deg + 1)]
-        return [labels, deg, table.defer(labels, deg, children, views.ids)]
+        labels, deg, ports, ids = state
+        # per port, the (entry port, view id) pair of each row's child there,
+        # zeros in the rows of parties without the port
+        children = []
+        for p, rows in enumerate(ports, 1):
+            children.append(np.zeros((len(ids), 2), dtype=np.int64))
+            children[-1][rows] = inbox[p]
+        return [labels, deg, ports, table.intern(labels, deg, children, ids)]
 
     def finish(state):
-        views = state[2]
-        if views.outputs is None:
-            class_sums(views)
-        if isinstance(views.outputs, Exception):
-            raise copy.copy(views.outputs)
-        return views.outputs
-
-    def class_sums(views: Pending) -> None:
-        """Set the outputs of every handle of the flush at ``views``'s depth, from one walk."""
-        ids = views.ids   # read first: a flush may replace the columns
-        depth = table.depth[ids[0]]
-        group = [h for h in (ref() for ref in views.batch) if h is not None
-                 and not isinstance(h.result, Exception) and table.depth[h.result[0]] == depth]
-        roots = np.concatenate([h.result for h in group])
-        rows, classes = distinct_truncated_views(table, roots, n - 1)
-        c = np.bincount(rows, minlength=len(roots))
+        ids = state[3]
+        rows, classes = distinct_truncated_views(table, ids, n - 1)
+        c = np.bincount(rows, minlength=len(ids))
+        uneven = n % c != 0
+        if uneven.any():
+            raise SimulationError(f"view classes do not divide the party count "
+                                  f"(n={n}, classes={c[uneven][0]})")
         # rows are sorted and every row finds at least its own class
-        totals = (n // c) * np.add.reduceat(table.label[classes], np.cumsum(c) - c) % k
-        stop = 0
-        for h in group:
-            start, stop = stop, stop + len(h.result)
-            uneven = n % c[start:stop] != 0
-            h.outputs = totals[start:stop] if not uneven.any() else SimulationError(
-                f"view classes do not divide the party count "
-                f"(n={n}, classes={c[start:stop][uneven][0]})")
+        return (n // c) * np.add.reduceat(table.label[classes], np.cumsum(c) - c) % k
 
     # transmitted symbols are labels (< k) plus ports, degrees and child
     # indices, which stay below the party count

@@ -47,6 +47,15 @@ def run_sized(symbols):
     return run_classical(catalog("complete", 2), program, [[0, 0], [0, 0]])
 
 
+def run_one_round(send, finish=lambda rows: np.zeros(rows, dtype=np.int64), name="ring", n=3):
+    """A one-round run of two rows on a catalog graph: ``send(rows)`` is the
+    outbox, for ``rows`` stacked rows, and ``finish(rows)`` the outputs."""
+    program = PartyProgram(rounds=1, symbol_dim=2, init=lambda x, d: len(x),
+                           send=lambda rows, r: send(rows), recv=lambda rows, inbox, r: rows,
+                           finish=finish)
+    return run_classical(catalog(name, n), program, np.zeros((2, n), dtype=np.int64))
+
+
 def gather_scatter(parties, transform_dim):
     return gather_scatter_state(catalog("ring", 2), 0, qubits(parties), "q",
                                 np.eye(transform_dim))
@@ -70,6 +79,37 @@ REFUSALS = [
      SimulationError, "party 0 declared a message size that is not an integer on port 1"),
     ("engine-fractional-size", lambda: run_sized(1.5),
      SimulationError, "party 0 declared a message size that is not an integer on port 1"),
+    # a message holds the rows of every party with its port, in stacked order
+    ("engine-message-rows",
+     lambda: run_one_round(lambda rows: {1: np.zeros((rows - 1, 1))}, name="complete", n=2),
+     SimulationError, "the message on port 1 in round 1 has 3 rows, not 2 for each of the 2 "
+                      "parties with that port, from party 1 on"),
+    ("engine-payload-rows",
+     lambda: run_one_round(lambda rows: {1: SizedMessage([()] * (rows + 1), 0)},
+                           name="complete", n=2),
+     SimulationError, "the message on port 1 in round 1 has 5 rows, not 2 for each of the 2 "
+                      "parties with that port, from party 1 on"),
+    ("engine-port-zero",
+     lambda: run_one_round(lambda rows: {0: np.zeros((rows, 1))}, name="complete", n=2),
+     ValueError, "party 0 sends on port 0 in round 1, but node 0 has no port 0"),
+    ("engine-port-above-every-degree",
+     lambda: run_one_round(lambda rows: {2: np.zeros((rows, 1))}, name="complete", n=2),
+     ValueError, "party 0 sends on port 2 in round 1, but node 0 has no port 2"),
+    ("engine-size-within-a-party",
+     lambda: run_sized(np.array([1, 2, 1, 1])),
+     SimulationError, "program program has an input-dependent communication pattern: "
+                      "party 0 sends 1 and 2 symbols on port 1 in round 1"),
+    ("engine-sizes-count", lambda: run_sized([1, 1]),
+     SimulationError, "party 1 declared 2 sizes for 4 rows on port 1 in round 1"),
+    # on path-3 only the middle party has port 2
+    ("engine-port-left-out",
+     lambda: run_one_round(lambda rows: {1: np.zeros((rows, 1), dtype=np.int64)},
+                           name="path"),
+     SimulationError, "party 1 sends nothing on port 2 in round 1: a round sends on every "
+                      "port or none"),
+    ("engine-finish-length",
+     lambda: run_one_round(lambda rows: {}, finish=lambda rows: np.zeros(rows - 1)),
+     SimulationError, "program finished with 5 outputs for 3 parties of 2 rows"),
     ("program-negative-rounds",
      lambda: PartyProgram(rounds=-2, symbol_dim=2, init=None, send=None, recv=None,
                           finish=None),

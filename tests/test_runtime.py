@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonqnet.errors import SimulationError
-from anonqnet.runtime import (CostReport, PartyProgram, SizedMessage, parallel,
+from anonqnet.runtime import (CostReport, PartyProgram, SizedMessage, parallel, port_rows,
                               run_classical, sequential, verify_anonymity)
 from anonqnet.subroutines import (all_zeros_flooding, consistency_from_all_zeros,
                                   modular_sum_views, run_cached)
@@ -16,10 +16,11 @@ from conftest import all_bit_vectors, shuffled_ports
 
 
 def echo_program(rounds=1):
+    """Every party sends its input bit on every port and outputs it."""
     return PartyProgram(
         rounds=rounds, symbol_dim=2,
-        init=lambda x, deg: (x, deg),
-        send=lambda s, r: {p: s[0][:, None] for p in range(1, s[1] + 1)},
+        init=lambda x, deg: (x, port_rows(deg)),
+        send=lambda s, r: {p: s[0][rows, None] for p, rows in enumerate(s[1], 1)},
         recv=lambda s, inbox, r: s,
         finish=lambda s: s[0],
         name="echo",
@@ -68,12 +69,13 @@ def test_determinism():
 
 def test_bad_port_rejected():
     topo = catalog("path", 3)
+    # one past the last port of every party; the middle party has port 2
     prog = PartyProgram(rounds=1, symbol_dim=2,
                         init=lambda x, d: d,
-                        send=lambda s, r: {s + 1: (0,)},  # one past the last port
+                        send=lambda d, r: {int(d.max()) + 1: np.zeros((1, 1), dtype=np.int64)},
                         recv=lambda s, i, r: s,
-                        finish=lambda s: s)
-    with pytest.raises(ValueError, match="node 0 has no port 2"):
+                        finish=lambda d: d)
+    with pytest.raises(ValueError, match="node 0 has no port 3"):
         run_classical(topo, prog, [[0, 0, 0]])
 
 
@@ -81,16 +83,16 @@ def test_symbol_out_of_alphabet_rejected():
     topo = catalog("complete", 2)
     prog = PartyProgram(rounds=1, symbol_dim=2,
                         init=lambda x, d: x,
-                        send=lambda s, r: {1: (7,)},
+                        send=lambda x, r: {1: np.full((len(x), 1), 7)},
                         recv=lambda s, i, r: s,
                         finish=lambda s: s)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="sent symbol 7 outside alphabet 0..1 on port 1"):
         run_classical(topo, prog, [[0, 0]])
 
 
 def one_message_program(message, symbol_dim=4, received=None):
-    """Every row sends ``message`` on port 1; each party's first row of what
-    arrives there is appended to ``received``."""
+    """Every row sends ``message`` on port 1, which every party of complete-2
+    has; every row of what arrives there is appended to ``received``."""
     def send(rows, _r):
         if type(message) is SizedMessage:
             return {1: SizedMessage([message.payload] * rows, message.symbols)}
@@ -98,7 +100,7 @@ def one_message_program(message, symbol_dim=4, received=None):
 
     def recv(rows, inbox, _r):
         if received is not None:
-            received.append(first_row(inbox[1]))
+            received.extend(first_row(inbox[1][i:i + 1]) for i in range(len(inbox[1])))
         return rows
 
     return PartyProgram(rounds=1, symbol_dim=symbol_dim,
@@ -149,23 +151,22 @@ def test_anonymity_rotated_inputs():
 
 
 def test_anonymity_detects_payload_asymmetry():
-    # every party sends the index a shared counter hands it, so the outputs,
-    # costs and message pattern are symmetric but the payloads are not
-    counter = itertools.count()
+    # every row sends its position in the stacked table, the one way a hook
+    # can tell parties apart, so the outputs, costs and message pattern are
+    # symmetric but the payloads are not; ring-4 gives every party both ports
     prog = PartyProgram(rounds=1, symbol_dim=4,
-                        init=lambda x, d: (np.full((len(x), 1), next(counter) % 4), d),
-                        send=lambda s, r: {p: s[0] for p in range(1, s[1] + 1)},
+                        init=lambda x, d: np.arange(len(x))[:, None] % 4,
+                        send=lambda s, r: {1: s, 2: s},
                         recv=lambda s, i, r: s,
-                        finish=lambda s: np.zeros(len(s[0]), dtype=np.int64))
+                        finish=lambda s: np.zeros(len(s), dtype=np.int64))
     assert not verify_anonymity(catalog("ring", 4), prog, [[0, 0, 0, 0]], (1, 2, 3, 0))
 
 
 def test_anonymity_detects_output_asymmetry():
-    # no messages at all, but every party outputs the index a shared counter
-    # hands it, so the second run's outputs differ from the first's
-    counter = itertools.count()
+    # no messages at all, but every row outputs its position in the stacked
+    # table, so the relabeled copy's outputs differ from the first rows'
     prog = PartyProgram(rounds=0, symbol_dim=2,
-                        init=lambda x, d: np.full(len(x), next(counter)),
+                        init=lambda x, d: np.arange(len(x)) % 4,
                         send=lambda s, r: {}, recv=lambda s, i, r: s,
                         finish=lambda s: s)
     assert not verify_anonymity(catalog("ring", 4), prog, [[0, 0, 0, 0]], (1, 2, 3, 0))

@@ -123,8 +123,8 @@ def test_derived_consistency_matches_its_program_on_random_ports(topo, data):
 def test_derived_consistency_keeps_the_flood_pattern_check():
     # a flood whose message length is its bit plus one
     def send(state, _r):
-        bits, deg = state
-        return {p: SizedMessage(bits, bits[:, 0] + 1) for p in range(1, deg + 1)}
+        bits, ports = state
+        return {p: SizedMessage(bits[rows], bits[rows, 0] + 1) for p, rows in enumerate(ports, 1)}
 
     prog = all_zeros_flooding(3).program
     leaky = ClassicalSubroutine(PartyProgram(
@@ -423,7 +423,7 @@ def test_two_threads_share_one_modular_sum():
 
 
 def test_two_threads_share_one_modular_sum_on_a_star():
-    # a star's views have two degrees, so every flush interns a mixed batch
+    # a star's views have two degrees, so every round interns a mixed batch
     topo = catalog("star", 5)
     inputs = all_bit_vectors(5)
     serial = [run_row(modular_sum_views(2, 5), topo, x) for x in inputs]
@@ -559,55 +559,7 @@ def test_a_run_interns_once_per_round_and_walks_once(monkeypatch, name, n):
     assert calls == {"intern": 2 * (n - 1) + 1, "walk": 1}
 
 
-def test_a_corrupt_handle_raises_in_its_owner_alone():
-    topo = catalog("ring", 4)
-    x = [1, 0, 0, 0]
-    table = ViewTable(4)
-    leaves = [int(table.intern([x[v]], 2)[0]) for v in range(4)]
-
-    def defer(v, prev):
-        pairs = [np.array([[q, leaves[u]]]) for u, q in (topo.link(v, p) for p in (1, 2))]
-        return table.defer([x[v]], 2, pairs, [prev])
-
-    # party 1's previous view is party 0's, whose label is another; a new
-    # leaf among views with children also sends the flush handle by handle
-    handles = [defer(0, leaves[0]), table.defer([2], 2), defer(1, leaves[0]),
-               defer(2, leaves[2])]
-    assert handles[3].ids is not None   # reading one handle interns all four
-    with pytest.raises(ValueError, match="is not the view of row 0 cut one level shorter"):
-        handles[2].ids
-    # the others got the ids that interning them alone, in order, gives
-    alone = ViewTable(4)
-    for v in range(4):
-        alone.intern([x[v]], 2)
-    honest = [view(topo, 0, 1, x, table=alone), alone.node(2, 2),
-              view(topo, 2, 1, x, table=alone)]
-    assert [handles[i].ids.tolist() for i in (0, 1, 3)] == [[v.id] for v in honest]
-    assert table.count == alone.count
-
-
-def test_a_flush_cut_short_leaves_its_handles_pending(monkeypatch):
-    class Cut(BaseException):
-        pass
-
-    table = ViewTable(3)
-    handles = [table.defer([0], 2), table.defer([1], 2)]
-    intern = ViewTable.intern
-
-    def cut_once(*args, **kwargs):
-        monkeypatch.setattr(ViewTable, "intern", intern)
-        raise Cut
-
-    monkeypatch.setattr(ViewTable, "intern", cut_once)
-    with pytest.raises(Cut):
-        handles[1].ids
-    # the next read interns both again, in order
-    assert [h.ids.tolist() for h in handles] == [[0], [1]]
-    assert table.count == 2
-
-
 def test_a_view_sum_run_leaves_no_garbage_cycles():
-    # pending handles reach their batch through weak references
     topo = catalog("star", 5)
     sub = modular_sum_views(3, 5)
     run_classical(topo, sub.program, [[1, 0, 2, 0, 1]])
@@ -621,25 +573,17 @@ def test_a_view_sum_run_leaves_no_garbage_cycles():
 
 
 def test_a_refused_view_row_leaves_no_garbage_cycles():
-    # a handle keeps its error without a traceback and raises a copy, so
-    # neither the flush's frames nor the reader's lead back to the handle
     table = ViewTable(4)
     leaves = table.intern([0, 1], 2).tolist()
     pairs = [np.array([[1, leaves[0]]]), np.array([[2, leaves[0]]])]
     gc.collect()
     gc.disable()
     try:
-        # the second handle's previous view has another label
-        handles = [table.defer([0], 2, pairs, [leaves[0]]),
-                   table.defer([0], 2, pairs, [leaves[1]])]
+        # the second row's previous view has another label
         for _ in range(2):
-            with pytest.raises(ValueError, match="is not the view of row 0 cut one level shorter"):
-                handles[1].ids
-        assert handles[0].ids.tolist() == [2]
-        del handles
-        # the outputs of a finish are refused the same way
-        with pytest.raises(SimulationError, match="view classes do not divide the party count"):
-            drive_by_hand(catalog("ring", 4), modular_sum_views(2, 3).program, [1, 0, 0, 0])
+            with pytest.raises(ValueError, match="is not the view of row 1 cut one level shorter"):
+                table.intern([0, 0], 2, [np.concatenate((p, p)) for p in pairs], leaves)
+        assert table.intern([0], 2, pairs, [leaves[0]]).tolist() == [2]
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -678,17 +622,54 @@ def test_view_message_sizes_are_label_independent():
     assert len(sizes) == 1
 
 
-def drive_by_hand(topo, program, inputs):
-    """Run a program's hooks on one row, round by round, without the engine or its checks."""
-    states = [program.init(np.array([x]), topo.degree(v)) for v, x in enumerate(inputs)]
+def drive_by_hand(topo, program, table, order=None):
+    """Run a program's hooks on a stacked table, delivering by hand, without the engine.
+
+    The parties' blocks of rows are stacked in ``order`` (party order by
+    default), and so is the degree column; every round sends on every port.  Returns ``(sent, outputs)``:
+    ``sent`` maps each (round, sender, port) to the sender's rows of the
+    message, as a list, and ``outputs`` is the (rows, parties) output table.
+    """
+    table = np.asarray(table)
+    rows, n = table.shape
+    order = list(range(n)) if order is None else list(order)
+    block = {v: b for b, v in enumerate(order)}
+    degrees = np.repeat([topo.degree(v) for v in order], rows)
+    state = program.init(table[:, order].T.reshape(-1), degrees)
+    sent = {}
     for r in range(program.rounds):
-        inboxes = [{} for _ in states]
-        for v, state in enumerate(states):
-            for port, msg in program.send(state, r).items():
-                u, q = topo.link(v, port)
-                inboxes[u][q] = msg.payload
-        states = [program.recv(state, inbox, r) for state, inbox in zip(states, inboxes)]
-    return [program.finish(state)[0] for state in states]
+        outbox = program.send(state, r)
+        for p, msg in outbox.items():
+            holders = [v for v in order if topo.degree(v) >= p]
+            payload = msg.payload if isinstance(msg, SizedMessage) else msg
+            for i, v in enumerate(holders):
+                sent[r, v, p] = payload[i * rows:(i + 1) * rows].tolist()
+        inbox = {}
+        for q in outbox:
+            # each party's block on port q is what its neighbour sent across the link
+            holders = [u for u in order if topo.degree(u) >= q]
+            inbox[q] = np.array([row for u in holders for row in sent[(r, *topo.link(u, q))]])
+        state = program.recv(state, inbox, r)
+    outputs = np.asarray(program.finish(state)).reshape(n, rows)
+    return sent, outputs[[block[v] for v in range(n)]].T
+
+
+@pytest.mark.parametrize("name,n,topo", CASES_4, ids=case_ids(CASES_4))
+def test_hooks_see_no_party_index(name, n, topo):
+    """Party blocks and the degree column stacked in another order give the
+    same payloads and outputs, moved along with their parties."""
+    order = random.Random(n).sample(range(n), n)
+    port = {(v, topo.link(v, p)[0]): p for v in range(n) for p in range(1, topo.degree(v) + 1)}
+    for sub in (all_zeros_flooding(n), modular_sum_views(2, n), modular_sum_views(3, n)):
+        table = list(itertools.product(range(sub.input_dims[0]), repeat=n))
+        # the engine's run comes first, so the view ids the others send are interned
+        outputs, _cost, events = run_classical(topo, sub.program, table)
+        sent, by_hand = drive_by_hand(topo, sub.program, table)
+        assert sent == {(r - 1, v, port[v, u]): payload.tolist()
+                        for r, v, u, _size, payload in events}
+        assert by_hand.tolist() == outputs.tolist()
+        moved_sent, moved = drive_by_hand(topo, sub.program, table, order)
+        assert moved_sent == sent and moved.tolist() == by_hand.tolist()
 
 
 def test_class_count_divides_party_count_guard():
@@ -700,7 +681,7 @@ def test_class_count_divides_party_count_guard():
     # no graph of the right size can fail the divisibility check, so reach it
     # by running the hooks of the 3-party sum on four parties by hand
     with pytest.raises(SimulationError, match="view classes do not divide the party count"):
-        drive_by_hand(topo, sub.program, [1, 0, 0, 0])
+        drive_by_hand(topo, sub.program, [[1, 0, 0, 0]])
 
 
 def test_run_memo_keys_on_topology_and_program():

@@ -4,14 +4,13 @@ Each test breaks one input of a suite by monkeypatch, runs the suite and
 requires exactly the checks that read that input to be false.
 """
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
 from anonqnet import subroutines, verify
 from anonqnet.postelect import majority
-from anonqnet.runtime import SizedMessage
+from anonqnet.runtime import SizedMessage, port_rows
 from anonqnet.subroutines import ClassicalSubroutine
 
 
@@ -54,16 +53,21 @@ def test_anonymity_catches_a_party_dependent_consistency(monkeypatch):
         f"{g}: flooding and consistency traces equivariant" for g in ANONYMITY_GRAPHS]
 
 
-def first_party_built(program, n, send, recv):
-    """``program`` whose parties know whether they were built first in a run.
+def first_party_rows(program, n, send, recv):
+    """``program`` whose hooks know which stacked rows are party 0's.
 
-    ``send(first, outbox)`` and ``recv(inbox)`` rewrite the messages a party
-    sends and receives; the engine builds party 0 first.
+    They are the first ``1 / n`` of the rows, which is how a stacked hook can
+    tell a party from another: by a row's position.  ``send(first, outbox)``
+    and ``recv(inbox)`` rewrite the messages sent and received; ``first``
+    maps each port to whether each row of its message is party 0's.
     """
-    built = itertools.count()
+    def init(x, deg):
+        first = np.arange(len(x)) < len(x) // n
+        by_port = {p: first[rows] for p, rows in enumerate(port_rows(deg), 1)}
+        return by_port, program.init(x, deg)
+
     return dataclasses.replace(
-        program,
-        init=lambda x, deg: (next(built) % n == 0, program.init(x, deg)),
+        program, init=init,
         send=lambda state, r: send(state[0], program.send(state[1], r)),
         recv=lambda state, inbox, r: (state[0], program.recv(state[1], recv(inbox), r)),
         finish=lambda state: program.finish(state[1]))
@@ -75,10 +79,11 @@ def test_anonymity_catches_a_party_dependent_flood_payload(monkeypatch):
     original = verify.all_zeros_flooding
 
     def first_party_sends_twos(delta):
-        return ClassicalSubroutine(first_party_built(
+        return ClassicalSubroutine(first_party_rows(
             dataclasses.replace(original(delta).program, symbol_dim=3), delta,
-            lambda first, outbox: {p: 2 * m if first else m for p, m in outbox.items()},
-            lambda inbox: {q: (m != 0).astype(np.int64) for q, m in inbox.items()}))
+            lambda first, outbox: {p: np.where(first[p][:, None], 2 * m, m)
+                                   for p, m in outbox.items()},
+            lambda inbox: {q: m != 0 for q, m in inbox.items()}))
 
     monkeypatch.setattr(verify, "all_zeros_flooding", first_party_sends_twos)
     assert failed(verify.suite_anonymity()) == [
@@ -92,13 +97,13 @@ def test_anonymity_catches_a_party_dependent_view_payload(monkeypatch):
 
     def first_party_flagged(k, n):
         def send(first, outbox):
-            return {p: SizedMessage([(*entry, first) for entry in m.payload], m.symbols)
+            return {p: SizedMessage(np.column_stack((m.payload, first[p])), m.symbols)
                     for p, m in outbox.items()}
 
         def recv(inbox):
-            return {q: [entry[:2] for entry in payload] for q, payload in inbox.items()}
+            return {q: payload[:, :2] for q, payload in inbox.items()}
 
-        return ClassicalSubroutine(first_party_built(original(k, n).program, n, send, recv),
+        return ClassicalSubroutine(first_party_rows(original(k, n).program, n, send, recv),
                                    input_dims=(k,))
 
     monkeypatch.setattr(verify, "modular_sum_views", first_party_flagged)
